@@ -98,11 +98,8 @@ def parse_function(spec: str, order: int) -> PowerSeries:
     if name == "log-reciprocal":
         return log_reciprocal_coefficient(order)
     if name == "lacunary":
-        params = _params(rest)
-        q = int(params.get("q", 2))
-        terms = int(params.get("terms", 8))
-        freqs = [q**k for k in range(1, terms + 1)]
-        return lacunary_series(np.ones(terms), freqs, order=max(order, freqs[-1]))
+        freqs = _lacunary_frequencies(rest)
+        return lacunary_series(np.ones(len(freqs)), freqs, order=max(order, freqs[-1]))
     if name == "exp":
         eps = complex(_params(rest).get("eps", 0.1))
         lin = np.zeros(order + 1, dtype=complex)
@@ -123,6 +120,16 @@ def _params(rest: str) -> dict:
             k, _, v = item.partition("=")
             out[k.strip()] = v.strip()
     return out
+
+
+def _lacunary_frequencies(rest: str) -> list[int]:
+    """Frequencies ``q, q^2, ..., q^terms`` of a ``lacunary:q=Q,terms=K`` spec."""
+    params = _params(rest)
+    q = int(params.get("q", 2))
+    terms = int(params.get("terms", 8))
+    if q < 2 or terms < 1:
+        raise ConfigError(f"lacunary needs an integer q >= 2 and terms >= 1, got q={q}, terms={terms}")
+    return [q**k for k in range(1, terms + 1)]
 
 
 def build_grid(args) -> QuadratureGrid:
@@ -394,12 +401,8 @@ def _cmd_experiment(args, grid):
             write_csv(args.csv, ["p", "C_emp"], track)
         return {"fitted_exponent": slope, "track": [list(t) for t in track]}
     if args.kind == "lacunary":
-        params = _params(args.coeff.partition(":")[2]) if ":" in args.coeff else {}
-        q = int(params.get("q", 2))
-        terms = int(params.get("terms", 8))
-        freqs = [q**k for k in range(1, terms + 1)]
-        rep = lacunary_lmoa(np.ones(terms), freqs)
-        return rep
+        freqs = _lacunary_frequencies(args.coeff.partition(":")[2])
+        return lacunary_lmoa(np.ones(len(freqs)), freqs)
     raise ConfigError(f"unknown experiment kind {args.kind!r}")
 
 

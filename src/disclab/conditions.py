@@ -301,14 +301,13 @@ def decay_conditions(
     oscillation and little-Bloch membership of solutions.
     """
     field = np.abs(grid.sample(A)) ** 2 * (1 - grid.radii**2)[:, None] ** 2
+    wq = grid.weights * 2.0 * grid.radii
     out = []
     for rho in radii:
         rho = float(rho)
         pref = float(_log_weight(rho)) ** 2
-        best = 0.0
-        for phase in np.exp(2j * np.pi * np.arange(grid.a_angles) / grid.a_angles):
-            a = rho * phase if rho > 0 else 0.0
-            best = max(best, pref * grid.integrate(field * grid.moebius_factor(a)))
+        rings = grid.moebius_ring_means(field, a_radii=(rho if rho > 0 else 0.0,))
+        best = max(0.0, float(np.max(pref * (rings @ wq))))
         ring = float(np.max(np.abs(sample_circle(A, rho, grid.angular)))) if rho > 0 else abs(A.coeffs[0])
         logsup = ring * (1 - rho * rho) ** 2 * float(_log_weight(rho))
         out.append((rho, best, logsup))

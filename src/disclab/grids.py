@@ -105,12 +105,7 @@ class QuadratureGrid:
         sup.append(self.r_max)
         self.sup_radii = np.array(sorted(set(sup)))
 
-        centres = [0j] if 0.0 in self.a_radii else []
-        phases = np.exp(2j * np.pi * np.arange(self.a_angles) / self.a_angles)
-        for ra in self.a_radii:
-            if ra > 0.0:
-                centres.extend(ra * phases)
-        self.a_grid = np.array(centres)
+        self.a_grid = self.centres()
 
     # -- derived grids ------------------------------------------------------
 
@@ -197,15 +192,98 @@ class QuadratureGrid:
         z = self.nodes(radii)
         return (1 - abs(a) ** 2) * (1 - np.abs(z) ** 2) / np.abs(1 - np.conj(a) * z) ** 2
 
-    def moebius_ring_means(self, field: np.ndarray) -> np.ndarray:
+    # -- centre sweeps -----------------------------------------------------
+
+    def _centre_radii(self, a_radii) -> tuple[float, ...]:
+        return self.a_radii if a_radii is None else tuple(float(s) for s in a_radii)
+
+    def centres(self, a_radii=None) -> np.ndarray:
+        """Moebius centres: ``a_radii`` (default the grid's) crossed with
+        ``a_angles`` equispaced phases.  Radius 0 contributes the single
+        centre 0, placed first; negative radii contribute nothing."""
+        radii = self._centre_radii(a_radii)
+        centres = [0j] if 0.0 in radii else []
+        phases = np.exp(2j * np.pi * np.arange(self.a_angles) / self.a_angles)
+        for ra in radii:
+            if ra > 0.0:
+                centres.extend(ra * phases)
+        return np.array(centres)
+
+    def moebius_ring_means(self, field: np.ndarray, a_radii=None) -> np.ndarray:
         """Per-centre angular means of ``field * (1 - |phi_a|^2)``: a matrix
-        of shape (centres, radii) from one pass over the node matrix."""
-        z = self.nodes()
+        of shape (centres, radii), rows in the order of :meth:`centres`.
+
+        With ``z = rho e^{i theta}`` and ``a = s e^{i psi}``,
+
+            1 - |phi_a(z)|^2 = (1 - rho^2) (1 - s^2) / |1 - conj(a) z|^2,
+            |1 - conj(a) z|^2 = (1 - s rho)^2 + 4 s rho sin^2((theta - psi)/2),
+
+        (the product form, unlike ``1 - 2 s rho cos + (s rho)^2``, does not
+        cancel as ``s rho -> 1``).  The weight depends on ``theta`` only
+        through ``theta - psi``.  A centre phase ``2 pi j / P`` equals
+        ``2 pi (m + f) / M`` with integer shift ``m`` and offset
+        ``f = (j M mod P) / P``, so one real kernel
+        ``K_f[i, k] = (1 - s^2) / |1 - s rho_i e^{2 pi i (k - f)/M}|^2`` per
+        (centre radius, offset) serves every phase with that offset:
+
+            mean_k base[i, k] K_f[i, (k - m) mod M]
+
+        is two row-wise dot products over the column slices ``[m:]`` /
+        ``[:M-m]`` and ``[:m]`` / ``[M-m:]`` of ``base`` / ``K_f``.  There
+        are ``P / gcd(M, P)`` offsets, one when ``P`` divides ``M``.
+        """
         base = field * (1.0 - self.radii**2)[:, None]
-        out = np.empty((self.a_grid.size, self.radii.size))
-        for i, a in enumerate(self.a_grid):
-            w = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
-            out[i] = (base * w).mean(axis=1)
+        radii = self._centre_radii(a_radii)
+        M, P = self.angular, self.a_angles
+        head = 1 if 0.0 in radii else 0
+        ring_radii = [s for s in radii if s > 0.0]
+        out = np.empty((head + P * len(ring_radii), self.radii.size), dtype=base.dtype)
+        if head:
+            out[0] = base.mean(axis=1)
+        shifts: dict[int, list[tuple[int, int]]] = {}
+        for j in range(P):
+            m, f = divmod(j * M, P)
+            shifts.setdefault(f, []).append((j, m))
+        kernel = np.empty(base.shape)
+        k = np.arange(M)
+        for b, s in enumerate(ring_radii):
+            sr = s * self.radii
+            gap = ((1.0 - sr) ** 2)[:, None]
+            for f, phases in shifts.items():
+                sin2 = np.sin(np.pi * (k * P - f) / (M * P)) ** 2
+                np.multiply((4.0 * sr)[:, None], sin2[None, :], out=kernel)
+                kernel += gap
+                np.divide(1.0 - s * s, kernel, out=kernel)
+                for j, m in phases:
+                    row = np.einsum("ij,ij->i", base[:, m:], kernel[:, : M - m])
+                    row += np.einsum("ij,ij->i", base[:, :m], kernel[:, M - m :])
+                    out[head + b * P + j] = row / M
+        return out
+
+    def square_ring_means(self, field: np.ndarray) -> np.ndarray:
+        """Per-centre angular means of ``field`` over the Carleson squares
+        ``S_a``: a matrix of shape (centres, radii), rows in the order of
+        ``a_grid``.
+
+        Angular cells are intervals of width 2 pi / M around each node; a
+        node's weight is the fraction of its cell inside the wedge
+        ``|theta - arg a| <= (1 - |a|)/2``, so thin near-boundary squares
+        are integrated with first-order accuracy instead of being missed
+        entirely.  Radially, nodes with r <= |a| are dropped.  The centre 0
+        is the whole disc.  All centres take one product of ``field`` with
+        the (angles x centres) matrix of overlap columns.
+        """
+        a = self.a_grid
+        out = np.empty((a.size, self.radii.size), dtype=field.dtype)
+        ring = a != 0
+        out[~ring] = field.mean(axis=1)
+        a = a[ring]
+        cell = 2.0 * np.pi / self.angular
+        d = np.abs((self.thetas[:, None] - np.angle(a)[None, :] + np.pi) % (2 * np.pi) - np.pi)
+        overlap = np.clip(((1.0 - np.abs(a)) / 2.0 + cell / 2.0 - d) / cell, 0.0, 1.0)
+        rings = field @ overlap
+        rings[self.radii[:, None] <= np.abs(a)[None, :]] = 0.0
+        out[ring] = rings.T / self.angular
         return out
 
     def sample_folded(self, f, power: float = 1.0) -> np.ndarray:
@@ -219,8 +297,6 @@ class QuadratureGrid:
         high-order singular coefficients are neither missed nor
         double-counted by coarser sweeps.
         """
-        from .series import sample_circle  # local import to avoid a cycle
-
         if not isinstance(f, PowerSeries):
             return np.abs(self.sample(f)) ** power
         up = int(np.ceil((2 * f.order + 2) / self.angular))
@@ -252,8 +328,12 @@ def dilation_estimate(run, grid: QuadratureGrid):
 
     ``run(g, r)`` must return the raw estimate on grid ``g`` for the input
     dilated by ``r`` (``r = 1`` is the value itself).  The divergence flag
-    compares the dilations 0.9 and 0.999 of the input: a quantity that more
-    than doubles as the dilation exhausts the disc is reported divergent.
+    reads the dilations ``PROBE_LOW``, ``PROBE_MID`` and ``PROBE_HIGH``
+    (0.9, 0.99, 0.999) of the input: a quantity is reported divergent when
+    it more than doubles from 0.9 to 0.999 (``PROBE_FACTOR``) AND its last
+    decade increment (0.99 -> 0.999) is more than ``PROBE_INCREMENT_RATIO``
+    (0.7) times the one before (0.9 -> 0.99), i.e. it keeps growing at a
+    sustained rate rather than saturating late.
     Returns ``(value, value_coarse, divergence_flag)``.
     """
     value = run(grid, 1.0)

@@ -7,9 +7,12 @@ over Carleson squares, and general weighted area integrals.
 
 Every estimate is reported as a :class:`NormEstimate` carrying the value, a
 half-resolution companion value, and a divergence flag: the estimator is
-re-run on the dilations ``f(0.9 z)`` and ``f(0.999 z)`` and flagged when it
-more than doubles, i.e. when the quantity keeps growing as the dilation
-exhausts the disc.  The flag is a diagnostic, not a proof.
+re-run on the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)`` and
+flagged when it more than doubles from 0.9 to 0.999 and its increment over
+the last decade (0.99 -> 0.999) is more than 0.7 times the one before
+(0.9 -> 0.99), i.e. when the quantity keeps growing at a sustained rate as
+the dilation exhausts the disc (see :func:`disclab.grids.dilation_estimate`).
+The flag is a diagnostic, not a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuadratureGrid, area_integral, dilation_estimate
+from .grids import (
+    PROBE_FACTOR,
+    PROBE_HIGH,
+    PROBE_LOW,
+    QuadratureGrid,
+    area_integral,
+    dilation_estimate,
+)
 from .series import AccuracyWarning, PowerSeries, compose_moebius, dilate, sample_circle
 
 __all__ = [
@@ -198,35 +208,20 @@ def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
 # Carleson measures
 # ---------------------------------------------------------------------------
 
-def _square_weights(grid: QuadratureGrid, a: complex) -> np.ndarray | None:
-    """Angular-overlap weights of the Carleson square S_a on the node matrix.
-
-    Angular cells are intervals of width 2 pi / M around each node; the
-    weight is the fraction of the cell inside the wedge
-    ``|theta - arg a| <= (1 - |a|)/2``, so thin near-boundary squares are
-    integrated with first-order accuracy instead of being missed entirely.
-    Radially, nodes with r <= |a| are dropped.  Returns None for a = 0
-    (whole disc).
-    """
-    if a == 0:
-        return None
-    half = (1.0 - abs(a)) / 2.0
-    cell = 2.0 * np.pi / grid.angular
-    d = np.abs((grid.thetas - np.angle(a) + np.pi) % (2 * np.pi) - np.pi)
-    overlap = np.clip((half + cell / 2.0 - d) / cell, 0.0, 1.0)
-    radial = (grid.radii > abs(a)).astype(float)
-    return radial[:, None] * overlap[None, :]
+def _square_sup(grid: QuadratureGrid, rings: np.ndarray, prefactor, rcap: float | None = None) -> float:
+    """``sup_a prefactor(a) int_{S_a} field dm`` (at least 0) from the
+    square ring means of ``field``; with ``rcap``, radial nodes and centres
+    beyond it are left out."""
+    mask = grid.radial_mask(rcap)
+    keep = np.ones(grid.a_grid.size, dtype=bool) if rcap is None else np.abs(grid.a_grid) <= rcap
+    wq = grid.weights[mask] * 2.0 * grid.radii[mask]
+    vals = rings[keep][:, mask] @ wq * np.array([prefactor(a) for a in grid.a_grid[keep]])
+    return max(0.0, float(np.max(vals))) if vals.size else 0.0
 
 
 def square_sweep(grid: QuadratureGrid, field: np.ndarray, prefactor) -> float:
     """``sup_a prefactor(a) int_{S_a} field dm`` over Carleson squares."""
-    wq = grid.weights * 2.0 * grid.radii
-    best = 0.0
-    for a in grid.a_grid:
-        w = _square_weights(grid, a)
-        rings = (field if w is None else field * w).mean(axis=1)
-        best = max(best, float(rings @ wq) * prefactor(a))
-    return best
+    return _square_sup(grid, grid.square_ring_means(field), prefactor)
 
 
 def square_sweep_estimate(f: PowerSeries, make_field, grid: QuadratureGrid, prefactor):
@@ -266,24 +261,13 @@ def carleson_norm(density, grid: QuadratureGrid, dilated=None) -> NormEstimate:
         return NormEstimate(*dilation_estimate(run, grid))
 
     base = field_on(grid, density)
-    value = square_sweep(grid, base, pref)
+    rings = grid.square_ring_means(base)
+    value = _square_sup(grid, rings, pref)
     if isinstance(density, np.ndarray):
         coarse = value
     else:
         cg = grid.coarsened()
         coarse = square_sweep(cg, field_on(cg, density), pref)
-
-    def capped(rcap):
-        mask = grid.radial_mask(rcap)
-        wq = grid.weights[mask] * 2.0 * grid.radii[mask]
-        best = 0.0
-        for a in grid.a_grid:
-            if abs(a) > rcap:
-                continue
-            w = _square_weights(grid, a)
-            rings = (base if w is None else base * w)[mask].mean(axis=1)
-            best = max(best, float(rings @ wq) * pref(a))
-        return best
-
-    flag = bool(capped(0.999) > 2.0 * capped(0.9) + 1e-300)
+    capped = lambda rcap: _square_sup(grid, rings, pref, rcap)
+    flag = bool(capped(PROBE_HIGH) > PROBE_FACTOR * capped(PROBE_LOW) + 1e-300)
     return NormEstimate(value, coarse, flag)

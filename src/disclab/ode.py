@@ -321,9 +321,9 @@ def named_example(spec: str, order: int = 256) -> NamedExample:
             key, _, val = item.partition("=")
             params[key.strip()] = complex(val) if "j" in val else float(val)
     if name == "hille":
-        gamma = float(params.get("gamma", 1.0))
-        if gamma <= 0:
-            raise ValueError("hille requires gamma > 0")
+        gamma = params.get("gamma", 1.0)
+        if isinstance(gamma, complex) or not (0.0 < gamma < math.inf):
+            raise ValueError(f"hille requires a real, finite gamma > 0, got {gamma!r}")
         A = _hille_coefficient(gamma, order)
         problem = ODEProblem(2, (A, _zero(order)), (0.0, 2.0 * gamma), order)
         return NamedExample("hille", {"gamma": gamma}, problem, _hille_reference(gamma, order))

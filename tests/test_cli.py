@@ -131,6 +131,20 @@ class TestErrors:
     def test_zeros_non_hille_exits_2(self):
         assert run(BASE + ["zeros", "--example", "exp-singular"]) == 2
 
+    @pytest.mark.parametrize("gamma", ["1j", "-1.0", "0", "nan", "inf"])
+    def test_hille_gamma_not_real_positive_exits_2(self, gamma, capsys):
+        args = BASE + ["condition", "--kind", "nehari", "--coeff", f"hille:gamma={gamma}"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hille requires") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["lacunary:q=1", "lacunary:q=0", "lacunary:q=-2", "lacunary:terms=0"])
+    def test_degenerate_lacunary_exits_2(self, spec, capsys):
+        assert run(BASE + ["condition", "--kind", "nehari", "--coeff", spec]) == 2
+        assert run(BASE + ["experiment", "--kind", "lacunary", "--coeff", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: lacunary needs") == 2 and err.count("\n") == 2
+
     def test_strict_escalates_accuracy_warnings(self, tmp_path):
         # a huge constant coefficient overflows the recurrence, which is
         # reported (and truncated) via an accuracy warning
