@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -50,8 +51,11 @@ from .hardy import (
     prop_main_sides,
 )
 from .norms import bloch_norm, bmoa_garsia, bmoa_h2_def, growth_norm, hp_norm
-from .ode import hille_zero_table, named_example, residual, solve_series, symmetric_power_problem
+from .ode import (
+    EXAMPLE_SPECS, hille_zero_table, named_example, residual, solve_series, symmetric_power_problem
+)
 from .series import AccuracyWarning, PowerSeries, exp_series
+from .specs import checked, parse_spec
 from .weights import (
     green_identity_residual,
     kernel_derivative_residual,
@@ -74,62 +78,47 @@ CONDITION_KINDS = (
 )
 
 
-class ConfigError(ValueError):
-    pass
+# ---------------------------------------------------------------------------
+# spec families (the grammar is disclab.specs.parse_spec)
+# ---------------------------------------------------------------------------
+
+LACUNARY_SPEC = {
+    "q": (checked(int, lambda q: q >= 2, "lacunary needs an integer q >= 2"), 2),
+    "terms": (checked(int, lambda t: t >= 1, "lacunary needs an integer terms >= 1"), 8),
+}
+FUNCTION_SPECS = {
+    **EXAMPLE_SPECS,
+    "poly": checked(
+        lambda text: [complex(t) for t in text.split(",")], bool, "poly needs complex literals c0,c1,..."
+    ),
+    "log-reciprocal": {},
+    "lacunary": LACUNARY_SPEC,
+    "exp": {"eps": (complex, 0.1)},
+    "zn": {"n": (checked(int, lambda n: n >= 0, "zn needs an integer n >= 0"), 1)},
+}
 
 
-# ---------------------------------------------------------------------------
-# spec-string parsers
-# ---------------------------------------------------------------------------
+def _lacunary_frequencies(q: int, terms: int) -> list[int]:
+    return [q**k for k in range(1, terms + 1)]
+
+
+_FUNCTION_CONSTRUCTORS = {
+    "poly": lambda order, payload: PowerSeries(payload).pad(max(order, len(payload) - 1)),
+    "log-reciprocal": log_reciprocal_coefficient,
+    "lacunary": lambda order, q, terms: lacunary_series(
+        np.ones(terms), _lacunary_frequencies(q, terms), order=max(order, q**terms)
+    ),
+    "exp": lambda order, eps: exp_series(PowerSeries([0.0, eps]).pad(order)),
+    "zn": lambda order, n: lacunary_series([1.0], [n], order=max(order, n)),  # z^n
+}
+
 
 def parse_function(spec: str, order: int) -> PowerSeries:
-    """Coefficient/function specs: ``poly:c0,c1,...`` (complex literals),
-    ``constant:c=...``, ``hille:gamma=...``, ``exp-singular``,
-    ``log-reciprocal``, ``lacunary:q=2,terms=K``, ``exp:eps=...``, ``zn:n=...``."""
-    name, _, rest = spec.partition(":")
-    if name == "poly":
-        try:
-            coeffs = [complex(tok) for tok in rest.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad poly spec {spec!r}") from exc
-        return PowerSeries(coeffs).pad(max(order, len(coeffs) - 1))
-    if name in ("hille", "exp-singular", "constant"):
+    """The series of a coefficient/function spec (families: ``FUNCTION_SPECS``)."""
+    name, params = parse_spec(spec, FUNCTION_SPECS)
+    if name in EXAMPLE_SPECS:
         return named_example(spec, order).coefficient
-    if name == "log-reciprocal":
-        return log_reciprocal_coefficient(order)
-    if name == "lacunary":
-        freqs = _lacunary_frequencies(rest)
-        return lacunary_series(np.ones(len(freqs)), freqs, order=max(order, freqs[-1]))
-    if name == "exp":
-        eps = complex(_params(rest).get("eps", 0.1))
-        lin = np.zeros(order + 1, dtype=complex)
-        lin[1] = eps
-        return exp_series(PowerSeries(lin))
-    if name == "zn":
-        n = int(_params(rest).get("n", 1))
-        c = np.zeros(max(order, n) + 1, dtype=complex)
-        c[n] = 1.0
-        return PowerSeries(c)
-    raise ConfigError(f"unknown function spec {spec!r}")
-
-
-def _params(rest: str) -> dict:
-    out = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            out[k.strip()] = v.strip()
-    return out
-
-
-def _lacunary_frequencies(rest: str) -> list[int]:
-    """Frequencies ``q, q^2, ..., q^terms`` of a ``lacunary:q=Q,terms=K`` spec."""
-    params = _params(rest)
-    q = int(params.get("q", 2))
-    terms = int(params.get("terms", 8))
-    if q < 2 or terms < 1:
-        raise ConfigError(f"lacunary needs an integer q >= 2 and terms >= 1, got q={q}, terms={terms}")
-    return [q**k for k in range(1, terms + 1)]
+    return _FUNCTION_CONSTRUCTORS[name](order, **params)
 
 
 def build_grid(args) -> QuadratureGrid:
@@ -239,11 +228,13 @@ def _cmd_residual(args, grid):
     return {"tag": ex.tag, "residual": residual(f, ex.problem, r_max=args.residual_rmax)}
 
 
+def _example_gamma(spec: str) -> float:
+    """``gamma`` of a ``hille:gamma=G`` spec; other examples have no zero table."""
+    return parse_spec(spec, {"hille": EXAMPLE_SPECS["hille"]})[1]["gamma"]
+
+
 def _cmd_zeros(args, grid):
-    name, _, rest = args.example.partition(":")
-    if name != "hille":
-        raise ConfigError("zero tables are available for hille:gamma=... examples")
-    gamma = float(_params(rest).get("gamma", 1.0))
+    gamma = _example_gamma(args.example)
     table = hille_zero_table(gamma, args.count, order=args.order)
     rows = []
     prev_s = 0.0
@@ -256,12 +247,7 @@ def _cmd_zeros(args, grid):
 
 
 def _cmd_separation(args, grid):
-    name, _, rest = args.example.partition(":")
-    if name != "hille":
-        raise ConfigError("separation tables are available for hille examples")
-    gamma = float(_params(rest).get("gamma", 1.0))
-    import math
-
+    gamma = _example_gamma(args.example)
     xs = [math.tanh(k * math.pi / (2 * gamma)) for k in range(1, args.count + 1)]
     xs = [x for x in xs if x < 1.0]
     seq = ZeroSequence(tuple((x, args.multiplicity) for x in xs))
@@ -282,12 +268,9 @@ def _cmd_condition(args, grid):
     kind = args.kind
     if kind == "nehari":
         return nehari_sup(A, grid)
-    if kind == "growth3":
-        p3 = symmetric_power_problem(A)
-        return list(order3_growth(p3.coefficients[0], p3.coefficients[1], p3.coefficients[2], grid))
-    if kind == "area3":
-        p3 = symmetric_power_problem(A)
-        return list(order3_area(p3.coefficients[0], p3.coefficients[1], p3.coefficients[2], grid))
+    if kind in ("growth3", "area3"):
+        order3 = order3_growth if kind == "growth3" else order3_area
+        return list(order3(*symmetric_power_problem(A).coefficients, grid))
     if kind == "lalpha":
         return lalpha_norm(A, args.alpha, grid)
     if kind == "lmoa":
@@ -306,7 +289,7 @@ def _cmd_condition(args, grid):
         if args.csv:
             write_csv(args.csv, ["r", "lmoa_at_r", "log_weighted_sup"], rows)
         return {"profile": [list(row) for row in rows]}
-    raise ConfigError(f"unknown condition kind {kind!r}")
+    raise ValueError(f"unknown condition kind {kind!r}")
 
 
 def _cmd_norm(args, grid):
@@ -322,7 +305,7 @@ def _cmd_norm(args, grid):
         return bmoa_garsia(f, grid)
     if kind == "bmoa-h2":
         return bmoa_h2_def(f, grid)
-    raise ConfigError(f"unknown norm kind {kind!r}")
+    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def _cmd_kernels(args, grid):
@@ -370,7 +353,7 @@ def _cmd_identities(args, grid):
         return {"suite": "hss", "max_residual": worst}
     if suite == "moment":
         return {"suite": "moment", "moment_gap": moment_identity_gap(w)}
-    raise ConfigError(f"unknown identity suite {suite!r}")
+    raise ValueError(f"unknown identity suite {suite!r}")
 
 
 def _cmd_hardy(args, grid):
@@ -391,9 +374,7 @@ def _cmd_hardy(args, grid):
 
 def _cmd_experiment(args, grid):
     if args.kind == "hp-membership":
-        A = parse_function(args.coeff, args.order)
-        rep = hp_membership_experiment(A, args.p, grid)
-        return rep
+        return hp_membership_experiment(parse_function(args.coeff, args.order), args.p, grid)
     if args.kind == "zero-free-cp":
         f = parse_function(args.f, args.order)
         slope, track = fit_cp_exponent(f, grid)
@@ -401,9 +382,9 @@ def _cmd_experiment(args, grid):
             write_csv(args.csv, ["p", "C_emp"], track)
         return {"fitted_exponent": slope, "track": [list(t) for t in track]}
     if args.kind == "lacunary":
-        freqs = _lacunary_frequencies(args.coeff.partition(":")[2])
+        freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])
         return lacunary_lmoa(np.ones(len(freqs)), freqs)
-    raise ConfigError(f"unknown experiment kind {args.kind!r}")
+    raise ValueError(f"unknown experiment kind {args.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +475,7 @@ _HANDLERS = {
 
 
 def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("out",)}
-    return cfg
+    return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
 
 def run(argv=None) -> int:
@@ -523,7 +503,7 @@ def run(argv=None) -> int:
             print("accuracy warnings were raised (strict mode)", file=sys.stderr)
             return 3
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,19 +31,19 @@ from scipy.optimize import brentq
 from .series import (
     AccuracyWarning,
     PowerSeries,
-    artanh_series,
     binomial_series,
     compose_moebius,
-    compose_series,
     exp_series,
     geometric_series,
-    pow_series,
     sample_circle,
+    zero_series,
 )
+from .specs import checked, parse_spec
 
 __all__ = [
     "ODEProblem",
     "NamedExample",
+    "EXAMPLE_SPECS",
     "named_example",
     "solve_series",
     "residual",
@@ -271,12 +271,16 @@ def _hille_coefficient(gamma: float, order: int) -> PowerSeries:
 
 
 def _hille_reference(gamma: float, order: int) -> PowerSeries:
-    # sqrt(1 - z^2) * sin(2 gamma artanh z), assembled in series arithmetic
-    root = pow_series(PowerSeries([1.0, 0.0, -1.0]).pad(order), 0.5)
-    w = artanh_series(order) * (2.0 * gamma)
-    sin_c = np.zeros(order + 1, dtype=complex)
-    sin_c[1::2] = [(-1) ** m / math.factorial(2 * m + 1) for m in range((order + 1) // 2)]
-    return root * compose_series(PowerSeries(sin_c), w)
+    # sqrt(1 - z^2) sin(gamma log((1+z)/(1-z))) = Im[(1+z)^a (1-z)^conj(a)]
+    # with a = 1/2 + i gamma: two binomial recurrences and one product.
+    # The solution is odd, so its even coefficients are exactly 0.
+    a = 0.5 + 1j * gamma
+    n = np.arange(1, order + 1)
+    plus = np.concatenate(([1.0], np.cumprod((a - n + 1) / n)))
+    minus = np.concatenate(([1.0], np.cumprod((n - 1 - np.conj(a)) / n)))
+    c = np.convolve(plus, minus)[: order + 1].imag
+    c[0::2] = 0.0
+    return PowerSeries(c)
 
 
 def _exp_singular_coefficient(order: int) -> PowerSeries:
@@ -309,46 +313,40 @@ def _constant_reference(c: complex, order: int) -> PowerSeries:
     return PowerSeries(out)
 
 
+_hille_gamma = checked(float, lambda g: 0.0 < g < math.inf, "hille requires a real, finite gamma > 0")
+
+
+# Spec schemas of the named examples (see :func:`disclab.specs.parse_spec`).
+EXAMPLE_SPECS = {
+    "hille": {"gamma": (_hille_gamma, 1.0)},
+    "exp-singular": {},
+    "constant": {"c": (lambda text: complex(text) if "j" in text else float(text), 0.25)},
+}
+
+
 def named_example(spec: str, order: int = 256) -> NamedExample:
     """Realize a named example from its CLI tag.
 
     Stable tags: ``hille:gamma=G``, ``exp-singular``, ``constant:c=C``.
     """
-    name, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[key.strip()] = complex(val) if "j" in val else float(val)
+    name, params = parse_spec(spec, EXAMPLE_SPECS)
     if name == "hille":
-        gamma = params.get("gamma", 1.0)
-        if isinstance(gamma, complex) or not (0.0 < gamma < math.inf):
-            raise ValueError(f"hille requires a real, finite gamma > 0, got {gamma!r}")
-        A = _hille_coefficient(gamma, order)
-        problem = ODEProblem(2, (A, _zero(order)), (0.0, 2.0 * gamma), order)
-        return NamedExample("hille", {"gamma": gamma}, problem, _hille_reference(gamma, order))
-    if name == "exp-singular":
-        A = _exp_singular_coefficient(order)
+        gamma = params["gamma"]
+        A, iv, ref = _hille_coefficient(gamma, order), (0.0, 2.0 * gamma), _hille_reference(gamma, order)
+    elif name == "exp-singular":
         e = math.exp(-1.0)
-        problem = ODEProblem(2, (A, _zero(order)), (e, -2.0 * e), order)
-        return NamedExample("exp-singular", {}, problem, _exp_singular_reference(order))
-    if name == "constant":
-        c = params.get("c", 0.25)
-        A = PowerSeries([c]).pad(order)
-        problem = ODEProblem(2, (A, _zero(order)), (1.0, 0.0), order)
-        return NamedExample("constant", {"c": c}, problem, _constant_reference(c, order))
-    raise ValueError(f"unknown example tag {name!r}")
-
-
-def _zero(order: int) -> PowerSeries:
-    return PowerSeries(np.zeros(order + 1, dtype=complex))
+        A, iv, ref = _exp_singular_coefficient(order), (e, -2.0 * e), _exp_singular_reference(order)
+    else:
+        c = params["c"]
+        A, iv, ref = PowerSeries([c]).pad(order), (1.0, 0.0), _constant_reference(c, order)
+    return NamedExample(name, params, ODEProblem(2, (A, zero_series(order)), iv, order), ref)
 
 
 # ---------------------------------------------------------------------------
 # Hille zeros by hyperbolic continuation
 # ---------------------------------------------------------------------------
 
-def _hille_local_problem(gamma: float, b: float, order: int) -> ODEProblem:
+def _hille_local_problem(gamma: float, b: float, order: int, initial_values) -> ODEProblem:
     """Equation satisfied by s -> f(T_b(v)) for the real hyperbolic
     translation T_b(v) = (v + b)/(1 + b v).
 
@@ -358,7 +356,7 @@ def _hille_local_problem(gamma: float, b: float, order: int) -> ODEProblem:
     """
     A0 = _hille_coefficient(gamma, order)
     A1 = geometric_series(-b, order) * (2.0 * b)
-    return ODEProblem(2, (A0, A1), (0.0, 0.0), order)
+    return ODEProblem(2, (A0, A1), initial_values, order)
 
 
 def hille_zero_table(
@@ -376,32 +374,27 @@ def hille_zero_table(
     constant hyperbolic gap to near machine precision even where ``x``
     rounds to 1 in floating point.
     """
+    gamma = _hille_gamma(gamma)
     if count < 1:
         raise ValueError("count must be positive")
     sigma = math.tanh(step_s)
     # local solution around the current centre; start at the origin
-    h = solve_series(
-        ODEProblem(2, (_hille_coefficient(gamma, order), _zero(order)), (0.0, 2.0 * gamma), order)
-    )
+    h = solve_series(_hille_local_problem(gamma, 0.0, order, (0.0, 2.0 * gamma)))
     s_centre = 0.0
     s_front = 1e-12  # skip the trivial zero at the origin
     zeros: list[tuple[float, float]] = []
     max_s = (count + 2) * math.pi / (2.0 * gamma) + 2.0
 
-    def real_val(series, v):
-        return float(np.real(series(v)))
-
     while len(zeros) < count and s_centre < max_s:
         hi_s = s_centre + trust_s
         if s_front < hi_s:
-            los, his = s_front, hi_s
-            vs = np.tanh(np.linspace(los, his, 400) - s_centre)
+            vs = np.tanh(np.linspace(s_front, hi_s, 400) - s_centre)
             vals = np.real(np.polynomial.polynomial.polyval(vs, h.coeffs))
             for i in range(vs.size - 1):
                 if vals[i] == 0.0:
                     root = vs[i]
                 elif vals[i] * vals[i + 1] < 0:
-                    root = brentq(lambda v: real_val(h, v), vs[i], vs[i + 1], xtol=1e-15)
+                    root = brentq(lambda v: float(np.real(h(v))), vs[i], vs[i + 1], xtol=1e-15)
                 else:
                     continue
                 s_zero = s_centre + math.atanh(float(root))
@@ -412,7 +405,5 @@ def hille_zero_table(
         h0 = complex(h(sigma))
         h1 = complex(h.derivative()(sigma)) * (1.0 - sigma**2)
         s_centre += step_s
-        local = _hille_local_problem(gamma, math.tanh(s_centre), order)
-        local = ODEProblem(2, local.coefficients, (h0, h1), order)
-        h = solve_series(local)
+        h = solve_series(_hille_local_problem(gamma, math.tanh(s_centre), order, (h0, h1)))
     return zeros[:count]

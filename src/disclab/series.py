@@ -23,14 +23,12 @@ __all__ = [
     "PowerSeries",
     "sample_circle",
     "compose_moebius",
-    "compose_series",
     "exp_series",
     "log_series",
     "pow_series",
     "reciprocal_series",
     "geometric_series",
     "binomial_series",
-    "artanh_series",
 ]
 
 # Magnitudes below this are flushed to exact zero to avoid subnormal drag.
@@ -247,21 +245,6 @@ def compose_moebius(
 # series transcendentals (coefficient recurrences, O(N^2))
 # ---------------------------------------------------------------------------
 
-def compose_series(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Composition ``f(g(z))`` for ``g(0) = 0``, truncated to g's order."""
-    if abs(g.coeffs[0]) > 1e-14:
-        raise ValueError("inner series must vanish at 0")
-    n = g.order
-    gc = g.coeffs.copy()
-    gc[0] = 0.0
-    acc = np.zeros(n + 1, dtype=complex)
-    acc[0] = f.coeffs[f.order]
-    for k in range(f.order - 1, -1, -1):
-        acc = np.convolve(acc, gc)[: n + 1]
-        acc[0] += f.coeffs[k]
-    return PowerSeries(acc)
-
-
 def exp_series(f: PowerSeries) -> PowerSeries:
     """exp of a series, via e' = f' e."""
     n = f.order
@@ -321,10 +304,3 @@ def binomial_series(k: int, c: complex, order: int) -> PowerSeries:
     for i in range(1, k):
         coef *= (n + i) / i
     return PowerSeries(coef * np.asarray(c, dtype=complex) ** n)
-
-
-def artanh_series(order: int) -> PowerSeries:
-    """artanh z = z + z^3/3 + z^5/5 + ... truncated."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[1::2] = 1.0 / np.arange(1, order + 1, 2)
-    return PowerSeries(c)

@@ -35,6 +35,7 @@ from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
 from .series import AccuracyWarning, PowerSeries, sample_circle
+from .specs import parse_spec
 
 __all__ = [
     "RadialWeight",
@@ -193,22 +194,18 @@ class RadialWeight:
         )
 
 
+# Spec schemas of the weight families (see :func:`disclab.specs.parse_spec`).
+WEIGHT_SPECS = {"standard": {"alpha": (float, 0.0)}, "table": str}
+
+
 def weight_from_spec(spec: str) -> RadialWeight:
     """Parse CLI weight strings: ``standard:alpha=A`` or ``table:<path>``
     (a two-column text file of radius/value samples, linearly interpolated)."""
-    name, _, rest = spec.partition(":")
+    name, params = parse_spec(spec, WEIGHT_SPECS)
     if name == "standard":
-        alpha = 0.0
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if k.strip() == "alpha":
-                alpha = float(v)
-        return RadialWeight.standard(alpha)
-    if name == "table":
-        data = np.loadtxt(rest)
-        rs, vs = data[:, 0], data[:, 1]
-        return RadialWeight.tabulated(lambda r: np.interp(np.asarray(r, float), rs, vs))
-    raise ValueError(f"unknown weight spec {spec!r}")
+        return RadialWeight.standard(params["alpha"])
+    rs, vs = np.loadtxt(params["payload"], usecols=(0, 1), ndmin=2, unpack=True)
+    return RadialWeight.tabulated(lambda r: np.interp(np.asarray(r, float), rs, vs))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,63 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("error: lacunary needs") == 2 and err.count("\n") == 2
 
+    @pytest.mark.parametrize("command", ["zeros", "separation"])
+    @pytest.mark.parametrize("spec", ["hille:gamma=0", "hille:gamma=-1", "hille:gamma=nan", "hille:gama=3"])
+    def test_zero_tables_reject_bad_gamma(self, command, spec, capsys):
+        assert run(BASE + [command, "--example", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            # misspelt or unknown keys
+            ("--coeff", "hille:gama=2"),
+            ("--coeff", "zn:m=3"),
+            ("--coeff", "lacunary:qq=3"),
+            ("--coeff", "exp-singular:gamma=1"),
+            ("--coeff", "log-reciprocal:order=8"),
+            ("--f", "exp:epsilon=0.1"),
+            ("--example", "constant:C=0.3"),
+            ("--weight", "standard:alfa=3"),
+            # misspelt names
+            ("--coeff", "hile:gamma=1"),
+            ("--f", "exps:eps=0.1"),
+            ("--example", "exp_singular"),
+            ("--weight", "standrd:alpha=1"),
+            # repeated keys
+            ("--coeff", "constant:c=0.3,c=0.9"),
+            ("--f", "exp:eps=0.1,eps=0.2"),
+            ("--example", "hille:gamma=1,gamma=2"),
+            ("--weight", "standard:alpha=1,alpha=2"),
+            # positional tokens, empty tokens
+            ("--coeff", "lacunary:3"),
+            ("--f", "zn:3"),
+            ("--example", "constant:0.3"),
+            ("--weight", "standard:1"),
+            ("--coeff", "hille:gamma=1,"),
+            # out of range or not convertible
+            ("--coeff", "zn:n=-1"),
+            ("--f", "zn:n=1.5"),
+            ("--f", "exp:eps=abc"),
+            ("--weight", "standard:alpha=x"),
+        ],
+    )
+    def test_bad_spec_exits_2_with_one_line(self, flag, spec, capsys):
+        command = {
+            "--coeff": ["condition", "--kind", "nehari"],
+            "--f": ["norm", "--kind", "hp"],
+            "--example": ["solve"],
+            "--weight": ["kernels"],
+        }[flag]
+        assert run(BASE + command + [flag, spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exp_at_order_zero_exits_2(self, capsys):
+        assert run(["--order", "0", "norm", "--kind", "hp", "--f", "exp:eps=0.1"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_strict_escalates_accuracy_warnings(self, tmp_path):
         # a huge constant coefficient overflows the recurrence, which is
         # reported (and truncated) via an accuracy warning

@@ -226,6 +226,17 @@ class TestNamedExamples:
         with pytest.raises(ValueError):
             named_example("bogus:x=1")
 
+    def test_hille_reference_matches_fft_oracle(self):
+        # closed form sqrt(1-z^2) sin(gamma log((1+z)/(1-z))), gamma != 1
+        gamma, order = 1.7, 20
+        M, r = 512, 0.8
+        z = r * np.exp(2j * np.pi * np.arange(M) / M)
+        vals = np.sqrt(1 - z**2) * np.sin(gamma * np.log((1 + z) / (1 - z)))
+        oracle = np.fft.fft(vals) / M / r ** np.arange(M)
+        ref = named_example(f"hille:gamma={gamma}", order=order).reference
+        assert np.max(np.abs(ref.coeffs - oracle[: order + 1])) < 1e-12
+        assert not ref.coeffs[0::2].any()  # the solution is odd
+
 
 class TestHilleZeroTable:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -237,6 +248,11 @@ class TestHilleZeroTable:
         gaps = [b[1] - a[1] for a, b in zip(table, table[1:])]
         for g in gaps:
             assert abs(g - math.pi / (2 * gamma)) < 1e-8
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_gamma_not_positive_finite(self, gamma):
+        with pytest.raises(ValueError, match="hille requires"):
+            hille_zero_table(gamma, 3, order=32)
 
     def test_first_zero_position_is_hyperbolically_exact(self):
         (x1, s1), *_ = hille_zero_table(1.0, 1, order=256)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from disclab.series import (
     AccuracyWarning,
     PowerSeries,
-    artanh_series,
     binomial_series,
     compose_moebius,
-    compose_series,
     dilate,
     exp_series,
     geometric_series,
@@ -211,20 +209,6 @@ class TestTranscendentals:
         assert np.allclose(g.coeffs, 0.5 ** np.arange(7))
         b = binomial_series(2, 1.0, 5)
         assert np.allclose(b.coeffs, np.arange(1, 7))  # (1-z)^-2
-
-    def test_compose_series_sin_artanh(self):
-        # sin(2 artanh z) = 2z(1-z^2)... check against derivative relation
-        order = 20
-        sin_c = np.zeros(order + 1)
-        sin_c[1::2] = [(-1) ** m / math.factorial(2 * m + 1) for m in range((order + 1) // 2)]
-        w = artanh_series(order) * 2.0
-        s = compose_series(PowerSeries(sin_c), w)
-        # oracle: Taylor coefficients via FFT of the closed form
-        M, r = 512, 0.8
-        z = r * np.exp(2j * np.pi * np.arange(M) / M)
-        vals = np.sin(np.log((1 + z) / (1 - z)))
-        oracle = np.fft.fft(vals) / M / r ** np.arange(M)
-        assert np.max(np.abs(s.coeffs - oracle[: order + 1])) < 1e-12
 
     def test_dilate(self):
         f = PowerSeries([1.0, 2.0, 4.0])

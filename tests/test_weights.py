@@ -280,6 +280,16 @@ class TestWeightSpecs:
         assert w.moment(0) == pytest.approx(1.0, abs=1e-8)
         assert w.what(0.3) == pytest.approx(0.7, abs=1e-8)
 
+    def test_table_spec_shapes(self, tmp_path):
+        from disclab.weights import weight_from_spec
+
+        one_row, one_column = tmp_path / "row.txt", tmp_path / "col.txt"
+        one_row.write_text("0.5 2.0\n")
+        one_column.write_text("0.1\n0.5\n")
+        assert weight_from_spec(f"table:{one_row}")(0.3) == 2.0
+        with pytest.raises(ValueError):
+            weight_from_spec(f"table:{one_column}")
+
 
 class TestInterchangeability:
     def test_three_indicators_agree_qualitatively(self, grid):
