@@ -83,6 +83,7 @@ from .series import (
     PowerSeries,
     compose_moebius,
     sample_circle,
+    sample_rings,
 )
 from .weights import (
     BlochBoundReport,

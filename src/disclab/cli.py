@@ -82,6 +82,9 @@ CONDITION_KINDS = (
 # spec families (the grammar is disclab.specs.parse_spec)
 # ---------------------------------------------------------------------------
 
+# Largest series order a spec may ask for: zn:n, and q**terms for lacunary.
+MAX_SPEC_ORDER = 2**20
+
 LACUNARY_SPEC = {
     "q": (checked(int, lambda q: q >= 2, "lacunary needs an integer q >= 2"), 2),
     "terms": (checked(int, lambda t: t >= 1, "lacunary needs an integer terms >= 1"), 8),
@@ -94,20 +97,33 @@ FUNCTION_SPECS = {
     "log-reciprocal": {},
     "lacunary": LACUNARY_SPEC,
     "exp": {"eps": (complex, 0.1)},
-    "zn": {"n": (checked(int, lambda n: n >= 0, "zn needs an integer n >= 0"), 1)},
+    "zn": {
+        "n": (checked(int, lambda n: 0 <= n <= MAX_SPEC_ORDER, "zn needs an integer 0 <= n <= 2**20"), 1)
+    },
 }
+
+# q**terms is bounded through terms * log2(q), so a huge q**terms is never built.
+_lacunary_size = checked(
+    tuple,
+    lambda qt: qt[1] * math.log2(qt[0]) <= math.log2(MAX_SPEC_ORDER),
+    "lacunary needs q**terms <= 2**20 for (q, terms)",
+)
 
 
 def _lacunary_frequencies(q: int, terms: int) -> list[int]:
+    _lacunary_size((q, terms))
     return [q**k for k in range(1, terms + 1)]
+
+
+def _lacunary(order: int, q: int, terms: int) -> PowerSeries:
+    freqs = _lacunary_frequencies(q, terms)  # checks the size before anything is built
+    return lacunary_series(np.ones(terms), freqs, order=max(order, freqs[-1]))
 
 
 _FUNCTION_CONSTRUCTORS = {
     "poly": lambda order, payload: PowerSeries(payload).pad(max(order, len(payload) - 1)),
     "log-reciprocal": log_reciprocal_coefficient,
-    "lacunary": lambda order, q, terms: lacunary_series(
-        np.ones(terms), _lacunary_frequencies(q, terms), order=max(order, q**terms)
-    ),
+    "lacunary": _lacunary,
     "exp": lambda order, eps: exp_series(PowerSeries([0.0, eps]).pad(order)),
     "zn": lambda order, n: lacunary_series([1.0], [n], order=max(order, n)),  # z^n
 }
@@ -453,7 +469,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="composite experiments")
     sp.add_argument("--kind", required=True, choices=("hp-membership", "zero-free-cp", "lacunary"))
-    sp.add_argument("--coeff", default="constant:c=0.05")
+    sp.add_argument("--coeff", help="default: lacunary for --kind lacunary, else constant:c=0.05")
     sp.add_argument("--f", default="exp:eps=0.1")
     sp.add_argument("--p", type=float, default=2.0)
 
@@ -474,6 +490,14 @@ _HANDLERS = {
 }
 
 
+# ``experiment --coeff`` default of each kind (it shows in the report's config).
+EXPERIMENT_COEFF = {
+    "hp-membership": "constant:c=0.05",
+    "zero-free-cp": "constant:c=0.05",
+    "lacunary": "lacunary",
+}
+
+
 def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
@@ -484,6 +508,8 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.command == "experiment" and args.coeff is None:
+        args.coeff = EXPERIMENT_COEFF[args.kind]
     try:
         grid = build_grid(args)
         if args.grid_refine:

@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .series import PowerSeries, sample_circle
+from .series import PowerSeries, ring_blocks, sample_rings
 
 __all__ = ["QuadratureGrid", "area_integral", "dilation_estimate"]
 
@@ -162,12 +162,13 @@ class QuadratureGrid:
     def sample(self, f, radii: np.ndarray | None = None) -> np.ndarray:
         """Values of ``f`` on the node matrix.
 
-        PowerSeries inputs are evaluated circle-by-circle with the FFT;
-        callables are evaluated on the complex nodes directly.
+        PowerSeries inputs are evaluated on all circles by
+        :func:`~disclab.series.sample_rings`; callables are evaluated on the
+        complex nodes directly.
         """
         r = self.radii if radii is None else np.asarray(radii)
         if isinstance(f, PowerSeries):
-            return np.vstack([sample_circle(f, ri, self.angular) for ri in r])
+            return sample_rings(f, r, self.angular)
         return f(self.nodes(r))
 
     def radial_mask(self, rcap: float | None) -> np.ndarray:
@@ -295,7 +296,10 @@ class QuadratureGrid:
         an upsampled circle (factor up to 16) and averaged over the angular
         cell around each node.  The cell mass is exact, so boundary peaks of
         high-order singular coefficients are neither missed nor
-        double-counted by coarser sweeps.
+        double-counted by coarser sweeps.  Each block of upsampled rings
+        (:func:`~disclab.series.ring_blocks`) is reduced to the node cells
+        before the next is sampled, so the radii x upsampled-angles matrix
+        is never built.
         """
         if not isinstance(f, PowerSeries):
             return np.abs(self.sample(f)) ** power
@@ -305,10 +309,10 @@ class QuadratureGrid:
             return np.abs(self.sample(f)) ** power
         M = up * self.angular
         out = np.empty((self.radii.size, self.angular))
-        for i, r in enumerate(self.radii):
-            vals = np.abs(sample_circle(f, float(r), M)) ** power
-            vals = np.roll(vals, up // 2)  # centre cells on the nodes
-            out[i] = vals.reshape(self.angular, up).mean(axis=1)
+        for block in ring_blocks(self.radii.size, f.order, M):
+            vals = np.abs(sample_rings(f, self.radii[block], M)) ** power
+            vals = np.roll(vals, up // 2, axis=1)  # centre cells on the nodes
+            out[block] = vals.reshape(-1, self.angular, up).mean(axis=2)
         return out
 
 

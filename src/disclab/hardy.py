@@ -30,9 +30,9 @@ import numpy as np
 
 from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
-from .norms import NormEstimate, carleson_norm, mp_mean
+from .norms import NormEstimate, carleson_norm, mp_mean, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, pow_series, sample_circle
+from .series import PowerSeries, exp_series, pow_series, ring_blocks, sample_circle, sample_rings
 
 __all__ = [
     "NontangentialParams",
@@ -81,7 +81,8 @@ def _ratio_ring_means(
     too), and rings are upsampled angularly (factor 8) when f comes close
     to vanishing near the boundary, where near-zeros are narrower than the
     angular cells.  Zero-free integrands stay at the grid resolution, where
-    the trapezoid rule is spectrally accurate.
+    the trapezoid rule is spectrally accurate.  Rings are sampled and
+    reduced one block (:func:`~disclab.series.ring_blocks`) at a time.
     """
     df = f.derivative(k)
     if upsample is None:
@@ -94,16 +95,18 @@ def _ratio_ring_means(
     M = upsample * grid.angular
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
     means = np.empty(grid.radii.size)
-    for i, r in enumerate(grid.radii):
-        r = float(r)
-        fv = np.abs(sample_circle(f, r, M))
-        if p < 2 and np.any(fv == 0.0):
-            r = min(r + step, 1.0 - 1e-12)
-            fv = np.abs(sample_circle(f, r, M))
-        dv = np.abs(sample_circle(df, r, M))
+    for block in ring_blocks(grid.radii.size, f.order, M):
+        r = grid.radii[block].copy()
+        fv = np.abs(sample_rings(f, r, M))
+        if p < 2:
+            hit = np.any(fv == 0.0, axis=1)
+            if np.any(hit):
+                r[hit] = np.minimum(r[hit] + step, 1.0 - 1e-12)
+                fv[hit] = np.abs(sample_rings(f, r[hit], M))
+        dv = np.abs(sample_rings(df, r, M))
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(fv > 0.0, fv ** (p - 2.0) * dv**2, 0.0)
-        means[i] = float(np.mean(vals))
+        means[block] = np.mean(vals, axis=1)
     return means
 
 
@@ -318,7 +321,7 @@ def hp_membership_experiment(
     dens = np.abs(grid.sample(A)) ** 2 * ((1.0 - grid.radii**2) ** 3)[:, None]
     mu = carleson_norm(dens, grid)
     tail = grid.sup_radii[grid.sup_radii >= 0.5]
-    profile = tuple((float(r), mp_mean(f, float(r), p, grid.angular)) for r in tail)
+    profile = tuple(zip(map(float, tail), mp_means(f, tail, p, grid.angular)))
     fv = np.abs(grid.sample(f))
     ee = grid.integrate(fv**p * dens)
     return MembershipReport(dd, mu, profile, float(ee))

@@ -30,12 +30,13 @@ from .grids import (
     area_integral,
     dilation_estimate,
 )
-from .series import AccuracyWarning, PowerSeries, compose_moebius, dilate, sample_circle
+from .series import AccuracyWarning, PowerSeries, compose_moebius, dilate, sample_rings
 
 __all__ = [
     "NormEstimate",
     "QuadratureError",
     "mp_mean",
+    "mp_means",
     "hp_norm",
     "growth_norm",
     "bloch_norm",
@@ -62,16 +63,22 @@ class NormEstimate:
             raise ValueError("norm estimates are nonnegative")
 
 
-def mp_mean(f: PowerSeries, r: float, p: float, M: int) -> float:
-    """Integral mean ``((1/M) sum_j |f(r e^{2 pi i j / M})|^p)^{1/p}``.
+def mp_means(f: PowerSeries, radii, p: float, M: int) -> list[float]:
+    """Integral means ``((1/M) sum_j |f(r e^{2 pi i j / M})|^p)^{1/p}``,
+    one per radius ``r`` in ``radii``.
 
-    For p = 2 and M > f.order this equals ``(sum |c_k|^2 r^{2k})^{1/2}``
+    For p = 2 and M > f.order each equals ``(sum |c_k|^2 r^{2k})^{1/2}``
     exactly (discrete Parseval).
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    vals = np.abs(sample_circle(f, r, M))
-    return float(np.mean(vals**p) ** (1.0 / p))
+    vals = np.abs(sample_rings(f, radii, M))
+    return [float(m ** (1.0 / p)) for m in np.mean(vals**p, axis=1)]
+
+
+def mp_mean(f: PowerSeries, r: float, p: float, M: int) -> float:
+    """The integral mean of :func:`mp_means` on the one circle ``|z| = r``."""
+    return mp_means(f, [r], p, M)[0]
 
 
 def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
@@ -87,7 +94,7 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
     def run(g: QuadratureGrid, r: float):
         fr = f if r == 1.0 else dilate(f, r)
         radii = g.sup_radii[g.sup_radii > 0]
-        means = np.array([mp_mean(fr, float(s), p, g.angular) for s in radii])
+        means = np.array(mp_means(fr, radii, p, g.angular))
         if r == 1.0:
             drops = means[:-1] - means[1:]
             rel = float(np.max(drops / np.maximum(means[:-1], 1e-30))) if drops.size else 0.0
@@ -105,9 +112,9 @@ def _weighted_sup(f: PowerSeries, weight, grid: QuadratureGrid) -> float:
     """``max over grid circles (and the origin) of |f| * weight(r)``."""
     radii = grid.sup_radii[grid.sup_radii > 0]
     best = abs(f.coeffs[0]) * float(weight(0.0))
-    for r in radii:
-        ring = float(np.max(np.abs(sample_circle(f, float(r), grid.angular))))
-        best = max(best, ring * float(weight(float(r))))
+    rings = np.max(np.abs(sample_rings(f, radii, grid.angular)), axis=1)
+    for r, ring in zip(radii, rings):
+        best = max(best, float(ring) * float(weight(float(r))))
     return best
 
 
@@ -133,12 +140,9 @@ def bloch_norm(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
 def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float, float]]:
     """Per-radius values ``sup_{|z|=r} |f'(z)| (1 - r^2)``; tends to 0 for
     little-Bloch functions and stays bounded below otherwise."""
-    df = f.derivative()
-    out = []
-    for r in radii:
-        ring = float(np.max(np.abs(sample_circle(df, float(r), angular))))
-        out.append((float(r), ring * (1.0 - float(r) ** 2)))
-    return out
+    radii = [float(r) for r in radii]
+    rings = np.max(np.abs(sample_rings(f.derivative(), radii, angular)), axis=1)
+    return [(r, float(ring) * (1.0 - r**2)) for r, ring in zip(radii, rings)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .series import (
     AccuracyWarning,
@@ -35,7 +34,7 @@ from .series import (
     compose_moebius,
     exp_series,
     geometric_series,
-    sample_circle,
+    sample_rings,
     zero_series,
 )
 from .specs import checked, parse_spec
@@ -152,12 +151,10 @@ def residual(
         expr = expr + A * f.derivative(j)
     if radii is None:
         radii = np.linspace(r_max / 8, r_max, 24)
-    worst = 0.0
-    for r in radii:
-        if r <= 0 or r > r_max:
-            continue
-        worst = max(worst, float(np.max(np.abs(sample_circle(expr, r, angular)))))
-    return worst
+    radii = np.asarray(radii, dtype=float)
+    radii = radii[~((radii <= 0) | (radii > r_max))]
+    rings = np.max(np.abs(sample_rings(expr, radii, angular)), axis=1)
+    return max([0.0, *map(float, rings)])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +371,8 @@ def hille_zero_table(
     constant hyperbolic gap to near machine precision even where ``x``
     rounds to 1 in floating point.
     """
+    from scipy.optimize import brentq  # deferred: scipy is slow to import
+
     gamma = _hille_gamma(gamma)
     if count < 1:
         raise ValueError("count must be positive")

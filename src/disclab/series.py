@@ -22,6 +22,8 @@ __all__ = [
     "AccuracyWarning",
     "PowerSeries",
     "sample_circle",
+    "sample_rings",
+    "ring_blocks",
     "compose_moebius",
     "exp_series",
     "log_series",
@@ -172,22 +174,61 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:
-    """Values ``f(r * exp(2*pi*i*j/M))`` for ``j = 0..M-1``.
+# Bound on the complex buffer of one block of rings in sample_rings.
+_BLOCK_BYTES = 8 * 2**20
 
-    Computed by folding the scaled coefficients modulo ``M`` and one inverse
-    FFT, which is exact for the stored polynomial.  ``r = 1`` is allowed: a
-    truncated series is a polynomial, continuous on the closed disc, and the
-    boundary circle is where Hardy-space means live.
+
+def ring_blocks(rings: int, order: int, M: int) -> list[slice]:
+    """Consecutive slices of ``range(rings)``, each as many rings as one
+    block of :func:`sample_rings` holds for a series of this ``order``;
+    callers that reduce samples ring by ring use them to reduce each block
+    before the next is sampled."""
+    width = -(-(order + 1) // M) * M
+    rows = max(1, _BLOCK_BYTES // (16 * width))
+    return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
+
+
+def sample_rings(f: PowerSeries, radii, M: int) -> np.ndarray:
+    """Values ``f(r * exp(2*pi*i*j/M))``, one row per radius ``r`` in
+    ``radii`` and one column per ``j = 0..M-1``: shape ``(len(radii), M)``.
+
+    Each radius' scaled coefficients ``c_n r**n`` are folded modulo ``M``
+    (``sum_k c_{j+kM} r**(j+kM)``, added in increasing ``k``) and one
+    inverse FFT gives the ring, which is exact for the stored polynomial.
+    Rings go in blocks (see :func:`ring_blocks`): one ``r[:, None] ** n``
+    scaling, one fold and one ``ifft`` along the rows per block, the
+    block's complex buffer (rings x order rounded up to a multiple of
+    ``M``) kept at 8 MB or less, one ring when a single ring needs more.
+    ``r = 1`` is allowed: a truncated series is a polynomial, continuous on
+    the closed disc, and the boundary circle is where Hardy-space means
+    live.  Every radius must lie in (0, 1]; NaN is rejected.
     """
-    if not (0.0 < r <= 1.0):
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1:
+        raise ValueError("radii must be a 1-d sequence")
+    if not np.all((r > 0.0) & (r <= 1.0)):
         raise ValueError("sampling radius must lie in (0, 1]")
     if M < 1:
         raise ValueError("need at least one node")
-    scaled = f.coeffs * r ** np.arange(f.order + 1)
-    folded = np.zeros(M, dtype=complex)
-    np.add.at(folded, np.arange(f.order + 1) % M, scaled)
-    return M * np.fft.ifft(folded)
+    c = f.coeffs
+    n = np.arange(c.size)
+    folds = -(-c.size // M)
+    out = np.empty((r.size, M), dtype=complex)
+    for block in ring_blocks(r.size, f.order, M):
+        rb = r[block]
+        scaled = np.zeros((rb.size, folds, M), dtype=complex)
+        np.multiply(c, rb[:, None] ** n, out=scaled.reshape(rb.size, -1)[:, : c.size])
+        folded = scaled[:, 0]
+        for k in range(1, folds):
+            folded += scaled[:, k]
+        out[block] = M * np.fft.ifft(folded, axis=1)
+    return out
+
+
+def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:
+    """Values ``f(r * exp(2*pi*i*j/M))`` for ``j = 0..M-1``: one ring of
+    :func:`sample_rings`."""
+    return sample_rings(f, [r], M)[0]
 
 
 def _circle_coeffs(values: np.ndarray, rho: float, order: int) -> np.ndarray:

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betainc, betaln
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, sample_circle
+from .series import AccuracyWarning, PowerSeries, sample_rings
 from .specs import parse_spec
 
 __all__ = [
@@ -59,6 +58,8 @@ class BoundNotApplicableError(ValueError):
 
 
 def _beta(a: float, b: float) -> float:
+    from scipy.special import betaln  # deferred: scipy is slow to import
+
     return float(np.exp(betaln(a, b)))
 
 
@@ -158,6 +159,8 @@ class RadialWeight:
     def what(self, r: float) -> float:
         """Tail integral ``int_r^1 w(s) ds``."""
         if self.kind == "standard":
+            from scipy.special import betainc  # deferred: scipy is slow to import
+
             # (scale/2) * int_{r^2}^1 u^{-1/2} (1-u)^alpha du
             full = _beta(0.5, self.alpha + 1.0)
             frac = betainc(0.5, self.alpha + 1.0, r * r)
@@ -361,11 +364,11 @@ def pointwise_growth_margin(
         dens = np.abs(grid.sample(f)) ** p * w(grid.radii)[:, None]
         norm = grid.integrate(dens) ** (1.0 / p)
     radii = grid.sup_radii[(grid.sup_radii >= 0.5) & (grid.sup_radii <= grid.r_max)]
+    rings = np.max(np.abs(sample_rings(f, radii, grid.angular)), axis=1)
     margin = np.inf
-    for r in radii:
-        ring = float(np.max(np.abs(sample_circle(f, float(r), grid.angular))))
+    for r, ring in zip(radii, rings):
         bound = C * norm / (w.what(float(r)) * (1.0 - float(r))) ** (1.0 / p)
-        margin = min(margin, bound - ring)
+        margin = min(margin, bound - float(ring))
     return float(margin)
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disclab
 from disclab.cli import parse_function, run
 
 BASE = ["--order", "64", "--angular", "128", "--nodes-per-panel", "4"]
@@ -111,6 +116,14 @@ class TestCommands:
         assert lines[0] == "k,x,s,gap"
         assert len(lines) == 5
 
+    def test_experiment_lacunary_default(self, tmp_path):
+        # without --coeff the lacunary experiment runs its own default, q=2, terms=8
+        code, text = run_to_file(tmp_path, "l.json", BASE + ["experiment", "--kind", "lacunary"])
+        assert code == 0
+        body = json.loads(text)
+        assert body["config"]["coeff"] == "lacunary"
+        assert [row[0] for row in body["results"]["moment_ratios"]] == [2**k for k in range(1, 9)]
+
     def test_experiment_zero_free(self, tmp_path):
         code, text = run_to_file(
             tmp_path,
@@ -198,6 +211,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["zn:n=1048577", "zn:n=1000000000000", "lacunary:q=2,terms=21",
+         "lacunary:q=1025,terms=2", "lacunary:q=3,terms=13", "lacunary:q=1000000000,terms=1000000000"],
+    )
+    def test_series_sizes_above_two_to_the_twenty_exit_2(self, spec, capsys):
+        assert run(BASE + ["condition", "--kind", "nehari", "--coeff", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**20" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["lacunary:q=2,terms=21", "lacunary:q=1000000000,terms=1000000000"])
+    def test_lacunary_experiment_size_exits_2(self, spec, capsys):
+        assert run(BASE + ["experiment", "--kind", "lacunary", "--coeff", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lacunary needs q**terms <= 2**20") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec, order", [("lacunary:q=1024,terms=2", 2**20), ("zn:n=1048576", 2**20)])
+    def test_series_sizes_at_the_limit_build(self, spec, order):
+        f = parse_function(spec, 8)
+        assert f.order == order and f.coeffs[order] == 1.0
+
     def test_exp_at_order_zero_exits_2(self, capsys):
         assert run(["--order", "0", "norm", "--kind", "hp", "--f", "exp:eps=0.1"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
@@ -209,6 +243,20 @@ class TestErrors:
                 "solve", "--example", "constant:c=1e280"]
         assert run(args) == 0
         assert run(["--strict"] + args) == 3
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported only where it is called (the Hille zero walker
+        # and standard-weight tail integrals), so start-up skips its cost
+        src = str(Path(disclab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import disclab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestThreads:

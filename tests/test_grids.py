@@ -1,18 +1,22 @@
-"""The shift-invariant centre sweep engine against the per-centre loops it
-replaced.
+"""The shift-invariant centre sweep engine and the blocked ring sampling
+against the per-centre and per-ring loops they replaced.
 
-The oracles below are the straightforward per-centre passes over the full
-node matrix: one weight matrix per Moebius centre or Carleson square.  They
-live here only, as the slow path the engine is checked against.
+The oracles below are the straightforward passes: one weight matrix per
+Moebius centre or Carleson square over the full node matrix, and one
+``np.add.at`` fold and 1-d inverse FFT per ring.  They live here only, as
+the slow paths the fast ones are checked against.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disclab import QuadratureGrid
+from disclab import QuadratureGrid, series
 from disclab.conditions import _log_weight, decay_conditions
-from disclab.norms import _square_sup, carleson_norm, square_sweep
+from disclab.hardy import _ratio_ring_means
+from disclab.norms import _square_sup, _weighted_sup, carleson_norm, square_sweep
 from disclab.series import PowerSeries
 
 REL = 1e-12
@@ -192,3 +196,126 @@ def test_centre_radii_subset_matches_grid_rows():
     assert np.array_equal(grid.moebius_ring_means(field, a_radii=(0.9,)), full[7:])
     assert np.array_equal(grid.moebius_ring_means(field, a_radii=(0.0,)), full[:1])
     assert np.array_equal(grid.centres((0.5,)), grid.a_grid[1:7])
+
+
+# ---------------------------------------------------------------------------
+# ring sampling: the blocked batches against the per-ring loops they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_sample_circle(f, r, M):
+    scaled = f.coeffs * r ** np.arange(f.order + 1)
+    folded = np.zeros(M, dtype=complex)
+    np.add.at(folded, np.arange(f.order + 1) % M, scaled)
+    return M * np.fft.ifft(folded)
+
+
+def oracle_sample_folded(grid, f, power):
+    up = min(max(int(np.ceil((2 * f.order + 2) / grid.angular)), 1), 16)
+    M = up * grid.angular
+    out = np.empty((grid.radii.size, grid.angular))
+    for i, r in enumerate(grid.radii):
+        vals = np.abs(oracle_sample_circle(f, float(r), M)) ** power
+        vals = np.roll(vals, up // 2)
+        out[i] = vals.reshape(grid.angular, up).mean(axis=1)
+    return out
+
+
+def oracle_ratio_ring_means(f, k, p, grid, upsample):
+    df = f.derivative(k)
+    M = upsample * grid.angular
+    step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
+    means = np.empty(grid.radii.size)
+    shifted = 0
+    for i, r in enumerate(grid.radii):
+        r = float(r)
+        fv = np.abs(oracle_sample_circle(f, r, M))
+        if p < 2 and np.any(fv == 0.0):
+            shifted += 1
+            r = min(r + step, 1.0 - 1e-12)
+            fv = np.abs(oracle_sample_circle(f, r, M))
+        dv = np.abs(oracle_sample_circle(df, r, M))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(fv > 0.0, fv ** (p - 2.0) * dv**2, 0.0)
+        means[i] = float(np.mean(vals))
+    return means, shifted
+
+
+def oracle_weighted_sup(f, weight, grid):
+    best = abs(f.coeffs[0]) * float(weight(0.0))
+    for r in grid.sup_radii[grid.sup_radii > 0]:
+        ring = float(np.max(np.abs(oracle_sample_circle(f, float(r), grid.angular))))
+        best = max(best, ring * float(weight(float(r))))
+    return best
+
+
+@st.composite
+def sampled_cases(draw):
+    """A small grid, a series whose order falls below or above the angular
+    rule (so sample_folded upsamples and sample_rings folds), a block
+    buffer holding 1 to 7 rings, and a seed."""
+    spec = draw(grid_specs())
+    order = draw(st.integers(0, 6 * spec["angular"]))
+    rows = draw(st.integers(1, 7))
+    return spec, order, rows, draw(st.integers(0, 2**32 - 1))
+
+
+def blocks_of(rows, order, M):
+    """The block buffer size that makes ring_blocks hold ``rows`` rings."""
+    return mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * (-(-(order + 1) // M) * M))
+
+
+def random_series(order, seed):
+    rng = np.random.default_rng(seed)
+    return PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_cases(), st.sampled_from([1.0, 2.0, 0.5, 3.0]))
+def test_sample_folded_matches_per_ring_loop(case, power):
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    f = random_series(order, seed)
+    up = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16)
+    with blocks_of(rows, order, up * grid.angular):
+        got = grid.sample_folded(f, power=power)
+    assert_rel(got, oracle_sample_folded(grid, f, power))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_cases(), st.integers(1, 3), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from([1, 2, 8]))
+def test_ratio_ring_means_match_per_ring_loop(case, k, p, upsample):
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    f = random_series(order, seed)
+    with blocks_of(rows, order, upsample * grid.angular):
+        got = _ratio_ring_means(f, k, p, grid, upsample)
+    assert_rel(got, oracle_ratio_ring_means(f, k, p, grid, upsample)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_specs(), st.data(), st.integers(1, 7), st.sampled_from([0.5, 1.0, 1.5]),
+       st.sampled_from([1, 8]))
+def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, p, upsample):
+    # f = z - r_i vanishes exactly at the node r_i of angle 0: that ring
+    # (and any other hit) moves half a radial step outward
+    grid = QuadratureGrid(**spec)
+    i = data.draw(st.integers(0, grid.radii.size - 1))
+    f = PowerSeries([-grid.radii[i], 1.0]).pad(data.draw(st.integers(1, 3 * grid.angular)))
+    want, shifted = oracle_ratio_ring_means(f, 1, p, grid, upsample)
+    assert shifted >= 1
+    with blocks_of(rows, f.order, upsample * grid.angular):
+        got = _ratio_ring_means(f, 1, p, grid, upsample)
+    assert_rel(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_cases(), st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+def test_weighted_sup_matches_per_ring_loop(case, q):
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    f = random_series(order, seed)
+    weight = lambda r: (1.0 - r * r) ** q
+    with blocks_of(rows, order, grid.angular):
+        got = _weighted_sup(f, weight, grid)
+    assert_rel(got, oracle_weighted_sup(f, weight, grid))

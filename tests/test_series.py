@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disclab import QuadratureGrid, series
 from disclab.series import (
     AccuracyWarning,
     PowerSeries,
@@ -16,7 +18,9 @@ from disclab.series import (
     log_series,
     pow_series,
     reciprocal_series,
+    ring_blocks,
     sample_circle,
+    sample_rings,
 )
 
 # strategies for points and series inside the disc
@@ -136,6 +140,80 @@ class TestSampleCircle:
     def test_boundary_radius_allowed(self):
         vals = sample_circle(PowerSeries([0, 1]), 1.0, 4)
         assert np.allclose(vals, [1, 1j, -1, -1j])
+
+
+def oracle_sample_circle(f, r, M):
+    """The one-ring sampler that sample_rings replaced: scale, fold by
+    ``np.add.at``, one 1-d inverse FFT."""
+    scaled = f.coeffs * r ** np.arange(f.order + 1)
+    folded = np.zeros(M, dtype=complex)
+    np.add.at(folded, np.arange(f.order + 1) % M, scaled)
+    return M * np.fft.ifft(folded)
+
+
+@st.composite
+def ring_cases(draw):
+    """A series, radii (r = 1 included at times) and a node count M; the
+    order falls below or above M, so the fold modulo M is exercised."""
+    M = draw(st.integers(1, 40))
+    order = draw(st.integers(0, 5 * M + 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    f = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+    radii = list(rng.uniform(1e-3, 1.0, draw(st.integers(0, 11))))
+    if draw(st.booleans()):
+        radii.insert(draw(st.integers(0, len(radii))), 1.0)
+    return f, radii, M
+
+
+class TestSampleRings:
+    @settings(max_examples=150, deadline=None)
+    @given(ring_cases(), st.integers(1, 5))
+    def test_bit_identical_to_one_ring_sampler(self, case, rows):
+        # the block buffer is shrunk so that blocks hold `rows` rings (one
+        # ring when a single ring is wider), and ring counts that are not a
+        # multiple of the block size leave a short last block
+        f, radii, M = case
+        width = -(-(f.order + 1) // M) * M
+        with mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * width):
+            sizes = [b.stop - b.start for b in ring_blocks(len(radii), f.order, M)]
+            got = sample_rings(f, radii, M)
+        short = len(radii) % rows
+        assert sizes == [rows] * (len(radii) // rows) + ([short] if short else [])
+        assert got.shape == (len(radii), M)
+        want = np.array([oracle_sample_circle(f, float(r), M) for r in radii]).reshape(-1, M)
+        assert np.array_equal(got, want)
+
+    def test_default_blocks_on_the_default_grid(self):
+        # order 4096 on 552 radii and 544 angles: 120 rings per block, a
+        # short fifth block, eight folds per ring
+        rng = np.random.default_rng(5)
+        f = PowerSeries(rng.normal(size=4097) + 1j * rng.normal(size=4097))
+        radii = QuadratureGrid().radii
+        assert [b.stop - b.start for b in ring_blocks(radii.size, f.order, 544)] == [120] * 4 + [72]
+        want = np.array([oracle_sample_circle(f, float(r), 544) for r in radii])
+        assert np.array_equal(sample_rings(f, radii, 544), want)
+
+    def test_one_ring_is_sample_circle(self):
+        f = PowerSeries([1.0, 2.0 - 1j, 0.5j])
+        assert np.array_equal(sample_rings(f, [0.7], 5)[0], sample_circle(f, 0.7, 5))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 1e-12, 2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_rejects_radius_outside_unit_interval(self, bad, at):
+        radii = [0.2, 0.5, 1.0]
+        radii.insert(at, bad)
+        with pytest.raises(ValueError, match="sampling radius"):
+            sample_rings(PowerSeries([1.0, 1.0]), radii, 8)
+        with pytest.raises(ValueError, match="sampling radius"):
+            sample_circle(PowerSeries([1.0, 1.0]), bad, 8)
+
+    def test_rejects_empty_node_set(self):
+        with pytest.raises(ValueError, match="node"):
+            sample_rings(PowerSeries([1.0]), [0.5], 0)
+
+    def test_no_radii_no_rows(self):
+        assert sample_rings(PowerSeries([1.0, 2.0]), [], 6).shape == (0, 6)
 
 
 class TestComposeMoebius:
