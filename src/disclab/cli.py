@@ -264,6 +264,8 @@ def _cmd_zeros(args, grid):
 
 def _cmd_separation(args, grid):
     gamma = _example_gamma(args.example)
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     xs = [math.tanh(k * math.pi / (2 * gamma)) for k in range(1, args.count + 1)]
     xs = [x for x in xs if x < 1.0]
     seq = ZeroSequence(tuple((x, args.multiplicity) for x in xs))
@@ -340,6 +342,8 @@ def _cmd_kernels(args, grid):
 
 
 def _cmd_identities(args, grid):
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     w = weight_from_spec(args.weight)
     rng = np.random.default_rng(args.seed)
     suite = args.suite

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grids import QuadratureGrid, dilation_estimate
-from .norms import _weighted_sup, moebius_sweep_estimate, square_sweep_estimate
-from .series import PowerSeries, dilate, geometric_series, reciprocal_series, sample_circle
+from .grids import QuadratureGrid
+from .norms import moebius_sweep_estimate, square_sweep_estimate, sup_estimate
+from .series import PowerSeries, geometric_series, reciprocal_series, sample_circle
 
 __all__ = [
     "ConditionReport",
@@ -67,8 +67,7 @@ def _log_weight(r: np.ndarray | float) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 def _sup_report(kind: str, A: PowerSeries, weight, grid: QuadratureGrid) -> ConditionReport:
-    est = dilation_estimate(lambda g, r: _weighted_sup(dilate(A, r), weight, g), grid)
-    return ConditionReport(kind, *est, grid.fingerprint())
+    return ConditionReport(kind, *sup_estimate(A, weight, grid), grid.fingerprint())
 
 
 def nehari_sup(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
@@ -112,7 +111,7 @@ def order3_area(
     for j, A in enumerate((A0, A1, A2)):
         est = moebius_sweep_estimate(
             A,
-            lambda g, fr, j=j: g.sample_folded(fr) * (1 - g.radii**2)[:, None] ** (1 - j),
+            lambda g, fs, j=j: g.sample_folded(fs) * (1 - g.radii**2)[:, None] ** (1 - j),
             grid,
         )
         out.append(ConditionReport(f"area3:{j}", *est, grid.fingerprint()))
@@ -123,7 +122,7 @@ def bmoa_dd(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     """``sup_a int |A|^2 (1-|z|^2)^2 (1-|phi_a|^2) dm``: finiteness says A is
     a second derivative of a BMOA function."""
     est = moebius_sweep_estimate(
-        A, lambda g, fr: g.sample_folded(fr, power=2.0) * (1 - g.radii**2)[:, None] ** 2, grid
+        A, lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 2, grid
     )
     return ConditionReport("bmoa-dd", *est, grid.fingerprint())
 
@@ -133,7 +132,7 @@ def lmoa_quantity(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     ``sup_a log(e/(1-|a|))^2 int |A|^2 (1-|z|^2)^2 (1-|phi_a|^2) dm``."""
     est = moebius_sweep_estimate(
         A,
-        lambda g, fr: g.sample_folded(fr, power=2.0) * (1 - g.radii**2)[:, None] ** 2,
+        lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 2,
         grid,
         prefactor=lambda a: float(_log_weight(abs(a))) ** 2,
     )
@@ -145,7 +144,7 @@ def lmoa_square(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     ``sup_a log(e/(1-|a|))^2/(1-|a|) int_{S_a} |A|^2 (1-|z|^2)^3 dm``."""
     est = square_sweep_estimate(
         A,
-        lambda g, fr: g.sample_folded(fr, power=2.0) * (1 - g.radii**2)[:, None] ** 3,
+        lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 3,
         grid,
         prefactor=lambda a: float(_log_weight(abs(a))) ** 2 / (1.0 - abs(a)),
     )
@@ -272,7 +271,9 @@ def bmoa_h1_cond(
     """
     est = moebius_sweep_estimate(
         A,
-        lambda g, fr: _h1_inner_fields(fr, r, g, t_count if g is grid else max(8, t_count // 2)) ** 2,
+        lambda g, fs: np.stack(
+            [_h1_inner_fields(fr, r, g, t_count if g is grid else max(8, t_count // 2)) ** 2 for fr in fs]
+        ),
         grid,
     )
     return ConditionReport(f"bmoa-h1:r={r:g}", *est, grid.fingerprint())

@@ -18,8 +18,10 @@ whole circles by FFT.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
 from .series import PowerSeries, ring_blocks, sample_rings
@@ -38,6 +40,10 @@ PROBE_MID = 0.99
 PROBE_HIGH = 0.999
 PROBE_FACTOR = 2.0
 PROBE_INCREMENT_RATIO = 0.7
+
+# Rings per block of QuadratureGrid.moebius_ring_means: small enough for a
+# block to stay in cache (64 to 256 time alike on the default grid).
+_SWEEP_RINGS = 64
 
 
 def _panels(inner_depth: int, outer_depth: int) -> list[tuple[float, float]]:
@@ -213,6 +219,7 @@ class QuadratureGrid:
     def moebius_ring_means(self, field: np.ndarray, a_radii=None) -> np.ndarray:
         """Per-centre angular means of ``field * (1 - |phi_a|^2)``: a matrix
         of shape (centres, radii), rows in the order of :meth:`centres`.
+        A stack of fields ``(k, radii, angles)`` gives ``(k, centres, radii)``.
 
         With ``z = rho e^{i theta}`` and ``a = s e^{i psi}``,
 
@@ -227,69 +234,79 @@ class QuadratureGrid:
         ``K_f[i, k] = (1 - s^2) / |1 - s rho_i e^{2 pi i (k - f)/M}|^2`` per
         (centre radius, offset) serves every phase with that offset:
 
-            mean_k base[i, k] K_f[i, (k - m) mod M]
+            mean_k base[i, k] K_f[i, (k - m) mod M],   base = field (1 - rho^2).
 
-        is two row-wise dot products over the column slices ``[m:]`` /
-        ``[:M-m]`` and ``[:m]`` / ``[M-m:]`` of ``base`` / ``K_f``.  There
-        are ``P / gcd(M, P)`` offsets, one when ``P`` divides ``M``.
+        There are ``P / gcd(M, P)`` offsets, and the ``gcd(M, P)`` phases of
+        one offset have shifts spaced ``M / gcd(M, P)`` apart: ``K_f``
+        wrapped to ``2M`` columns holds them all in one strided view, and
+        one ``einsum`` contracts every phase of the offset with every
+        field.  Rings go in blocks of ``_SWEEP_RINGS``.
         """
-        base = field * (1.0 - self.radii**2)[:, None]
+        stacked = field.ndim == 3
+        fields = field if stacked else field[None]
         radii = self._centre_radii(a_radii)
         M, P = self.angular, self.a_angles
         head = 1 if 0.0 in radii else 0
         ring_radii = [s for s in radii if s > 0.0]
-        out = np.empty((head + P * len(ring_radii), self.radii.size), dtype=base.dtype)
-        if head:
-            out[0] = base.mean(axis=1)
-        shifts: dict[int, list[tuple[int, int]]] = {}
-        for j in range(P):
-            m, f = divmod(j * M, P)
-            shifts.setdefault(f, []).append((j, m))
-        kernel = np.empty(base.shape)
-        k = np.arange(M)
-        for b, s in enumerate(ring_radii):
-            sr = s * self.radii
-            gap = ((1.0 - sr) ** 2)[:, None]
-            for f, phases in shifts.items():
-                sin2 = np.sin(np.pi * (k * P - f) / (M * P)) ** 2
-                np.multiply((4.0 * sr)[:, None], sin2[None, :], out=kernel)
-                kernel += gap
-                np.divide(1.0 - s * s, kernel, out=kernel)
-                for j, m in phases:
-                    row = np.einsum("ij,ij->i", base[:, m:], kernel[:, : M - m])
-                    row += np.einsum("ij,ij->i", base[:, :m], kernel[:, M - m :])
-                    out[head + b * P + j] = row / M
-        return out
+        shape = (fields.shape[0], head + P * len(ring_radii), self.radii.size)
+        out = np.empty(shape, dtype=np.result_type(fields, 1.0))
+        g = math.gcd(M, P)
+        step, stride, k = M // g, P // g, np.arange(M)
+        for lo in range(0, self.radii.size, _SWEEP_RINGS):
+            block = slice(lo, lo + _SWEEP_RINGS)
+            rho = self.radii[block]
+            base = fields[:, block] * (1.0 - rho**2)[:, None]
+            if head:
+                out[:, 0, block] = base.mean(axis=-1)
+            wrapped = np.empty((rho.size, 2 * M))
+            kernel = wrapped[:, :M]
+            for b, s in enumerate(ring_radii):
+                sr = s * rho
+                for j in range(stride):  # phases j, j + stride, ... share one offset
+                    m, f = divmod(j * M, P)
+                    sin2 = np.sin(np.pi * (k * P - f) / (M * P)) ** 2
+                    np.multiply((4.0 * sr)[:, None], sin2[None, :], out=kernel)
+                    kernel += ((1.0 - sr) ** 2)[:, None]
+                    np.divide(1.0 - s * s, kernel, out=kernel)
+                    wrapped[:, M:] = kernel
+                    # shifted[i, u] = K_f[i, (. - m_u) mod M], m_u = m + (g - 1 - u) M / g
+                    strides = (wrapped.strides[0], step * wrapped.strides[1], wrapped.strides[1])
+                    shifted = as_strided(wrapped[:, step - m :], (rho.size, g, M), strides, writeable=False)
+                    rows = head + b * P + j + stride * np.arange(g - 1, -1, -1)
+                    out[:, rows, block] = np.einsum("xik,iuk->xui", base, shifted) / M
+        return out if stacked else out[0]
 
     def square_ring_means(self, field: np.ndarray) -> np.ndarray:
         """Per-centre angular means of ``field`` over the Carleson squares
         ``S_a``: a matrix of shape (centres, radii), rows in the order of
-        ``a_grid``.
+        ``a_grid``; a stack of fields ``(k, radii, angles)`` gives
+        ``(k, centres, radii)``.
 
         Angular cells are intervals of width 2 pi / M around each node; a
         node's weight is the fraction of its cell inside the wedge
         ``|theta - arg a| <= (1 - |a|)/2``, so thin near-boundary squares
         are integrated with first-order accuracy instead of being missed
         entirely.  Radially, nodes with r <= |a| are dropped.  The centre 0
-        is the whole disc.  All centres take one product of ``field`` with
-        the (angles x centres) matrix of overlap columns.
+        is the whole disc.  All centres and fields take one product of
+        ``field`` with the (angles x centres) matrix of overlap columns.
         """
         a = self.a_grid
-        out = np.empty((a.size, self.radii.size), dtype=field.dtype)
+        out = np.empty((*field.shape[:-2], a.size, self.radii.size), dtype=field.dtype)
         ring = a != 0
-        out[~ring] = field.mean(axis=1)
+        out[..., ~ring, :] = field.mean(axis=-1)[..., None, :]
         a = a[ring]
         cell = 2.0 * np.pi / self.angular
         d = np.abs((self.thetas[:, None] - np.angle(a)[None, :] + np.pi) % (2 * np.pi) - np.pi)
         overlap = np.clip(((1.0 - np.abs(a)) / 2.0 + cell / 2.0 - d) / cell, 0.0, 1.0)
         rings = field @ overlap
-        rings[self.radii[:, None] <= np.abs(a)[None, :]] = 0.0
-        out[ring] = rings.T / self.angular
+        rings[..., self.radii[:, None] <= np.abs(a)[None, :]] = 0.0
+        out[..., ring, :] = np.swapaxes(rings, -1, -2) / self.angular
         return out
 
     def sample_folded(self, f, power: float = 1.0) -> np.ndarray:
-        """Node matrix of ``|f|**power`` with high-order angular content
-        folded in.
+        """Node matrix of ``|f|**power`` for a series ``f`` with high-order
+        angular content folded in; a stack of ``k`` series of one order
+        gives shape ``(k, radii, angles)``.
 
         A truncated series of order N has angular features down to scale
         1/N; when N exceeds the angular rule, ``|f|**power`` is sampled on
@@ -297,23 +314,20 @@ class QuadratureGrid:
         cell around each node.  The cell mass is exact, so boundary peaks of
         high-order singular coefficients are neither missed nor
         double-counted by coarser sweeps.  Each block of upsampled rings
-        (:func:`~disclab.series.ring_blocks`) is reduced to the node cells
-        before the next is sampled, so the radii x upsampled-angles matrix
-        is never built.
+        (:func:`~disclab.series.ring_blocks`, the whole stack counted) is
+        reduced to the node cells before the next is sampled, so the
+        radii x upsampled-angles matrix is never built.
         """
-        if not isinstance(f, PowerSeries):
-            return np.abs(self.sample(f)) ** power
-        up = int(np.ceil((2 * f.order + 2) / self.angular))
+        fs = [f] if isinstance(f, PowerSeries) else list(f)
+        up = int(np.ceil((2 * fs[0].order + 2) / self.angular))
         up = min(max(up, 1), 16)
-        if up == 1:
-            return np.abs(self.sample(f)) ** power
         M = up * self.angular
-        out = np.empty((self.radii.size, self.angular))
-        for block in ring_blocks(self.radii.size, f.order, M):
-            vals = np.abs(sample_rings(f, self.radii[block], M)) ** power
-            vals = np.roll(vals, up // 2, axis=1)  # centre cells on the nodes
-            out[block] = vals.reshape(-1, self.angular, up).mean(axis=2)
-        return out
+        out = np.empty((len(fs), self.radii.size, self.angular))
+        for block in ring_blocks(self.radii.size, fs[0].order, M, len(fs)):
+            vals = np.abs(sample_rings(fs, self.radii[block], M)) ** power
+            vals = np.roll(vals, up // 2, axis=-1)  # centre cells on the nodes
+            out[:, block] = vals.reshape(len(fs), -1, self.angular, up).mean(axis=-1)
+        return out[0] if isinstance(f, PowerSeries) else out
 
 
 def area_integral(density, grid: QuadratureGrid, rcap: float | None = None) -> float:
@@ -330,21 +344,21 @@ def dilation_estimate(run, grid: QuadratureGrid):
     """Full/coarse/divergence protocol shared by the norm and condition
     estimators.
 
-    ``run(g, r)`` must return the raw estimate on grid ``g`` for the input
-    dilated by ``r`` (``r = 1`` is the value itself).  The divergence flag
-    reads the dilations ``PROBE_LOW``, ``PROBE_MID`` and ``PROBE_HIGH``
-    (0.9, 0.99, 0.999) of the input: a quantity is reported divergent when
-    it more than doubles from 0.9 to 0.999 (``PROBE_FACTOR``) AND its last
-    decade increment (0.99 -> 0.999) is more than ``PROBE_INCREMENT_RATIO``
-    (0.7) times the one before (0.9 -> 0.99), i.e. it keeps growing at a
-    sustained rate rather than saturating late.
+    ``run(g, dilations)`` must return the raw estimate on grid ``g`` for
+    the input dilated by each ``r`` in ``dilations``, in order (``r = 1``
+    is the value itself).  It is called twice, with ``(1, PROBE_LOW,
+    PROBE_MID, PROBE_HIGH)`` on ``grid`` and ``(1,)`` on its coarsened
+    sibling, so the four base-grid dilations are sampled and swept together.
+    The divergence flag reads the dilations 0.9, 0.99 and 0.999 of the
+    input: a quantity is reported divergent when it more than doubles from
+    0.9 to 0.999 (``PROBE_FACTOR``) AND its last decade increment (0.99 ->
+    0.999) is more than ``PROBE_INCREMENT_RATIO`` (0.7) times the one
+    before (0.9 -> 0.99), i.e. it keeps growing at a sustained rate rather
+    than saturating late.
     Returns ``(value, value_coarse, divergence_flag)``.
     """
-    value = run(grid, 1.0)
-    coarse = run(grid.coarsened(), 1.0)
-    lo = run(grid, PROBE_LOW)
-    mid = run(grid, PROBE_MID)
-    hi = run(grid, PROBE_HIGH)
+    value, lo, mid, hi = map(float, run(grid, (1.0, PROBE_LOW, PROBE_MID, PROBE_HIGH)))
+    (coarse,) = map(float, run(grid.coarsened(), (1.0,)))
     doubled = hi > PROBE_FACTOR * lo + 1e-300
     sustained = (hi - mid) > PROBE_INCREMENT_RATIO * (mid - lo) - 1e-300
     return value, coarse, bool(doubled and sustained)

@@ -7,12 +7,13 @@ over Carleson squares, and general weighted area integrals.
 
 Every estimate is reported as a :class:`NormEstimate` carrying the value, a
 half-resolution companion value, and a divergence flag: the estimator is
-re-run on the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)`` and
+also run on the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)`` and
 flagged when it more than doubles from 0.9 to 0.999 and its increment over
 the last decade (0.99 -> 0.999) is more than 0.7 times the one before
 (0.9 -> 0.99), i.e. when the quantity keeps growing at a sustained rate as
 the dilation exhausts the disc (see :func:`disclab.grids.dilation_estimate`).
-The flag is a diagnostic, not a proof.
+The flag is a diagnostic, not a proof.  ``f`` and its three dilations come
+in one call: the sup and sweep estimators sample and sweep them as one stack.
 """
 
 from __future__ import annotations
@@ -91,50 +92,55 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
     the integrand.
     """
 
-    def run(g: QuadratureGrid, r: float):
-        fr = f if r == 1.0 else dilate(f, r)
+    def run(g: QuadratureGrid, dilations):
         radii = g.sup_radii[g.sup_radii > 0]
-        means = np.array(mp_means(fr, radii, p, g.angular))
-        if r == 1.0:
-            drops = means[:-1] - means[1:]
-            rel = float(np.max(drops / np.maximum(means[:-1], 1e-30))) if drops.size else 0.0
-            if rel > 1e-6:
-                raise QuadratureError(
-                    "integral means decreased along the radial profile; "
-                    "angular resolution too coarse for this integrand"
-                )
-        return float(means[-1])
+        out = []
+        for r, fr in zip(dilations, _dilated(f, dilations)):
+            means = np.array(mp_means(fr, radii, p, g.angular))
+            if r == 1.0:
+                drops = means[:-1] - means[1:]
+                rel = float(np.max(drops / np.maximum(means[:-1], 1e-30))) if drops.size else 0.0
+                if rel > 1e-6:
+                    raise QuadratureError(
+                        "integral means decreased along the radial profile; "
+                        "angular resolution too coarse for this integrand"
+                    )
+            out.append(float(means[-1]))
+        return out
 
     return NormEstimate(*dilation_estimate(run, grid))
 
 
-def _weighted_sup(f: PowerSeries, weight, grid: QuadratureGrid) -> float:
-    """``max over grid circles (and the origin) of |f| * weight(r)``."""
+def _dilated(f: PowerSeries, dilations) -> list[PowerSeries]:
+    """``f(r z)`` for each ``r`` in ``dilations`` (``f`` itself at 1)."""
+    return [f if r == 1.0 else dilate(f, r) for r in dilations]
+
+
+def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
+    """``max over grid circles (and the origin) of |f| * weight(r)``, one
+    value per series of the same-order stack ``fs``."""
     radii = grid.sup_radii[grid.sup_radii > 0]
-    best = abs(f.coeffs[0]) * float(weight(0.0))
-    rings = np.max(np.abs(sample_rings(f, radii, grid.angular)), axis=1)
-    for r, ring in zip(radii, rings):
-        best = max(best, float(ring) * float(weight(float(r))))
-    return best
+    w = np.array([float(weight(float(r))) for r in radii])
+    rings = np.max(np.abs(sample_rings(fs, radii, grid.angular)), axis=-1)
+    origin = float(weight(0.0))
+    return [max(abs(f.coeffs[0]) * origin, float(np.max(ring * w))) for f, ring in zip(fs, rings)]
+
+
+def sup_estimate(f: PowerSeries, weight, grid: QuadratureGrid):
+    """Dilation-probe estimate of :func:`_weighted_sup` for one series."""
+    return dilation_estimate(lambda g, rs: _weighted_sup(_dilated(f, rs), weight, g), grid)
 
 
 def growth_norm(f: PowerSeries, q: float, grid: QuadratureGrid) -> NormEstimate:
     """Growth-space estimate ``sup |f(z)| (1 - |z|^2)^q`` over the grid."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    w = lambda r: (1.0 - r * r) ** q
-    return NormEstimate(
-        *dilation_estimate(lambda g, r: _weighted_sup(dilate(f, r), w, g), grid)
-    )
+    return NormEstimate(*sup_estimate(f, lambda r: (1.0 - r * r) ** q, grid))
 
 
 def bloch_norm(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     """Bloch seminorm estimate ``sup |f'(z)| (1 - |z|^2)``."""
-    df = f.derivative()
-    w = lambda r: 1.0 - r * r
-    return NormEstimate(
-        *dilation_estimate(lambda g, r: _weighted_sup(dilate(df, r), w, g), grid)
-    )
+    return NormEstimate(*sup_estimate(f.derivative(), lambda r: 1.0 - r * r, grid))
 
 
 def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float, float]]:
@@ -152,19 +158,17 @@ def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float
 def moebius_sweep_estimate(f: PowerSeries, make_field, grid: QuadratureGrid, prefactor=None):
     """Probe-aware ``sup_a prefactor(a) int field(f) (1-|phi_a|^2) dm``.
 
-    ``make_field(g, fr)`` builds the node-value matrix of the dilated
-    series ``fr`` on grid ``g``; the per-centre ring means are computed in
-    one pass per dilation.
+    ``make_field(g, fs)`` builds the node-value matrices ``(k, radii,
+    angles)`` of the stack ``fs`` of dilated series on grid ``g``; the
+    per-centre ring means of all of them are computed in one sweep.
     """
 
-    def run(g: QuadratureGrid, r: float):
-        fr = f if r == 1.0 else dilate(f, r)
-        rings = g.moebius_ring_means(make_field(g, fr))
-        wq = g.weights * 2.0 * g.radii
-        vals = rings @ wq
+    def run(g: QuadratureGrid, dilations):
+        rings = g.moebius_ring_means(make_field(g, _dilated(f, dilations)))
+        vals = rings @ (g.weights * 2.0 * g.radii)
         if prefactor is not None:
             vals = vals * np.array([prefactor(a) for a in g.a_grid])
-        return float(np.max(vals))
+        return np.max(vals, axis=-1)
 
     return dilation_estimate(run, grid)
 
@@ -173,7 +177,7 @@ def bmoa_garsia(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     """Garsia-type estimate ``sup_a int |f'|^2 (1 - |phi_a|^2) dm``."""
     return NormEstimate(
         *moebius_sweep_estimate(
-            f, lambda g, fr: g.sample_folded(fr.derivative(), power=2.0), grid
+            f, lambda g, fs: g.sample_folded([fr.derivative() for fr in fs], power=2.0), grid
         )
     )
 
@@ -192,17 +196,17 @@ def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     order = max(f.order, 256)
     samples = max(2 * order + 2, grid.angular, 1024)
 
-    def run(g: QuadratureGrid, r: float):
-        fr = f if r == 1.0 else dilate(f, r)
-        best = 0.0
-        for a in g.a_grid:
-            with warnings.catch_warnings():
-                if abs(a) >= 0.95:
-                    warnings.simplefilter("ignore", AccuracyWarning)
-                comp = compose_moebius(fr, a, out_order=order, samples=samples)
-            c = comp.coeffs.copy()
-            c[0] -= fr(complex(a))
-            best = max(best, float(np.sum(np.abs(c) ** 2)))
+    def run(g: QuadratureGrid, dilations):
+        best = [0.0] * len(dilations)
+        for i, fr in enumerate(_dilated(f, dilations)):
+            for a in g.a_grid:
+                with warnings.catch_warnings():
+                    if abs(a) >= 0.95:
+                        warnings.simplefilter("ignore", AccuracyWarning)
+                    comp = compose_moebius(fr, a, out_order=order, samples=samples)
+                c = comp.coeffs.copy()
+                c[0] -= fr(complex(a))
+                best[i] = max(best[i], float(np.sum(np.abs(c) ** 2)))
         return best
 
     return NormEstimate(*dilation_estimate(run, grid))
@@ -229,11 +233,12 @@ def square_sweep(grid: QuadratureGrid, field: np.ndarray, prefactor) -> float:
 
 
 def square_sweep_estimate(f: PowerSeries, make_field, grid: QuadratureGrid, prefactor):
-    """Dilation-probe companion of :func:`square_sweep`."""
+    """Dilation-probe companion of :func:`square_sweep`; ``make_field`` as
+    in :func:`moebius_sweep_estimate`."""
 
-    def run(g: QuadratureGrid, r: float):
-        fr = f if r == 1.0 else dilate(f, r)
-        return square_sweep(g, make_field(g, fr), prefactor)
+    def run(g: QuadratureGrid, dilations):
+        rings = g.square_ring_means(make_field(g, _dilated(f, dilations)))
+        return [_square_sup(g, means, prefactor) for means in rings]
 
     return dilation_estimate(run, grid)
 
@@ -258,9 +263,9 @@ def carleson_norm(density, grid: QuadratureGrid, dilated=None) -> NormEstimate:
 
     if dilated is not None:
 
-        def run(g: QuadratureGrid, r: float):
-            dens = density if r == 1.0 else dilated(r)
-            return square_sweep(g, field_on(g, dens), pref)
+        def run(g: QuadratureGrid, dilations):
+            dens = [density if r == 1.0 else dilated(r) for r in dilations]
+            return [square_sweep(g, field_on(g, d), pref) for d in dens]
 
         return NormEstimate(*dilation_estimate(run, grid))
 

@@ -178,27 +178,31 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 _BLOCK_BYTES = 8 * 2**20
 
 
-def ring_blocks(rings: int, order: int, M: int) -> list[slice]:
+def ring_blocks(rings: int, order: int, M: int, k: int = 1) -> list[slice]:
     """Consecutive slices of ``range(rings)``, each as many rings as one
-    block of :func:`sample_rings` holds for a series of this ``order``;
-    callers that reduce samples ring by ring use them to reduce each block
-    before the next is sampled."""
+    block of :func:`sample_rings` holds for a stack of ``k`` series of this
+    ``order``; callers that reduce samples ring by ring use them to reduce
+    each block before the next is sampled."""
     width = -(-(order + 1) // M) * M
-    rows = max(1, _BLOCK_BYTES // (16 * width))
+    rows = max(1, _BLOCK_BYTES // (16 * width * k))
     return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
 
 
-def sample_rings(f: PowerSeries, radii, M: int) -> np.ndarray:
+def sample_rings(f, radii, M: int) -> np.ndarray:
     """Values ``f(r * exp(2*pi*i*j/M))``, one row per radius ``r`` in
     ``radii`` and one column per ``j = 0..M-1``: shape ``(len(radii), M)``.
 
+    ``f`` is one :class:`PowerSeries` or a sequence of ``k`` series of one
+    order; a stack gives shape ``(k, len(radii), M)``, each row
+    bit-identical to sampling its series alone.
     Each radius' scaled coefficients ``c_n r**n`` are folded modulo ``M``
     (``sum_k c_{j+kM} r**(j+kM)``, added in increasing ``k``) and one
     inverse FFT gives the ring, which is exact for the stored polynomial.
     Rings go in blocks (see :func:`ring_blocks`): one ``r[:, None] ** n``
-    scaling, one fold and one ``ifft`` along the rows per block, the
-    block's complex buffer (rings x order rounded up to a multiple of
-    ``M``) kept at 8 MB or less, one ring when a single ring needs more.
+    table shared by the whole stack, one fold and one ``ifft`` along the
+    rows per block, the block's complex buffer (series x rings x order
+    rounded up to a multiple of ``M``) kept at 8 MB or less, one ring when
+    a single ring needs more.
     ``r = 1`` is allowed: a truncated series is a polynomial, continuous on
     the closed disc, and the boundary circle is where Hardy-space means
     live.  Every radius must lie in (0, 1]; NaN is rejected.
@@ -210,19 +214,23 @@ def sample_rings(f: PowerSeries, radii, M: int) -> np.ndarray:
         raise ValueError("sampling radius must lie in (0, 1]")
     if M < 1:
         raise ValueError("need at least one node")
-    c = f.coeffs
-    n = np.arange(c.size)
-    folds = -(-c.size // M)
-    out = np.empty((r.size, M), dtype=complex)
-    for block in ring_blocks(r.size, f.order, M):
+    fs = [f] if isinstance(f, PowerSeries) else list(f)
+    if not fs or len({g.order for g in fs}) != 1:
+        raise ValueError("a stack of series needs one or more series of one order")
+    c = np.stack([g.coeffs for g in fs])
+    k, size = c.shape
+    n = np.arange(size)
+    folds = -(-size // M)
+    out = np.empty((k, r.size, M), dtype=complex)
+    for block in ring_blocks(r.size, size - 1, M, k):
         rb = r[block]
-        scaled = np.zeros((rb.size, folds, M), dtype=complex)
-        np.multiply(c, rb[:, None] ** n, out=scaled.reshape(rb.size, -1)[:, : c.size])
-        folded = scaled[:, 0]
-        for k in range(1, folds):
-            folded += scaled[:, k]
-        out[block] = M * np.fft.ifft(folded, axis=1)
-    return out
+        scaled = np.zeros((k, rb.size, folds, M), dtype=complex)
+        np.multiply(c[:, None], rb[:, None] ** n, out=scaled.reshape(k, rb.size, -1)[:, :, :size])
+        folded = scaled[:, :, 0]
+        for j in range(1, folds):
+            folded += scaled[:, :, j]
+        out[:, block] = M * np.fft.ifft(folded, axis=-1)
+    return out[0] if isinstance(f, PowerSeries) else out
 
 
 def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:

@@ -158,6 +158,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("error: lacunary needs") == 2 and err.count("\n") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "--example", "hille:gamma=1.0", "--count", "0"],
+            ["separation", "--example", "hille:gamma=1.0", "--count", "0"],
+            ["separation", "--example", "hille:gamma=1.0", "--count", "-3"],
+            ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "0"],
+            ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "-2"],
+        ],
+    )
+    def test_degenerate_counts_exit_2(self, argv, capsys):
+        # an empty zero sequence or no trials would report a vacuous result
+        assert run(BASE + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["zeros", "separation"])
     @pytest.mark.parametrize("spec", ["hille:gamma=0", "hille:gamma=-1", "hille:gamma=nan", "hille:gama=3"])
     def test_zero_tables_reject_bad_gamma(self, command, spec, capsys):

@@ -1,23 +1,50 @@
-"""The shift-invariant centre sweep engine and the blocked ring sampling
-against the per-centre and per-ring loops they replaced.
+"""The shift-invariant centre sweep engine, the blocked ring sampling and
+the two-pass dilation protocol against the per-centre, per-ring and
+per-dilation loops they replaced.
 
 The oracles below are the straightforward passes: one weight matrix per
-Moebius centre or Carleson square over the full node matrix, and one
-``np.add.at`` fold and 1-d inverse FFT per ring.  They live here only, as
-the slow paths the fast ones are checked against.
+Moebius centre or Carleson square over the full node matrix, one
+``np.add.at`` fold and 1-d inverse FFT per ring, and five single-dilation
+runs per estimate.  They live here only, as the slow paths the fast ones
+are checked against.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disclab import QuadratureGrid, series
-from disclab.conditions import _log_weight, decay_conditions
+from disclab import QuadratureGrid, grids, series
+from disclab.conditions import (
+    _h1_inner_fields,
+    _log_weight,
+    bmoa_dd,
+    bmoa_h1_cond,
+    decay_conditions,
+    lalpha_norm,
+    lacunary_series,
+    lmoa_quantity,
+    lmoa_square,
+    log_reciprocal_coefficient,
+    nehari_sup,
+    order3_area,
+    order3_growth,
+)
 from disclab.hardy import _ratio_ring_means
-from disclab.norms import _square_sup, _weighted_sup, carleson_norm, square_sweep
-from disclab.series import PowerSeries
+from disclab.norms import (
+    _square_sup,
+    _weighted_sup,
+    bloch_norm,
+    bmoa_garsia,
+    bmoa_h2_def,
+    carleson_norm,
+    growth_norm,
+    hp_norm,
+    square_sweep,
+)
+from disclab.series import PowerSeries, compose_moebius, dilate
 
 REL = 1e-12
 
@@ -187,6 +214,25 @@ def test_decay_conditions_match_per_centre_loop(spec, seed):
     assert_rel([row[1] for row in rows], oracle_decay_lmoa(A, radii, grid))
 
 
+@settings(max_examples=30, deadline=None)
+@with_examples
+@given(grid_specs(), st.integers(0, 2**32 - 1))
+def test_stacked_sweeps_match_per_field_calls(spec, seed):
+    # three fields in one call, the Moebius sweep in blocks of 1 to 7 rings
+    grid = QuadratureGrid(**spec)
+    fields = np.stack([field_for(grid, seed + i) for i in range(3)])
+    rows = seed % 7 + 1
+    with mock.patch.object(grids, "_SWEEP_RINGS", rows):
+        moebius = grid.moebius_ring_means(fields)
+    square = grid.square_ring_means(fields)
+    assert moebius.shape == square.shape == (3, grid.a_grid.size, grid.radii.size)
+    for field, got_m, got_s in zip(fields, moebius, square):
+        assert_rel(got_m, grid.moebius_ring_means(field))
+        assert_rel(got_m, oracle_moebius_ring_means(grid, field))
+        assert_rel(got_s, grid.square_ring_means(field))
+        assert_rel(got_s, oracle_square_ring_means(grid, field))
+
+
 def test_centre_radii_subset_matches_grid_rows():
     # asking for some of the grid's centre radii returns their rows of the full sweep
     grid = QuadratureGrid(nodes_per_panel=2, angular=40, inner_depth=2, outer_depth=6,
@@ -259,9 +305,10 @@ def sampled_cases(draw):
     return spec, order, rows, draw(st.integers(0, 2**32 - 1))
 
 
-def blocks_of(rows, order, M):
-    """The block buffer size that makes ring_blocks hold ``rows`` rings."""
-    return mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * (-(-(order + 1) // M) * M))
+def blocks_of(rows, order, M, k=1):
+    """The block buffer size that makes ring_blocks hold ``rows`` rings of a
+    stack of ``k`` series."""
+    return mock.patch.object(series, "_BLOCK_BYTES", k * rows * 16 * (-(-(order + 1) // M) * M))
 
 
 def random_series(order, seed):
@@ -279,6 +326,22 @@ def test_sample_folded_matches_per_ring_loop(case, power):
     with blocks_of(rows, order, up * grid.angular):
         got = grid.sample_folded(f, power=power)
     assert_rel(got, oracle_sample_folded(grid, f, power))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampled_cases(), st.integers(1, 4), st.sampled_from([1.0, 2.0, 0.5]))
+def test_stacked_sample_folded_matches_per_series_calls(case, k, power):
+    # the buffer holds `rows` rings of the whole stack of k series
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    fs = [random_series(order, seed + i) for i in range(k)]
+    up = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16)
+    with blocks_of(rows, order, up * grid.angular, k):
+        got = grid.sample_folded(fs, power=power)
+    assert got.shape == (k, grid.radii.size, grid.angular)
+    for f, field in zip(fs, got):
+        assert_rel(field, grid.sample_folded(f, power=power))
+        assert_rel(field, oracle_sample_folded(grid, f, power))
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,10 +375,138 @@ def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, p, 
 @settings(max_examples=40, deadline=None)
 @given(sampled_cases(), st.sampled_from([0.0, 0.5, 1.0, 2.5]))
 def test_weighted_sup_matches_per_ring_loop(case, q):
+    # one value per series of a stack; the block buffer holds `rows` rings
+    # of the whole stack
     spec, order, rows, seed = case
     grid = QuadratureGrid(**spec)
-    f = random_series(order, seed)
+    fs = [random_series(order, seed), random_series(order, seed + 1), dilate(random_series(order, seed), 0.9)]
     weight = lambda r: (1.0 - r * r) ** q
-    with blocks_of(rows, order, grid.angular):
-        got = _weighted_sup(f, weight, grid)
-    assert_rel(got, oracle_weighted_sup(f, weight, grid))
+    with blocks_of(rows, order, grid.angular, len(fs)):
+        got = _weighted_sup(fs, weight, grid)
+    assert_rel(got, [oracle_weighted_sup(f, weight, grid) for f in fs])
+
+
+# ---------------------------------------------------------------------------
+# the dilation protocol: two passes against five single-dilation runs
+# ---------------------------------------------------------------------------
+
+def oracle_protocol(run, grid):
+    """The five-run protocol the two-pass one replaced: ``run(g, r)`` gives
+    one raw estimate of the input dilated by ``r``."""
+    value = run(grid, 1.0)
+    coarse = run(grid.coarsened(), 1.0)
+    lo, mid, hi = (run(grid, r) for r in (0.9, 0.99, 0.999))
+    flag = hi > 2.0 * lo + 1e-300 and (hi - mid) > 0.7 * (mid - lo) - 1e-300
+    return value, coarse, bool(flag)
+
+
+def dilated(f, r):
+    return f if r == 1.0 else dilate(f, r)
+
+
+def sup_run(f, weight):
+    return lambda g, r: oracle_weighted_sup(dilated(f, r), weight, g)
+
+
+def moebius_run(f, make_field, prefactor=lambda a: 1.0):
+    def run(g, r):
+        rings = oracle_moebius_ring_means(g, make_field(g, dilated(f, r)))
+        pref = np.array([prefactor(a) for a in g.a_grid])
+        return float(np.max(rings @ (g.weights * 2.0 * g.radii) * pref))
+
+    return run
+
+
+def folded(power, q):
+    """Per-ring oracle of ``|f|**power (1 - |z|^2)**q`` on the nodes."""
+    return lambda g, fr: oracle_sample_folded(g, fr, power) * (1 - g.radii**2)[:, None] ** q
+
+
+def hp_run(f, p):
+    def run(g, r):
+        ring = np.abs(oracle_sample_circle(dilated(f, r), g.r_max, g.angular))
+        return float(np.mean(ring**p) ** (1.0 / p))
+
+    return run
+
+
+def h2_run(f, grid):
+    order = max(f.order, 256)
+    samples = max(2 * order + 2, grid.angular, 1024)
+
+    def run(g, r):
+        fr = dilated(f, r)
+        best = 0.0
+        for a in g.a_grid:
+            c = compose_moebius(fr, a, out_order=order, samples=samples).coeffs.copy()
+            c[0] -= fr(complex(a))
+            best = max(best, float(np.sum(np.abs(c) ** 2)))
+        return best
+
+    return run
+
+
+def protocol_cases(f, grid):
+    """``name -> (two-pass estimate, single-dilation run)`` for every
+    estimator that goes through the dilation protocol."""
+    weight = lambda q: (lambda r: (1.0 - r * r) ** q)
+    log2 = lambda a: float(_log_weight(abs(a))) ** 2
+    density = lambda fr: (lambda z: np.abs(fr(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** 3)
+    carleson = lambda a: 1.0 / (1.0 - abs(a))
+    coeffs = (f, 0.5 * f, dilate(f, 0.8))
+    cases = {
+        "hp": (lambda: hp_norm(f, 2.0, grid), hp_run(f, 2.0)),
+        "growth": (lambda: growth_norm(f, 1.5, grid), sup_run(f, weight(1.5))),
+        "bloch": (lambda: bloch_norm(f, grid), sup_run(f.derivative(), weight(1.0))),
+        "bmoa-garsia": (
+            lambda: bmoa_garsia(f, grid),
+            moebius_run(f, lambda g, fr: oracle_sample_folded(g, fr.derivative(), 2.0)),
+        ),
+        "bmoa-h2": (lambda: bmoa_h2_def(f, grid), h2_run(f, grid)),
+        "carleson-dilated": (
+            lambda: carleson_norm(density(f), grid, dilated=lambda r: density(dilate(f, r))),
+            lambda g, r: oracle_square_sweep(g, np.real(density(dilated(f, r))(g.nodes())), carleson),
+        ),
+        "nehari": (lambda: nehari_sup(f, grid), sup_run(f, weight(2))),
+        "lalpha": (
+            lambda: lalpha_norm(f, 1.5, grid),
+            sup_run(f, lambda r: (1 - r * r) ** 2 * _log_weight(r) ** 1.5),
+        ),
+        "bmoa-dd": (lambda: bmoa_dd(f, grid), moebius_run(f, folded(2.0, 2))),
+        "lmoa": (lambda: lmoa_quantity(f, grid), moebius_run(f, folded(2.0, 2), log2)),
+        "lmoa-square": (
+            lambda: lmoa_square(f, grid),
+            lambda g, r: oracle_square_sweep(
+                g, folded(2.0, 3)(g, dilated(f, r)), lambda a: log2(a) / (1.0 - abs(a))
+            ),
+        ),
+        "bmoa-h1": (
+            lambda: bmoa_h1_cond(f, 0.9, grid, t_count=8),
+            moebius_run(f, lambda g, fr: _h1_inner_fields(fr, 0.9, g, 8) ** 2),
+        ),
+    }
+    for j, A in enumerate(coeffs):
+        cases[f"growth3:{j}"] = (lambda j=j: order3_growth(*coeffs, grid)[j], sup_run(A, weight(3 - j)))
+        cases[f"area3:{j}"] = (lambda j=j: order3_area(*coeffs, grid)[j], moebius_run(A, folded(1.0, 1 - j)))
+    return cases
+
+
+PROTOCOL_INPUTS = {
+    "log-reciprocal": lambda: log_reciprocal_coefficient(48),
+    "lacunary": lambda: lacunary_series(np.ones(5), [2, 4, 8, 16, 32]),
+    "smooth": lambda: PowerSeries(
+        np.random.default_rng(11).normal(size=41) * 0.8 ** np.arange(41) + 0.3j
+    ),
+}
+PROTOCOL_NAMES = list(protocol_cases(PowerSeries([0.0, 1.0]), QuadratureGrid(angular=8, a_angles=1)))
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@pytest.mark.parametrize("spec", list(PROTOCOL_INPUTS))
+def test_two_pass_protocol_matches_five_runs(spec, name, small_grid):
+    estimate, run = protocol_cases(PROTOCOL_INPUTS[spec](), small_grid)[name]
+    est = estimate()
+    value, coarse, flag = oracle_protocol(run, small_grid)
+    assert_rel(est.value, value)
+    assert_rel(est.value_coarse, coarse)
+    assert est.divergence_flag == flag

@@ -166,6 +166,17 @@ def ring_cases(draw):
     return f, radii, M
 
 
+@st.composite
+def stack_cases(draw):
+    """A stack of one to four series of one order, radii and a node count."""
+    f, radii, M = draw(ring_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = f.order + 1
+    more = draw(st.integers(0, 3))
+    fs = [f] + [PowerSeries(rng.normal(size=size) + 1j * rng.normal(size=size)) for _ in range(more)]
+    return fs, radii, M
+
+
 class TestSampleRings:
     @settings(max_examples=150, deadline=None)
     @given(ring_cases(), st.integers(1, 5))
@@ -183,6 +194,31 @@ class TestSampleRings:
         assert got.shape == (len(radii), M)
         want = np.array([oracle_sample_circle(f, float(r), M) for r in radii]).reshape(-1, M)
         assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack_cases(), st.integers(1, 5))
+    def test_stack_rows_bit_identical_to_one_series_calls(self, case, rows):
+        # the buffer holds `rows` rings of the whole stack, so the stack
+        # spans several blocks and may leave a short last one; the
+        # one-series calls go in blocks of k * rows rings instead
+        fs, radii, M = case
+        k, width = len(fs), -(-(fs[0].order + 1) // M) * M
+        with mock.patch.object(series, "_BLOCK_BYTES", k * rows * 16 * width):
+            sizes = [b.stop - b.start for b in ring_blocks(len(radii), fs[0].order, M, k)]
+            got = sample_rings(fs, radii, M)
+            alone = [sample_rings(f, radii, M) for f in fs]
+        short = len(radii) % rows
+        assert sizes == [rows] * (len(radii) // rows) + ([short] if short else [])
+        assert got.shape == (k, len(radii), M)
+        for f, stacked, one in zip(fs, got, alone):
+            assert np.array_equal(stacked, one)
+            want = np.array([oracle_sample_circle(f, float(r), M) for r in radii]).reshape(-1, M)
+            assert np.array_equal(stacked, want)
+
+    @pytest.mark.parametrize("stack", [[], [PowerSeries([1.0]), PowerSeries([1.0, 2.0])]])
+    def test_stack_needs_series_of_one_order(self, stack):
+        with pytest.raises(ValueError, match="one order"):
+            sample_rings(stack, [0.5], 4)
 
     def test_default_blocks_on_the_default_grid(self):
         # order 4096 on 552 radii and 544 angles: 120 rings per block, a
@@ -214,6 +250,20 @@ class TestSampleRings:
 
     def test_no_radii_no_rows(self):
         assert sample_rings(PowerSeries([1.0, 2.0]), [], 6).shape == (0, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**16), st.integers(1, 4096), st.integers(1, 8))
+def test_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
+    # the bound that keeps a stacked sampling pass's memory flat: a block's
+    # complex buffer for k series never exceeds _BLOCK_BYTES unless it
+    # holds a single ring
+    blocks = ring_blocks(rings, order, M, k)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rings))
+    width = -(-(order + 1) // M) * M
+    for b in blocks:
+        count = b.stop - b.start
+        assert count == 1 or k * count * width * 16 <= series._BLOCK_BYTES
 
 
 class TestComposeMoebius:
