@@ -89,6 +89,7 @@ from .weights import (
     BlochBoundReport,
     BoundNotApplicableError,
     RadialWeight,
+    StandardWeight,
     bergman_inner,
     bloch_kernel_quantity,
     bloch_solution_bound,

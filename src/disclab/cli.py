@@ -7,8 +7,7 @@ timestamps), so identical configurations produce byte-identical output;
 profile tables can additionally be written as RFC-4180 CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 when ``--strict`` is given
-and a numerical-accuracy warning fired during the run.  ``DISCLAB_THREADS``
-caps the number of worker threads used for independent sweeps.
+and a numerical-accuracy warning fired during the run.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,6 +54,7 @@ from .ode import (
 from .series import AccuracyWarning, PowerSeries, exp_series
 from .specs import checked, parse_spec
 from .weights import (
+    StandardWeight,
     green_identity_residual,
     kernel_derivative_residual,
     kernel_eval,
@@ -197,22 +195,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
             wr.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DISCLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a results object)
 # ---------------------------------------------------------------------------
@@ -335,7 +317,7 @@ def _cmd_kernels(args, grid):
         "derivative_residual": kernel_derivative_residual(w, zeta, u, args.order),
         "moment_identity_gap": moment_identity_gap(w, nmax=64),
     }
-    if w.kind == "standard" and float(w.alpha).is_integer():
+    if isinstance(w, StandardWeight) and float(w.alpha).is_integer():
         closed = (1.0 - u * np.conj(zeta)) ** (-2.0 - w.alpha)
         out["closed_form_error"] = float(abs(val - closed))
     return out
@@ -382,10 +364,7 @@ def _cmd_hardy(args, grid):
             corpus = corpus_from_manifest(fh.read())
     else:
         corpus = default_corpus(seed=args.seed)
-    rows = _map_ordered(
-        lambda cf: (cf.name, *prop_main_sides(cf.series, args.p, args.k, grid)),
-        corpus,
-    )
+    rows = [(cf.name, *prop_main_sides(cf.series, args.p, args.k, grid)) for cf in corpus]
     if args.csv:
         write_csv(args.csv, ["name", "hardy_power", "area_plus_inits"], rows)
     out_rows = [{"name": n, "hardy_power": h, "area_plus_inits": a} for n, h, a in rows]

@@ -193,12 +193,6 @@ class QuadratureGrid:
         """Normalized-area integral of node values (radii x angles)."""
         return self.integrate_rings(values.mean(axis=1), rcap)
 
-    def moebius_factor(self, a: complex, radii: np.ndarray | None = None) -> np.ndarray:
-        """``1 - |phi_a(z)|^2`` on the node matrix, via the stable closed form
-        ``(1-|a|^2)(1-|z|^2)/|1 - conj(a) z|^2``."""
-        z = self.nodes(radii)
-        return (1 - abs(a) ** 2) * (1 - np.abs(z) ** 2) / np.abs(1 - np.conj(a) * z) ** 2
-
     # -- centre sweeps -----------------------------------------------------
 
     def _centre_radii(self, a_radii) -> tuple[float, ...]:

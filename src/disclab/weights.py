@@ -13,6 +13,11 @@ exact moment identity ``wtilde_{2n+1} (n+1) = w_{2n+3}``, and the
 Green-type identity ``<f, g>_{A^2_w} = 4 <f', g'>_{A^2_wstar} + f(0)
 conj(g(0))`` holds for normalized weights (``2 w_1 = 1``).
 
+All of these are read from one Gauss panel rule on [0, 1] (dyadic panels
+toward 0, geometric toward 1, and a closing panel that ends at 1, so no
+tail is truncated short of the boundary).  :class:`StandardWeight`
+overrides the rule with closed forms where they exist.
+
 The module also computes the kernel-based Bloch quantity
 
     X(A) = sup_z (1-|z|^2) int |int_0^z conj(B_zeta'(u)) A(zeta) dzeta|
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -38,6 +44,7 @@ from .specs import parse_spec
 
 __all__ = [
     "RadialWeight",
+    "StandardWeight",
     "BoundNotApplicableError",
     "regularity_constants",
     "kernel_eval",
@@ -63,138 +70,149 @@ def _beta(a: float, b: float) -> float:
     return float(np.exp(betaln(a, b)))
 
 
+# The panel rule every weight shares on [0, 1]: dyadic panels from 2**-40 up
+# to 1/2, geometric panels from 1/2 toward 1 down to a gap of 2**-40, and a
+# closing panel [1 - 2**-40, 1], with 32 Gauss nodes on each.  The
+# integrands can carry log s or 1/s factors near 0 and (1-s)^alpha
+# behaviour near 1; Gauss nodes touch neither endpoint.
+_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-40, 0), 1.0 - 2.0 ** -np.arange(2, 41), [1.0]])
+_GX, _GW = leggauss(32)
+_HALF = np.diff(_EDGES)[:, None] / 2
+_NODES = _HALF * _GX + (_EDGES[:-1] + _EDGES[1:])[:, None] / 2
+_NODE_WEIGHTS = _HALF * _GW
+
+
 class RadialWeight:
-    """A radial weight with cached moments.
+    """A nonnegative radial weight given by a vectorised profile ``w(r)``,
+    read on the panel rule, whose closing panel ends at 1: moments are dot
+    products with the profile at the nodes; ``what``, ``wtilde`` and ``wstar``
+    at a scalar or array ``r`` are sums over the panels after r's plus one
+    Gauss rule on ``[r, panel end]``."""
 
-    Two families: ``standard(alpha)`` for ``scale * (1 - r^2)^alpha`` (the
-    textbook normalization ``scale = alpha + 1`` makes it a probability
-    weight with ``w_1 = 1/2``), and ``tabulated`` for an arbitrary
-    nonnegative profile given as a callable of r, integrated numerically on
-    dyadic Gauss panels.
-    """
-
-    def __init__(self, kind: str, alpha: float = 0.0, scale: float = 1.0, profile=None):
-        if kind not in ("standard", "tabulated"):
-            raise ValueError("kind must be 'standard' or 'tabulated'")
-        if kind == "standard" and alpha <= -1:
-            raise ValueError("standard weights need alpha > -1")
-        self.kind = kind
-        self.alpha = float(alpha)
-        self.scale = float(scale)
+    def __init__(self, profile):
         self.profile = profile
         self._odd_moments: np.ndarray | None = None
+        self._tables: dict[str, np.ndarray] = {}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def standard(cls, alpha: float) -> "RadialWeight":
-        return cls("standard", alpha=alpha, scale=alpha + 1.0)
+    def standard(cls, alpha: float) -> "StandardWeight":
+        return StandardWeight(alpha, scale=alpha + 1.0)
 
     @classmethod
     def tabulated(cls, profile) -> "RadialWeight":
-        return cls("tabulated", profile=profile)
+        return RadialWeight(profile)
 
     # -- basic queries -------------------------------------------------------
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "standard":
-            return self.scale * (1.0 - r * r) ** self.alpha
-        return np.asarray(self.profile(r), dtype=float)
+        return np.asarray(self.profile(np.asarray(r, dtype=float)), dtype=float)
 
     @property
     def normalized(self) -> bool:
         return abs(2.0 * self.moment(1) - 1.0) <= 1e-10
 
     def __repr__(self):
-        if self.kind == "standard":
-            return f"RadialWeight.standard(alpha={self.alpha:g}, scale={self.scale:g})"
         return "RadialWeight.tabulated(...)"
 
-    # -- quadrature backend for the tabulated family -------------------------
+    # -- the panel rule ------------------------------------------------------
 
-    _gauss = leggauss(32)
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The profile at the rule's nodes."""
+        return self(_NODES)
 
-    def _int_tail(self, fn, r: float) -> float:
-        """``int_r^1 fn(s) ds`` on panels refined geometrically toward both
-        endpoints (the integrands here can carry 1/s factors near r and
-        ``(1-s)^alpha`` behaviour near 1)."""
-        x, w = self._gauss
-        mid = (r + 1.0) / 2.0
-        edges = [r]
-        e = max(r, 2.0**-40)
-        if r == 0.0:
-            edges.append(e)
-        while e < mid:
-            e = min(2.0 * e, mid)
-            edges.append(e)
-        gap = 1.0 - mid
-        while gap > 1e-12:
-            gap /= 2.0
-            edges.append(1.0 - gap)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
-            s = (hi - lo) / 2 * x + (hi + lo) / 2
-            total += (hi - lo) / 2 * float(np.sum(w * fn(s)))
-        return total
+    def _tail(self, name: str, integrand, r):
+        """``int_r^1 integrand(s, w(s)) ds`` for ``r`` in [0, 1]: the sum over
+        the panels after r's (a table cached under ``name``) plus one Gauss
+        rule on ``[r, end of r's panel]``."""
+        later = self._tables.get(name)
+        if later is None:
+            panels = np.sum(_NODE_WEIGHTS * integrand(_NODES, self._values), axis=1)
+            later = self._tables[name] = np.append(np.cumsum(panels[::-1])[::-1][1:], 0.0)
+        r = np.asarray(r, dtype=float)
+        k = np.clip(np.searchsorted(_EDGES, r, side="right") - 1, 0, _EDGES.size - 2)
+        half = ((_EDGES[k + 1] - r) / 2)[..., None]
+        # Nodes as offsets from r: a rounded midpoint would shift all of them by
+        # up to half an ulp, a relative error of ~1e-16/(1-r) in a tail near 1.
+        s = r[..., None] + half * (1.0 + _GX)
+        return (later[k] + np.sum(half * _GW * integrand(s, self(s)), axis=-1))[()]
 
     # -- moments and derived weights -----------------------------------------
 
     def moment(self, x: float) -> float:
         """``w_x = int_0^1 r^x w(r) dr``."""
-        if self.kind == "standard":
-            return self.scale * 0.5 * _beta((x + 1.0) / 2.0, self.alpha + 1.0)
-        return self._int_tail(lambda s: s**x * self(s), 0.0)
+        return float(np.sum(_NODE_WEIGHTS * _NODES**x * self._values))
 
     def odd_moments(self, nmax: int) -> np.ndarray:
         """Cached array ``[w_1, w_3, ..., w_{2 nmax + 1}]``."""
         if self._odd_moments is None or self._odd_moments.size <= nmax:
-            self._odd_moments = np.array(
-                [self.moment(2 * n + 1) for n in range(nmax + 1)]
-            )
+            self._odd_moments = np.array([self.moment(2 * n + 1) for n in range(nmax + 1)])
         return self._odd_moments[: nmax + 1]
 
-    def what(self, r: float) -> float:
+    def what(self, r):
         """Tail integral ``int_r^1 w(s) ds``."""
-        if self.kind == "standard":
-            from scipy.special import betainc  # deferred: scipy is slow to import
+        return self._tail("what", lambda s, v: v, r)
 
-            # (scale/2) * int_{r^2}^1 u^{-1/2} (1-u)^alpha du
-            full = _beta(0.5, self.alpha + 1.0)
-            frac = betainc(0.5, self.alpha + 1.0, r * r)
-            return self.scale * 0.5 * full * float(1.0 - frac)
-        return self._int_tail(self, r)
-
-    def wtilde(self, r: float) -> float:
+    def wtilde(self, r):
         """``2 int_r^1 w(s) s ds``."""
-        if self.kind == "standard":
-            return self.scale * (1.0 - r * r) ** (self.alpha + 1.0) / (self.alpha + 1.0)
-        return self._int_tail(lambda s: 2.0 * s * self(s), r)
+        return self._tail("wtilde", lambda s, v: 2.0 * s * v, r)
 
-    def wstar(self, r: float) -> float:
-        """``int_r^1 log(s/r) w(s) s ds``.  For the standard family this is
-        computed from the integration-by-parts identity
-        ``wstar(r) = (1/2) int_r^1 wtilde(s)/s ds``."""
-        if r <= 0.0:
+    def wstar(self, r):
+        """``int_r^1 log(s/r) w(s) s ds``, split by ``log(s/r) = log s - log r``
+        so that two cumulative tables serve every r."""
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0):
             raise ValueError("wstar is logarithmically singular at 0")
-        if self.kind == "standard":
-            c = self.scale / (self.alpha + 1.0)
-            return 0.5 * self._int_tail(
-                lambda s: c * (1.0 - s * s) ** (self.alpha + 1.0) / s, r
-            )
-        return self._int_tail(lambda s: np.log(s / r) * self(s) * s, r)
+        return (self._tail("log", lambda s, v: np.log(s) * s * v, r) - np.log(r) * self.wtilde(r) / 2.0)[()]
 
     def tilde(self) -> "RadialWeight":
-        """The weight whose kernel is the derivative of this one's."""
-        if self.kind == "standard":
-            return RadialWeight(
-                "standard", alpha=self.alpha + 1.0, scale=self.scale / (self.alpha + 1.0)
-            )
-        return RadialWeight.tabulated(
-            lambda r: np.array([self.wtilde(float(ri)) for ri in np.atleast_1d(np.asarray(r, float))])
-        )
+        """The weight whose kernel is the derivative of this one's: ``wtilde`` as
+        its profile (moments integrated, not taken from the moment identity)."""
+        return RadialWeight(self.wtilde)
+
+
+class StandardWeight(RadialWeight):
+    """``scale * (1 - r^2)^alpha`` for ``alpha > -1``, with closed-form
+    moments, tails and tilde.  The textbook normalization ``scale = alpha +
+    1`` (:meth:`RadialWeight.standard`) makes it a probability weight with
+    ``w_1 = 1/2``."""
+
+    def __init__(self, alpha: float, scale: float = 1.0):
+        if alpha <= -1:
+            raise ValueError("standard weights need alpha > -1")
+        self.alpha, self.scale = float(alpha), float(scale)
+        super().__init__(lambda r: self.scale * ((1.0 - r) * (1.0 + r)) ** self.alpha)
+
+    def __repr__(self):
+        return f"StandardWeight(alpha={self.alpha:g}, scale={self.scale:g})"
+
+    def moment(self, x: float) -> float:
+        return self.scale * 0.5 * _beta((x + 1.0) / 2.0, self.alpha + 1.0)
+
+    def what(self, r):
+        """``(scale/2) int_{r^2}^1 u^{-1/2} (1-u)^alpha du``, from the
+        regularized incomplete beta function at ``1 - r^2``, which does not
+        cancel as r -> 1."""
+        from scipy.special import betainc  # deferred: scipy is slow to import
+
+        r = np.asarray(r, dtype=float)
+        full = _beta(0.5, self.alpha + 1.0)
+        return (self.scale * 0.5 * full * betainc(self.alpha + 1.0, 0.5, (1.0 - r) * (1.0 + r)))[()]
+
+    def wtilde(self, r):
+        r = np.asarray(r, dtype=float)
+        return (self.scale * ((1.0 - r) * (1.0 + r)) ** (self.alpha + 1.0) / (self.alpha + 1.0))[()]
+
+    def wstar(self, r):
+        """By parts, ``wstar(r) = (1/2) int_r^1 wtilde(s)/s ds`` on the rule."""
+        if np.any(np.asarray(r) <= 0.0):
+            raise ValueError("wstar is logarithmically singular at 0")
+        return self._tail("by-parts", lambda s, v: self.wtilde(s) / (2.0 * s), r)
+
+    def tilde(self) -> "StandardWeight":
+        return StandardWeight(self.alpha + 1.0, self.scale / (self.alpha + 1.0))
 
 
 # Spec schemas of the weight families (see :func:`disclab.specs.parse_spec`).
@@ -203,11 +221,18 @@ WEIGHT_SPECS = {"standard": {"alpha": (float, 0.0)}, "table": str}
 
 def weight_from_spec(spec: str) -> RadialWeight:
     """Parse CLI weight strings: ``standard:alpha=A`` or ``table:<path>``
-    (a two-column text file of radius/value samples, linearly interpolated)."""
+    (a two-column text file of radius/value samples, linearly interpolated).
+    A table needs radii that strictly increase inside [0, 1] and values that
+    are finite, nonnegative and not all zero."""
     name, params = parse_spec(spec, WEIGHT_SPECS)
     if name == "standard":
         return RadialWeight.standard(params["alpha"])
-    rs, vs = np.loadtxt(params["payload"], usecols=(0, 1), ndmin=2, unpack=True)
+    path = params["payload"]
+    rs, vs = np.loadtxt(path, usecols=(0, 1), ndmin=2, unpack=True)
+    if not (np.all((rs >= 0.0) & (rs <= 1.0)) and np.all(np.diff(rs) > 0.0)):
+        raise ValueError(f"table {path}: radii must strictly increase inside [0, 1]")
+    if not (np.all(np.isfinite(vs)) and np.all(vs >= 0.0) and np.any(vs > 0.0)):
+        raise ValueError(f"table {path}: values must be finite, nonnegative and not all zero")
     return RadialWeight.tabulated(lambda r: np.interp(np.asarray(r, float), rs, vs))
 
 
@@ -230,29 +255,21 @@ def regularity_constants(w: RadialWeight, radii=None) -> tuple[float, float, flo
     if radii is None:
         radii = np.concatenate([np.linspace(0.0, 0.9, 10), 1.0 - np.geomspace(0.1, 1e-4, 12)])
     radii = np.sort(np.asarray(radii, dtype=float))
-    tails = np.array([w.what(float(r)) for r in radii])
+    tails = w.what(radii)
     if np.any(tails <= 0.0):
         raise ValueError("weight tail integral vanishes on the sample radii")
-    slopes = []
-    pairs = []
-    for i in range(radii.size):
-        for j in range(i + 1, radii.size):
-            r, t = radii[i], radii[j]
-            denom = np.log((1.0 - r) / (1.0 - t))
-            if denom < 1e-12:
-                continue
-            pairs.append((i, j, denom))
-            if (1.0 - t) <= (1.0 - r) / 4.0:
-                slopes.append(float(np.log(tails[i] / tails[j]) / denom))
-    if not slopes:
+    i, j = np.triu_indices(radii.size, k=1)
+    denom = np.log((1.0 - radii[i]) / (1.0 - radii[j]))
+    keep = denom >= 1e-12
+    i, j, denom = i[keep], j[keep], denom[keep]
+    ratio = np.log(tails[i] / tails[j])
+    separated = (1.0 - radii[j]) <= (1.0 - radii[i]) / 4.0
+    if not separated.any():
         raise ValueError("need at least one well-separated radius pair")
-    alpha_est, beta_est = min(slopes), max(slopes)
-    c_est = 1.0
-    for i, j, denom in pairs:
-        ratio = np.log(tails[i] / tails[j])
-        c_est = max(c_est, float(np.exp(ratio - beta_est * denom)))
-        c_est = max(c_est, float(np.exp(alpha_est * denom - ratio)))
-    return alpha_est, beta_est, c_est
+    slopes = ratio[separated] / denom[separated]
+    alpha_est, beta_est = float(slopes.min()), float(slopes.max())
+    defect = np.concatenate([[0.0], ratio - beta_est * denom, alpha_est * denom - ratio])
+    return alpha_est, beta_est, float(np.exp(defect.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +303,25 @@ def kernel_derivative_residual(w: RadialWeight, zeta: complex, u: complex, order
 def moment_identity_gap(w: RadialWeight, nmax: int = 64) -> float:
     """max over n <= nmax of the relative defect in
     ``wtilde_{2n+1} (n+1) = w_{2n+3}``."""
-    wt = w.tilde()
-    worst = 0.0
-    for n in range(nmax + 1):
-        lhs = wt.moment(2 * n + 1) * (n + 1)
-        rhs = w.moment(2 * n + 3)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+    lhs = w.tilde().odd_moments(nmax) * np.arange(1, nmax + 2)
+    rhs = w.odd_moments(nmax + 1)[1:]
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
 # ---------------------------------------------------------------------------
 # inner products and Green-type identities
 # ---------------------------------------------------------------------------
+
+def _derivative_pairing(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid, radial) -> complex:
+    """``int f' conj(g') radial(|u|) dm`` by radial quadrature of the
+    angular-exact ring pairing; ``radial`` holds the factor at the grid's radii."""
+    df, dg = f.derivative(), g.derivative()
+    n = min(df.order, dg.order)
+    pair = df.coeffs[: n + 1] * np.conj(dg.coeffs[: n + 1])
+    r = grid.radii
+    ring = (r[:, None] ** (2 * np.arange(n + 1))[None, :]) @ pair
+    return np.sum(grid.weights * 2.0 * r * radial * ring)
+
 
 def bergman_inner(f: PowerSeries, g: PowerSeries, w: RadialWeight, grid=None) -> complex:
     """``<f, g>_{A^2_w} = 2 sum f_k conj(g_k) w_{2k+1}`` (angular
@@ -318,14 +342,7 @@ def green_identity_residual(
     if not w.normalized:
         raise ValueError("the Green-type identity requires a normalized weight")
     lhs = bergman_inner(f, g, w)
-    df, dg = f.derivative(), g.derivative()
-    n = min(df.order, dg.order)
-    pair = df.coeffs[: n + 1] * np.conj(dg.coeffs[: n + 1])
-    r = grid.radii
-    powers = r[:, None] ** (2 * np.arange(n + 1))[None, :]
-    ring = powers @ pair
-    wstar_vals = np.array([w.wstar(float(ri)) for ri in r])
-    rhs = np.sum(grid.weights * 2.0 * r * wstar_vals * ring)
+    rhs = _derivative_pairing(f, g, grid, w.wstar(grid.radii))
     return float(abs(lhs - 4.0 * rhs - f.coeffs[0] * np.conj(g.coeffs[0])))
 
 
@@ -335,12 +352,7 @@ def green_boundary_residual(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid
     (the H^2 pairing is the exact coefficient sum)."""
     n = min(f.order, g.order)
     lhs = np.sum(f.coeffs[: n + 1] * np.conj(g.coeffs[: n + 1]))
-    df, dg = f.derivative(), g.derivative()
-    m = min(df.order, dg.order)
-    pair = df.coeffs[: m + 1] * np.conj(dg.coeffs[: m + 1])
-    r = grid.radii
-    ring = (r[:, None] ** (2 * np.arange(m + 1))[None, :]) @ pair
-    rhs = np.sum(grid.weights * 2.0 * r * np.log(1.0 / r) * ring)
+    rhs = _derivative_pairing(f, g, grid, np.log(1.0 / grid.radii))
     return float(abs(lhs - 2.0 * rhs - f.coeffs[0] * np.conj(g.coeffs[0])))
 
 
@@ -365,11 +377,8 @@ def pointwise_growth_margin(
         norm = grid.integrate(dens) ** (1.0 / p)
     radii = grid.sup_radii[(grid.sup_radii >= 0.5) & (grid.sup_radii <= grid.r_max)]
     rings = np.max(np.abs(sample_rings(f, radii, grid.angular)), axis=1)
-    margin = np.inf
-    for r, ring in zip(radii, rings):
-        bound = C * norm / (w.what(float(r)) * (1.0 - float(r))) ** (1.0 / p)
-        margin = min(margin, bound - float(ring))
-    return float(margin)
+    bound = C * norm / (w.what(radii) * (1.0 - radii)) ** (1.0 / p)
+    return float(np.min(bound - rings, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +444,7 @@ def bloch_kernel_quantity(
 
     ur, uw, uth = _u_rule(grid, u_angles)
     if _radial_weight is None:
-        radial = np.array([w.wstar(float(s)) for s in ur]) / (1.0 - ur**2)
+        radial = w.wstar(ur) / (1.0 - ur**2)
     else:
         radial = np.asarray(_radial_weight(ur), dtype=float)
 

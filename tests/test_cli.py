@@ -228,6 +228,33 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("0.0 1.0\n0.5 1.0\n0.3 1.0\n", "radii must strictly increase"),  # decreasing radii
+            ("0.0 1.0\n0.5 1.0\n0.5 2.0\n", "radii must strictly increase"),  # repeated radius
+            ("0.0 1.0\n1.5 1.0\n", "radii must strictly increase"),  # radius outside [0, 1]
+            ("-0.1 1.0\n1.0 1.0\n", "radii must strictly increase"),
+            ("0.0 1.0\nnan 1.0\n", "radii must strictly increase"),
+            ("0.0 1.0\n0.5 -2.0\n1.0 1.0\n", "values must be finite"),  # negative value
+            ("0.0 1.0\n0.5 nan\n1.0 1.0\n", "values must be finite"),
+            ("0.0 1.0\n0.5 inf\n1.0 1.0\n", "values must be finite"),
+            ("0.0 0.0\n1.0 0.0\n", "values must be finite"),  # all zero
+        ],
+    )
+    def test_malformed_table_exits_2_with_one_line(self, table, message, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text(table)
+        assert run(BASE + ["kernels", "--weight", f"table:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_one_row_table_loads(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("0.5 2.0\n")
+        code, text = run_to_file(tmp_path, "k.json", BASE + ["kernels", "--weight", f"table:{path}"])
+        assert code == 0 and json.loads(text)["results"]["moment_identity_gap"] < 1e-10
+
+    @pytest.mark.parametrize(
         "spec",
         ["zn:n=1048577", "zn:n=1000000000000", "lacunary:q=2,terms=21",
          "lacunary:q=1025,terms=2", "lacunary:q=3,terms=13", "lacunary:q=1000000000,terms=1000000000"],
@@ -273,15 +300,6 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
-
-
-class TestThreads:
-    def test_thread_cap_preserves_report(self, tmp_path, monkeypatch):
-        args = BASE + ["hardy", "--p", "2.0", "--k", "1"]
-        _, text1 = run_to_file(tmp_path, "t1.json", args)
-        monkeypatch.setenv("DISCLAB_THREADS", "4")
-        _, text2 = run_to_file(tmp_path, "t2.json", args)
-        assert text1 == text2
 
 
 class TestFunctionSpecs:

@@ -1,11 +1,18 @@
+from fractions import Fraction
+from math import comb
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from disclab.series import PowerSeries
 from disclab.weights import (
     BoundNotApplicableError,
     RadialWeight,
+    StandardWeight,
     bergman_inner,
     bloch_kernel_quantity,
     bloch_solution_bound,
@@ -68,6 +75,85 @@ class TestMoments:
         assert moment_identity_gap(random_tabulated_normalized(), 32) < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# the panel rule against exact tails
+# ---------------------------------------------------------------------------
+
+# Radii in [0, 1 - 1e-8]; the second branch, 1 - 10**-e, reaches toward the boundary.
+radii = st.one_of(st.floats(0.0, 1.0 - 1e-8), st.floats(0.0, 8.0).map(lambda e: 1.0 - 10.0**-e))
+
+
+def exact_tails(c, r):
+    """Tails of ``sum c_k s^k`` at the float ``r``: exact rationals, and
+    ``wstar`` from them with a 50-digit log."""
+    R = Fraction(r)
+    what = sum(Fraction(ck) * (1 - R ** (k + 1)) / (k + 1) for k, ck in enumerate(c))
+    wtilde = sum(2 * Fraction(ck) * (1 - R ** (k + 2)) / (k + 2) for k, ck in enumerate(c))
+    # int_r^1 log(s/r) s^(k+1) ds = -log(r)/(k+2) - (1 - r^(k+2))/(k+2)^2
+    log_part = sum(Fraction(ck) / (k + 2) for k, ck in enumerate(c))
+    rest = sum(Fraction(ck) * (1 - R ** (k + 2)) / (k + 2) ** 2 for k, ck in enumerate(c))
+    with mpmath.workdps(50):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        wstar = float(-mpmath.log(mp(R)) * mp(log_part) - mp(rest)) if r > 0 else None
+    return {"what": float(what), "wtilde": float(wtilde), "wstar": wstar}
+
+
+def assert_rel(got, want, rel):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+class TestPanelRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 4.0), min_size=0, max_size=6),
+        st.floats(0.1, 4.0),
+        st.lists(radii, min_size=1, max_size=6),
+    )
+    @example([0.0, 1.0], 1.0, [0.0, 0.5, 1.0 - 1e-8])
+    def test_polynomial_profiles_against_exact_tails(self, higher, c0, rs):
+        c = [c0, *higher]  # positive on [0, 1]
+        w = RadialWeight.tabulated(lambda r: np.polynomial.polynomial.polyval(r, c))
+        for x in (0, 1, 2, 5, 17, 129):
+            assert_rel(w.moment(x), float(sum(Fraction(ck) / (x + k + 1) for k, ck in enumerate(c))), 1e-13)
+            tilde = sum(2 * Fraction(ck) / ((x + 1) * (x + k + 3)) for k, ck in enumerate(c))
+            assert_rel(w.tilde().moment(x), float(tilde), 1e-13)
+        positive = [r for r in rs if r > 0]  # wstar is singular at 0
+        for name, points in (("what", rs), ("wtilde", rs), ("wstar", positive)):
+            method = getattr(w, name)
+            array = method(np.array(points)) if points else []
+            for r, from_array in zip(points, array):
+                exact = exact_tails(c, r)[name]
+                assert_rel(method(r), exact, 1e-13)
+                assert_rel(from_array, exact, 1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_generic_rule_matches_standard_closed_forms(self, alpha):
+        std = RadialWeight.standard(alpha)
+        generic = RadialWeight.tabulated(std)  # the same profile, read on the panel rule
+        for x in (0, 1, 2, 7, 31, 129):
+            assert_rel(generic.moment(x), std.moment(x), 1e-14)
+        r = np.concatenate([np.linspace(0.01, 0.99, 25), 1.0 - np.geomspace(1e-3, 1e-8, 11)])
+        for name in ("what", "wtilde", "wstar"):
+            np.testing.assert_allclose(getattr(generic, name)(r), getattr(std, name)(r), rtol=1e-9, err_msg=name)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_standard_what_near_one_against_exact_polynomial_tails(self, alpha):
+        # (alpha+1)(1-s^2)^alpha = sum_j (alpha+1) C(alpha, j) (-1)^j s^(2j)
+        w = RadialWeight.standard(float(alpha))
+        rs = [0.0, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-6, 1 - 1e-7, 1 - 1e-8]
+        got = w.what(np.array(rs))
+        for i, r in enumerate(rs):
+            R = Fraction(r)
+            exact = sum(
+                Fraction((alpha + 1) * comb(alpha, j) * (-1) ** j) * (1 - R ** (2 * j + 1)) / (2 * j + 1)
+                for j in range(alpha + 1)
+            )
+            assert_rel(w.what(r), float(exact), 1e-12)
+            assert_rel(got[i], float(exact), 1e-12)
+
+
 class TestRegularity:
     def test_alpha0_exact_power_law(self):
         a, b, c = regularity_constants(RadialWeight.standard(0.0))
@@ -80,6 +166,11 @@ class TestRegularity:
         assert abs(b - 2.0) < 0.05
         assert abs(a - 2.0) < 0.25
         assert c < 1.5
+
+    def test_tail_near_one_does_not_vanish(self):
+        # the standard tail integral is positive up to the last radius
+        a, b, c = regularity_constants(RadialWeight.standard(4), radii=[0, 0.5, 0.9, 1 - 1e-5])
+        assert 0.0 < a <= b and c >= 1.0
 
     def test_vanishing_tail_raises(self):
         w = RadialWeight.tabulated(
@@ -155,7 +246,7 @@ class TestGreenIdentities:
         assert fine <= coarse + 1e-15
 
     def test_requires_normalized(self, grid):
-        w = RadialWeight("standard", alpha=0.0, scale=3.0)
+        w = StandardWeight(alpha=0.0, scale=3.0)
         with pytest.raises(ValueError):
             green_identity_residual(PowerSeries([1.0]), PowerSeries([1.0]), w, grid)
 
@@ -197,7 +288,7 @@ class TestBlochKernelQuantity:
         w = RadialWeight.standard(1.0)
         for A in (PowerSeries([0.3]).pad(48), PowerSeries([0.1, -0.2, 0.05j]).pad(48)):
             est = bloch_kernel_quantity(
-                A, w, grid, kernel_order=48, _radial_weight=lambda ur: np.array([w.wtilde(float(s)) for s in ur])
+                A, w, grid, kernel_order=48, _radial_weight=w.wtilde
             ).value
             # sup over the same kind of z set of (1-|z|^2) |int A zeta dzeta|
             prim = (A * PowerSeries([0, 1]).pad(A.order)).antiderivative(0.0)
@@ -268,7 +359,7 @@ class TestWeightSpecs:
         from disclab.weights import weight_from_spec
 
         w = weight_from_spec("standard:alpha=1")
-        assert w.kind == "standard" and w.alpha == 1.0
+        assert isinstance(w, StandardWeight) and w.alpha == 1.0
 
     def test_table_spec(self, tmp_path):
         from disclab.weights import weight_from_spec
