@@ -2,8 +2,9 @@
 
 Hardy means and norms, growth norms ``sup |f(z)|(1-|z|^2)^q``, Bloch and
 little-Bloch diagnostics, two equivalent BMOA estimators (the Garsia-type
-derivative integral and the H^2 composition form), Carleson-measure norms
-over Carleson squares, and general weighted area integrals.
+derivative integral, and the H^2 definition read from Garsia's identity as
+a Poisson integral), Carleson-measure norms over Carleson squares, and
+general weighted area integrals.
 
 Every estimate is reported as a :class:`NormEstimate` carrying the value, a
 half-resolution companion value, and a divergence flag: the estimator is
@@ -18,7 +19,6 @@ in one call: the sup and sweep estimators sample and sweep them as one stack.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,7 @@ from .grids import (
     area_integral,
     dilation_estimate,
 )
-from .series import AccuracyWarning, PowerSeries, compose_moebius, dilate, sample_rings
+from .series import PowerSeries, dilate, sample_rings
 
 __all__ = [
     "NormEstimate",
@@ -183,31 +183,26 @@ def bmoa_garsia(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
 
 
 def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
-    """Composition estimate ``sup_a || f o phi_a - f(a) ||_{H^2}^2``.
-
-    The H^2 norm of the composed truncation is its exact Parseval sum
-    ``sum |c_n|^2`` (the r -> 1 limit of its means).  Composition accuracy
-    warnings propagate for centres with |a| < 0.95; closer to the boundary
-    the slow coefficient decay of the composition is an intrinsic
-    truncation limit (the norm is captured to a factor 1 - |a|^(2 order))
-    and the warning is silenced -- the supremum for a bounded-oscillation
-    function never lives there.
+    """Definition estimate ``sup_a || f o phi_a - f(a) ||_{H^2}^2`` from
+    Garsia's identity ``P[|f|^2](a) - |f(a)|^2`` (Garnett, *Bounded Analytic
+    Functions*, ch. VI).  With ``b_m = sum_n c_{n+m} conj(c_n)``, the
+    Poisson integral is ``P[|f|^2](a) = Re(2 sum_m b_m a^m - b_0)``: one
+    autocorrelation per dilation and two evaluations per centre, exact for
+    the truncated series at every ``|a| < 1``, so no truncation limit comes
+    near the boundary.  ``c_0`` is set to 0 first (the quantity ignores
+    constants; a large one would cancel the difference away).  The centres
+    are the same on every grid, so ``value_coarse`` equals ``value``.
     """
-    order = max(f.order, 256)
-    samples = max(2 * order + 2, grid.angular, 1024)
 
     def run(g: QuadratureGrid, dilations):
-        best = [0.0] * len(dilations)
-        for i, fr in enumerate(_dilated(f, dilations)):
-            for a in g.a_grid:
-                with warnings.catch_warnings():
-                    if abs(a) >= 0.95:
-                        warnings.simplefilter("ignore", AccuracyWarning)
-                    comp = compose_moebius(fr, a, out_order=order, samples=samples)
-                c = comp.coeffs.copy()
-                c[0] -= fr(complex(a))
-                best[i] = max(best[i], float(np.sum(np.abs(c) ** 2)))
-        return best
+        out = []
+        for fr in _dilated(f, dilations):
+            centred = fr - fr.coeffs[0]
+            c = centred.coeffs
+            b = PowerSeries(np.correlate(c, c, "full")[c.size - 1 :])
+            poisson = np.real(2.0 * b(g.a_grid) - b.coeffs[0])
+            out.append(max(0.0, float(np.max(poisson - np.abs(centred(g.a_grid)) ** 2))))
+        return out
 
     return NormEstimate(*dilation_estimate(run, grid))
 

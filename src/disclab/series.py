@@ -239,31 +239,22 @@ def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:
     return sample_rings(f, [r], M)[0]
 
 
-def _circle_coeffs(values: np.ndarray, rho: float, order: int) -> np.ndarray:
-    """Taylor coefficients 0..order from samples on the circle ``|w| = rho``."""
-    M = values.size
-    raw = np.fft.fft(values)[: order + 1] / M
-    return raw / rho ** np.arange(order + 1)
+_COMPOSE_RHO = 0.95
+_COMPOSE_TAIL_TOL = 1e-8
 
 
-def compose_moebius(
-    f: PowerSeries,
-    a: complex,
-    out_order: int | None = None,
-    samples: int | None = None,
-    rho: float = 0.95,
-    tail_tol: float = 1e-8,
-) -> PowerSeries:
+def compose_moebius(f: PowerSeries, a: complex, out_order: int | None = None) -> PowerSeries:
     """Taylor coefficients of ``f((a - z)/(1 - conj(a) z))``.
 
-    The composition is sampled on the circle ``|z| = rho`` (whose Moebius
-    image always stays inside the disc) and inverted by FFT with radius
-    unscaling.  ``rho`` close to 1 keeps the ``rho**-n`` unscaling benign;
-    aliasing decays like ``(|a| * rho)**samples``.
+    The composition is sampled at ``M = max(2 out_order + 2, 1024)`` points
+    of the circle ``|z| = 0.95`` (whose Moebius image always stays inside
+    the disc) and inverted by FFT with radius unscaling.  A radius close to
+    1 keeps the ``0.95**-n`` unscaling benign; aliasing decays like
+    ``(0.95 |a|)**M``.
 
     Emits :class:`AccuracyWarning` when the trailing recovered coefficients
-    exceed ``tail_tol`` relative to the coefficient scale, which indicates
-    the output order is too small for the decay of the composed series.
+    exceed 1e-8 relative to the coefficient scale, which indicates the
+    output order is too small for the decay of the composed series.
     """
     a = complex(a)
     if abs(a) >= 1.0:
@@ -274,16 +265,16 @@ def compose_moebius(
         g = f.pad(order) if order > f.order else f.truncate(order)
         signs = np.where(np.arange(order + 1) % 2 == 0, 1.0, -1.0)
         return PowerSeries(g.coeffs * signs)
-    M = samples if samples is not None else max(2 * order + 2, 1024)
-    w = rho * np.exp(2j * np.pi * np.arange(M) / M)
+    M = max(2 * order + 2, 1024)
+    w = _COMPOSE_RHO * np.exp(2j * np.pi * np.arange(M) / M)
     z = (a - w) / (1.0 - np.conj(a) * w)
-    coeffs = _circle_coeffs(f(z), rho, order)
+    coeffs = np.fft.fft(f(z))[: order + 1] / M / _COMPOSE_RHO ** np.arange(order + 1)
     scale = np.max(np.abs(coeffs)) + 1.0
     ntail = max(3, order // 16)
-    if order >= 8 and np.max(np.abs(coeffs[-ntail:])) > tail_tol * scale:
+    if order >= 8 and np.max(np.abs(coeffs[-ntail:])) > _COMPOSE_TAIL_TOL * scale:
         warnings.warn(
             "compose_moebius: trailing coefficients have not decayed; "
-            "increase out_order or samples",
+            "increase out_order",
             AccuracyWarning,
             stacklevel=2,
         )

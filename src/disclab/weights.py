@@ -169,7 +169,12 @@ class RadialWeight:
 
     def tilde(self) -> "RadialWeight":
         """The weight whose kernel is the derivative of this one's: ``wtilde`` as
-        its profile (moments integrated, not taken from the moment identity)."""
+        its profile (moments integrated, not taken from the moment identity).
+        Built once per weight, so its node values and moments are cached too."""
+        return self._tilde
+
+    @cached_property
+    def _tilde(self) -> "RadialWeight":
         return RadialWeight(self.wtilde)
 
 
@@ -211,7 +216,8 @@ class StandardWeight(RadialWeight):
             raise ValueError("wstar is logarithmically singular at 0")
         return self._tail("by-parts", lambda s, v: self.wtilde(s) / (2.0 * s), r)
 
-    def tilde(self) -> "StandardWeight":
+    @cached_property
+    def _tilde(self) -> "StandardWeight":
         return StandardWeight(self.alpha + 1.0, self.scale / (self.alpha + 1.0))
 
 

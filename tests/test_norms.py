@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from disclab import QuadratureGrid
+from disclab.cli import parse_function
 from disclab.grids import area_integral
 from disclab.norms import (
     NormEstimate,
@@ -14,7 +18,7 @@ from disclab.norms import (
     mp_mean,
 )
 from disclab.ode import named_example
-from disclab.series import PowerSeries
+from disclab.series import PowerSeries, compose_moebius
 
 
 def log_e_series(zeta: complex, order: int = 256) -> PowerSeries:
@@ -172,6 +176,32 @@ class TestBmoaH2:
                 assert g < 1e-12
                 continue
             assert 0.25 <= g / h <= 4.0
+
+    @pytest.mark.parametrize("spec", ["exp:eps=0.5", "poly:0,1", "poly:1000,0.001"])
+    def test_order_invariance(self, spec, grid):
+        # exact for the truncated series at every centre: an input whose
+        # coefficients have vanished reads the same at every order
+        values = [bmoa_h2_def(parse_function(spec, n), grid).value for n in (256, 512, 1024, 2048)]
+        np.testing.assert_allclose(values, values[0], rtol=1e-12, atol=0.0)
+
+    def test_large_constant_does_not_cancel(self, grid):
+        # |f(a)|^2 ~ 1e6 would swallow the 1e-6 oscillation without centring
+        est = bmoa_h2_def(parse_function("poly:1000,0.001", 512), grid)
+        assert est.value == pytest.approx(1e-6, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_matches_composition_inside(self, order, seed):
+        # where the order-256 composition is accurate (|a| <= 1/2), the
+        # identity gives its Parseval sum
+        rng = np.random.default_rng(seed)
+        f = PowerSeries(rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1))
+        g = QuadratureGrid(a_radii=(0.0, 0.25, 0.5))
+        want = max(
+            float(np.sum(np.abs((compose_moebius(f, a, out_order=256) - f(complex(a))).coeffs) ** 2))
+            for a in g.a_grid
+        )
+        assert bmoa_h2_def(f, g).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCarleson:

@@ -215,6 +215,15 @@ class TestKernels:
         wt = random_tabulated_normalized(1)
         assert kernel_derivative_residual(wt, 0.4, 0.3, 60) < 1e-6
 
+    def test_tilde_is_built_once(self):
+        # repeated residuals reuse one tilde weight and its cached moments
+        for w in (random_tabulated_normalized(2), RadialWeight.standard(1.0)):
+            assert w.tilde() is w.tilde()
+            first = kernel_derivative_residual(w, 0.4, 0.3, 60)
+            moments = w.tilde()._odd_moments
+            assert kernel_derivative_residual(w, 0.4, 0.3, 60) == first
+            assert w.tilde()._odd_moments is moments
+
 
 class TestGreenIdentities:
     def test_constants(self, grid):
