@@ -13,6 +13,7 @@ and a numerical-accuracy warning fired during the run.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -47,7 +48,7 @@ from .hardy import (
     hss_residual,
     prop_main_sides,
 )
-from .norms import bloch_norm, bmoa_garsia, bmoa_h2_def, growth_norm, hp_norm
+from .norms import QuadratureError, bloch_norm, bmoa_garsia, bmoa_h2_def, growth_norm, hp_norm
 from .ode import (
     EXAMPLE_SPECS, hille_zero_table, named_example, residual, solve_series, symmetric_power_problem
 )
@@ -61,20 +62,6 @@ from .weights import (
     moment_identity_gap,
     weight_from_spec,
 )
-
-CONDITION_KINDS = (
-    "nehari",
-    "growth3",
-    "area3",
-    "lalpha",
-    "lmoa",
-    "lmoa-square",
-    "bmoa-dd",
-    "bmoa-h1",
-    "cauchy-bound",
-    "decay",
-)
-
 
 # ---------------------------------------------------------------------------
 # spec families (the grammar is disclab.specs.parse_spec)
@@ -200,6 +187,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args, grid):
+    if args.emit_coeffs < 0:
+        raise ValueError("--emit-coeffs must be nonnegative")
     ex = named_example(args.example, order=args.order)
     f = solve_series(ex.problem)
     try:
@@ -263,49 +252,46 @@ def _cmd_separation(args, grid):
     return out
 
 
+def _decay(A, args, grid):
+    if args.profile_points < 1:
+        raise ValueError("--profile-points must be at least 1")
+    radii = [float(r) for r in np.linspace(0.5, grid.r_max, args.profile_points)]
+    rows = decay_conditions(A, radii, grid)
+    if args.csv:
+        write_csv(args.csv, ["r", "lmoa_at_r", "log_weighted_sup"], rows)
+    return {"profile": [list(row) for row in rows]}
+
+
+# kind -> (series, args, grid) -> results, for ``condition --kind``
+CONDITIONS = {
+    "nehari": lambda A, args, grid: nehari_sup(A, grid),
+    "growth3": lambda A, args, grid: list(order3_growth(*symmetric_power_problem(A).coefficients, grid)),
+    "area3": lambda A, args, grid: list(order3_area(*symmetric_power_problem(A).coefficients, grid)),
+    "lalpha": lambda A, args, grid: lalpha_norm(A, args.alpha, grid),
+    "lmoa": lambda A, args, grid: lmoa_quantity(A, grid),
+    "lmoa-square": lambda A, args, grid: lmoa_square(A, grid),
+    "bmoa-dd": lambda A, args, grid: bmoa_dd(A, grid),
+    "bmoa-h1": lambda A, args, grid: bmoa_h1_cond(A, args.dilation, grid),
+    "cauchy-bound": lambda A, args, grid: {"value": cauchy_bound(A, args.dilation, args.at, args.angular)},
+    "decay": _decay,
+}
+
+# kind -> (series, args, grid) -> results, for ``norm --kind``
+NORMS = {
+    "hp": lambda f, args, grid: hp_norm(f, args.p, grid),
+    "growth": lambda f, args, grid: growth_norm(f, args.q, grid),
+    "bloch": lambda f, args, grid: bloch_norm(f, grid),
+    "bmoa-garsia": lambda f, args, grid: bmoa_garsia(f, grid),
+    "bmoa-h2": lambda f, args, grid: bmoa_h2_def(f, grid),
+}
+
+
 def _cmd_condition(args, grid):
-    A = parse_function(args.coeff, args.order)
-    kind = args.kind
-    if kind == "nehari":
-        return nehari_sup(A, grid)
-    if kind in ("growth3", "area3"):
-        order3 = order3_growth if kind == "growth3" else order3_area
-        return list(order3(*symmetric_power_problem(A).coefficients, grid))
-    if kind == "lalpha":
-        return lalpha_norm(A, args.alpha, grid)
-    if kind == "lmoa":
-        return lmoa_quantity(A, grid)
-    if kind == "lmoa-square":
-        return lmoa_square(A, grid)
-    if kind == "bmoa-dd":
-        return bmoa_dd(A, grid)
-    if kind == "bmoa-h1":
-        return bmoa_h1_cond(A, args.dilation, grid)
-    if kind == "cauchy-bound":
-        return {"value": cauchy_bound(A, args.dilation, args.at, angular_count=args.angular)}
-    if kind == "decay":
-        radii = [float(r) for r in np.linspace(0.5, grid.r_max, args.profile_points)]
-        rows = decay_conditions(A, radii, grid)
-        if args.csv:
-            write_csv(args.csv, ["r", "lmoa_at_r", "log_weighted_sup"], rows)
-        return {"profile": [list(row) for row in rows]}
-    raise ValueError(f"unknown condition kind {kind!r}")
+    return CONDITIONS[args.kind](parse_function(args.coeff, args.order), args, grid)
 
 
 def _cmd_norm(args, grid):
-    f = parse_function(args.f, args.order)
-    kind = args.kind
-    if kind == "hp":
-        return hp_norm(f, args.p, grid)
-    if kind == "growth":
-        return growth_norm(f, args.q, grid)
-    if kind == "bloch":
-        return bloch_norm(f, grid)
-    if kind == "bmoa-garsia":
-        return bmoa_garsia(f, grid)
-    if kind == "bmoa-h2":
-        return bmoa_h2_def(f, grid)
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return NORMS[args.kind](parse_function(args.f, args.order), args, grid)
 
 
 def _cmd_kernels(args, grid):
@@ -353,9 +339,7 @@ def _cmd_identities(args, grid):
             for p in (0.5, 1.0, 2.0, 4.0):
                 worst = max(worst, hss_residual(f, p, grid))
         return {"suite": "hss", "max_residual": worst}
-    if suite == "moment":
-        return {"suite": "moment", "moment_gap": moment_identity_gap(w)}
-    raise ValueError(f"unknown identity suite {suite!r}")
+    return {"suite": "moment", "moment_gap": moment_identity_gap(w)}
 
 
 def _cmd_hardy(args, grid):
@@ -380,10 +364,8 @@ def _cmd_experiment(args, grid):
         if args.csv:
             write_csv(args.csv, ["p", "C_emp"], track)
         return {"fitted_exponent": slope, "track": [list(t) for t in track]}
-    if args.kind == "lacunary":
-        freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])
-        return lacunary_lmoa(np.ones(len(freqs)), freqs)
-    raise ValueError(f"unknown experiment kind {args.kind!r}")
+    freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])  # lacunary
+    return lacunary_lmoa(np.ones(len(freqs)), freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +404,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=None)
 
     sp = sub.add_parser("condition", help="coefficient-condition estimators")
-    sp.add_argument("--kind", required=True, choices=CONDITION_KINDS)
+    sp.add_argument("--kind", required=True, choices=CONDITIONS)
     sp.add_argument("--coeff", required=True)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--dilation", type=float, default=0.9)
@@ -430,7 +412,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile-points", type=int, default=8)
 
     sp = sub.add_parser("norm", help="function-space norm estimators")
-    sp.add_argument("--kind", required=True, choices=("hp", "growth", "bloch", "bmoa-garsia", "bmoa-h2"))
+    sp.add_argument("--kind", required=True, choices=NORMS)
     sp.add_argument("--f", required=True)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--q", type=float, default=0.0)
@@ -481,6 +463,15 @@ EXPERIMENT_COEFF = {
 }
 
 
+def _check_flags(args) -> None:
+    """Every numeric flag is finite, and ``--order`` is a size a spec may ask for."""
+    for name, value in vars(args).items():
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+    if not 0 <= args.order <= MAX_SPEC_ORDER:
+        raise ValueError(f"--order must lie in [0, 2**20], got {args.order}")
+
+
 def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
@@ -494,6 +485,7 @@ def run(argv=None) -> int:
     if args.command == "experiment" and args.coeff is None:
         args.coeff = EXPERIMENT_COEFF[args.kind]
     try:
+        _check_flags(args)
         grid = build_grid(args)
         if args.grid_refine:
             grid = grid.refined()
@@ -512,7 +504,7 @@ def run(argv=None) -> int:
             print("accuracy warnings were raised (strict mode)", file=sys.stderr)
             return 3
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

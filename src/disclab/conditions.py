@@ -10,7 +10,10 @@ double-primitive operator ``S_A``, and boundary decay profiles.
 
 No threshold is ever asserted: the underlying smallness constants are not
 quantified, so every operation returns the raw estimate inside a
-:class:`ConditionReport` and leaves the judgement to the caller.
+:class:`ConditionReport` and leaves the judgement to the caller.  A report
+is the :class:`~disclab.norms.NormEstimate` of the estimate protocol
+(:func:`~disclab.norms.dilation_estimate`), labelled with the condition's
+kind and the grid's fingerprint.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grids import QuadratureGrid
-from .norms import moebius_sweep_estimate, square_sweep_estimate, sup_estimate
-from .series import PowerSeries, geometric_series, reciprocal_series, sample_circle
+from .norms import NormEstimate, sup_estimate, sweep_estimate
+from .series import PowerSeries, reciprocal_series, ring_blocks, sample_circle, sample_rings
 
 __all__ = [
     "ConditionReport",
@@ -46,16 +49,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NormEstimate):
+    """A :class:`~disclab.norms.NormEstimate` labelled with the condition's
+    kind and the fingerprint of the grid it was read on."""
+
     kind: str
-    value: float
-    value_coarse: float
-    divergence_flag: bool
     grid_fingerprint: str
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("condition values are nonnegative")
+
+def _report(kind: str, est: NormEstimate, grid: QuadratureGrid) -> ConditionReport:
+    return ConditionReport(**vars(est), kind=kind, grid_fingerprint=grid.fingerprint())
 
 
 def _log_weight(r: np.ndarray | float) -> np.ndarray | float:
@@ -66,14 +69,10 @@ def _log_weight(r: np.ndarray | float) -> np.ndarray | float:
 # sup-type conditions
 # ---------------------------------------------------------------------------
 
-def _sup_report(kind: str, A: PowerSeries, weight, grid: QuadratureGrid) -> ConditionReport:
-    return ConditionReport(kind, *sup_estimate(A, weight, grid), grid.fingerprint())
-
-
 def nehari_sup(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     """``sup |A(z)| (1-|z|^2)^2`` -- at most 1 forces at most one zero per
     nontrivial solution; finiteness is hyperbolic zero separation."""
-    return _sup_report("nehari", A, lambda r: (1 - r * r) ** 2, grid)
+    return _report("nehari", sup_estimate(A, lambda r: (1 - r * r) ** 2, grid), grid)
 
 
 def order3_growth(
@@ -81,7 +80,7 @@ def order3_growth(
 ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """``sup |A_j(z)| (1-|z|^2)^{3-j}`` for j = 0, 1, 2."""
     return tuple(
-        _sup_report(f"growth3:{j}", A, lambda r, j=j: (1 - r * r) ** (3 - j), grid)
+        _report(f"growth3:{j}", sup_estimate(A, lambda r, j=j: (1 - r * r) ** (3 - j), grid), grid)
         for j, A in enumerate((A0, A1, A2))
     )
 
@@ -91,64 +90,53 @@ def lalpha_norm(A: PowerSeries, alpha: float, grid: QuadratureGrid) -> Condition
     ``sup |A(z)| (1-|z|^2)^2 log(e/(1-|z|))^alpha``."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _sup_report(
-        f"lalpha:{alpha:g}",
-        A,
-        lambda r: (1 - r * r) ** 2 * _log_weight(r) ** alpha,
-        grid,
-    )
+    est = sup_estimate(A, lambda r: (1 - r * r) ** 2 * _log_weight(r) ** alpha, grid)
+    return _report(f"lalpha:{alpha:g}", est, grid)
 
 
 # ---------------------------------------------------------------------------
-# area-type conditions (sup over Moebius centres)
+# area-type conditions (sup over Moebius centres or Carleson squares)
 # ---------------------------------------------------------------------------
+
+def _folded(power: float, q: int):
+    """The ``make_field`` of ``|f|^power (1-|z|^2)^q`` for :func:`sweep_estimate`."""
+    return lambda g, fs: g.sample_folded(fs, power) * (1 - g.radii**2)[:, None] ** q
+
 
 def order3_area(
     A0: PowerSeries, A1: PowerSeries, A2: PowerSeries, grid: QuadratureGrid
 ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """``sup_a int |A_j(z)| (1-|z|^2)^{1-j} (1-|phi_a(z)|^2) dm`` for j=0,1,2."""
-    out = []
-    for j, A in enumerate((A0, A1, A2)):
-        est = moebius_sweep_estimate(
-            A,
-            lambda g, fs, j=j: g.sample_folded(fs) * (1 - g.radii**2)[:, None] ** (1 - j),
-            grid,
-        )
-        out.append(ConditionReport(f"area3:{j}", *est, grid.fingerprint()))
-    return tuple(out)
+    return tuple(
+        _report(f"area3:{j}", sweep_estimate(A, _folded(1.0, 1 - j), grid), grid)
+        for j, A in enumerate((A0, A1, A2))
+    )
 
 
 def bmoa_dd(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     """``sup_a int |A|^2 (1-|z|^2)^2 (1-|phi_a|^2) dm``: finiteness says A is
     a second derivative of a BMOA function."""
-    est = moebius_sweep_estimate(
-        A, lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 2, grid
-    )
-    return ConditionReport("bmoa-dd", *est, grid.fingerprint())
+    return _report("bmoa-dd", sweep_estimate(A, _folded(2.0, 2), grid), grid)
 
 
 def lmoa_quantity(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     """The log-sharpened BMOA-type quantity
     ``sup_a log(e/(1-|a|))^2 int |A|^2 (1-|z|^2)^2 (1-|phi_a|^2) dm``."""
-    est = moebius_sweep_estimate(
-        A,
-        lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 2,
-        grid,
-        prefactor=lambda a: float(_log_weight(abs(a))) ** 2,
-    )
-    return ConditionReport("lmoa", *est, grid.fingerprint())
+    est = sweep_estimate(A, _folded(2.0, 2), grid, prefactor=lambda a: float(_log_weight(abs(a))) ** 2)
+    return _report("lmoa", est, grid)
 
 
 def lmoa_square(A: PowerSeries, grid: QuadratureGrid) -> ConditionReport:
     """Carleson-square form
     ``sup_a log(e/(1-|a|))^2/(1-|a|) int_{S_a} |A|^2 (1-|z|^2)^3 dm``."""
-    est = square_sweep_estimate(
+    est = sweep_estimate(
         A,
-        lambda g, fs: g.sample_folded(fs, power=2.0) * (1 - g.radii**2)[:, None] ** 3,
+        _folded(2.0, 3),
         grid,
         prefactor=lambda a: float(_log_weight(abs(a))) ** 2 / (1.0 - abs(a)),
+        means=QuadratureGrid.square_ring_means,
     )
-    return ConditionReport("lmoa-square", *est, grid.fingerprint())
+    return _report("lmoa-square", est, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +212,45 @@ def log_reciprocal_coefficient(order: int) -> PowerSeries:
 # Cauchy-transform representing measure and the H^1 companion
 # ---------------------------------------------------------------------------
 
+def _cauchy_products(A: PowerSeries, r: float, t_count: int):
+    """Coefficients of ``A(r w) / (1 - e^{-it} w)`` truncated at ``A``'s
+    order, one row per ``t = 2 pi j / t_count``, in blocks of rows
+    (:func:`~disclab.series.ring_blocks`).  With ``c = e^{-it}``, coefficient
+    ``m`` is ``c^m sum_{j<=m} a_j r^j c^{-j}`` (every ``|c| = 1``)."""
+    m = np.arange(A.order + 1)
+    ts = 2 * np.pi * np.arange(t_count) / t_count
+    for block in ring_blocks(t_count, A.order + 1, 1):
+        c = np.exp(-1j * ts[block])[:, None] ** m
+        yield c * np.cumsum(A.coeffs * r**m / c, axis=1)
+
+
 def cauchy_bound(A: PowerSeries, r: float, z: complex, angular_count: int = 256) -> float:
     """Total variation of the explicit representing measure:
 
         (1/2pi) int_0^{2pi} | int_0^z int_0^zeta A(r w)/(x - w) dw dzeta | |dx|
 
     over boundary points ``x = e^{it}``.  The inner double primitive is done
-    exactly on series per x, with ``1/(x - w)`` expanded as the geometric
-    series ``sum w^n x^{-n-1}``.
+    exactly on series for all x at once (:func:`_cauchy_products`), with
+    ``1/(x - w)`` expanded as the geometric series ``sum w^n x^{-n-1}``
+    (the factor ``x^{-1}`` has modulus 1).
     """
     if not (0.0 < r < 1.0) or abs(z) >= 1.0:
         raise ValueError("need 0 < r < 1 and |z| < 1")
     if z == 0:
         return 0.0
-    Ar = PowerSeries(A.coeffs * r ** np.arange(A.order + 1))
-    total = 0.0
-    for t in 2 * np.pi * np.arange(angular_count) / angular_count:
-        x = np.exp(1j * t)
-        geo = geometric_series(np.conj(x), A.order) * x ** (-1)
-        inner = (Ar * geo).antiderivative(0.0).antiderivative(0.0)
-        total += abs(inner(z))
-    return total / angular_count
+    m = np.arange(A.order + 1)
+    at_z = complex(z) ** (m + 2) / ((m + 1) * (m + 2))
+    return sum(float(np.sum(np.abs(p @ at_z))) for p in _cauchy_products(A, r, angular_count)) / angular_count
 
 
 def _h1_inner_fields(A: PowerSeries, r: float, grid: QuadratureGrid, t_count: int):
-    """Node matrix of ``(1/2pi) int_0^{2pi} |int_0^z A(r zeta)/(1 - e^{-it} zeta) dzeta| dt``."""
-    Ar = PowerSeries(A.coeffs * r ** np.arange(A.order + 1))
+    """Node matrix of ``(1/2pi) int_0^{2pi} |int_0^z A(r zeta)/(1 - e^{-it} zeta) dzeta| dt``;
+    the primitives of a block of ``t`` are sampled as one stack."""
     acc = np.zeros((grid.radii.size, grid.angular))
-    for t in 2 * np.pi * np.arange(t_count) / t_count:
-        geo = geometric_series(np.exp(-1j * t), A.order)
-        prim = (Ar * geo).antiderivative(0.0)
-        acc += np.abs(grid.sample(prim))
+    for prod in _cauchy_products(A, r, t_count):
+        prims = [PowerSeries(row).antiderivative(0.0) for row in prod]
+        for block in ring_blocks(grid.radii.size, A.order + 1, grid.angular, len(prims)):
+            acc[block] += np.abs(sample_rings(prims, grid.radii[block], grid.angular)).sum(axis=0)
     return acc / t_count
 
 
@@ -269,14 +265,14 @@ def bmoa_h1_cond(
     with the path integral exact on series, the t-mean by angular quadrature
     and the outer integral on the polar grid.
     """
-    est = moebius_sweep_estimate(
-        A,
-        lambda g, fs: np.stack(
-            [_h1_inner_fields(fr, r, g, t_count if g is grid else max(8, t_count // 2)) ** 2 for fr in fs]
-        ),
-        grid,
-    )
-    return ConditionReport(f"bmoa-h1:r={r:g}", *est, grid.fingerprint())
+    if not 0.0 < r < 1.0:
+        raise ValueError("need 0 < r < 1")
+
+    def field(g, fs):
+        count = t_count if g is grid else max(8, t_count // 2)
+        return np.stack([_h1_inner_fields(fr, r, g, count) ** 2 for fr in fs])
+
+    return _report(f"bmoa-h1:r={r:g}", sweep_estimate(A, field, grid), grid)
 
 
 def apply_SA(A: PowerSeries, f: PowerSeries) -> PowerSeries:

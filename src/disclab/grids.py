@@ -12,7 +12,8 @@ the divergence diagnostics probe.
 
 Angular integration is the trapezoid rule on equispaced nodes, exact for
 trigonometric polynomials below the node count; series are evaluated on
-whole circles by FFT.
+whole circles by FFT.  This module holds quadrature, sampling and centre
+sweeps; how an estimate is probed and reported lives in :mod:`disclab.norms`.
 """
 
 from __future__ import annotations
@@ -26,20 +27,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .series import PowerSeries, ring_blocks, sample_rings
 
-__all__ = ["QuadratureGrid", "area_integral", "dilation_estimate"]
+__all__ = ["QuadratureGrid", "area_integral"]
 
-# Dilation radii compared by the divergence heuristic.  An estimate of the
-# dilated input f(r z) is flagged divergent when it more than doubles over
-# 0.9 -> 0.999 AND its decade increments do not decay: logarithmic
-# divergence gains equal increments per decade of 1 - r while late
-# saturation gains shrinking ones.  (A bare 0.99 -> 0.999 window cannot see
-# logarithmic divergence, and the wide window alone mistakes slow
-# saturation for divergence; see decision notes.)
-PROBE_LOW = 0.9
-PROBE_MID = 0.99
-PROBE_HIGH = 0.999
-PROBE_FACTOR = 2.0
-PROBE_INCREMENT_RATIO = 0.7
+# Most nodes (radii x angles) of a grid; the refined default has about 1.2e6.
+MAX_GRID_NODES = 2**24
 
 # Rings per block of QuadratureGrid.moebius_ring_means: small enough for a
 # block to stay in cache (64 to 256 time alike on the default grid).
@@ -90,6 +81,8 @@ class QuadratureGrid:
             raise ValueError("r_max must lie strictly inside (0, 1)")
         if nodes_per_panel < 2 or angular < 8:
             raise ValueError("grid resolution too small")
+        if nodes_per_panel * (inner_depth + outer_depth - 1) * angular > MAX_GRID_NODES:
+            raise ValueError("grid resolution too large: more than 2**24 nodes")
         self.r_max = float(r_max)
         self.nodes_per_panel = int(nodes_per_panel)
         self.angular = int(angular)
@@ -139,12 +132,6 @@ class QuadratureGrid:
         """Double-resolution companion (used by --grid-refine)."""
         return self._sibling("fine", 2 * self.nodes_per_panel, 2 * self.angular)
 
-    def __hash__(self):
-        return hash(self.fingerprint())
-
-    def __eq__(self, other):
-        return isinstance(other, QuadratureGrid) and self.fingerprint() == other.fingerprint()
-
     def fingerprint(self) -> str:
         key = (
             f"rmax={self.r_max!r};k={self.nodes_per_panel};M={self.angular};"
@@ -155,27 +142,23 @@ class QuadratureGrid:
 
     # -- sampling -----------------------------------------------------------
 
-    def nodes(self, radii: np.ndarray | None = None) -> np.ndarray:
-        """Complex node matrix (radii x angles); the full matrix is cached."""
-        if radii is None:
-            if not hasattr(self, "_nodes"):
-                self._nodes = self.radii[:, None] * np.exp(1j * self.thetas)[None, :]
-                self._nodes.setflags(write=False)
-            return self._nodes
-        r = np.asarray(radii)
-        return r[:, None] * np.exp(1j * self.thetas)[None, :]
+    def nodes(self) -> np.ndarray:
+        """Complex node matrix (radii x angles), built once and cached."""
+        if not hasattr(self, "_nodes"):
+            self._nodes = self.radii[:, None] * np.exp(1j * self.thetas)[None, :]
+            self._nodes.setflags(write=False)
+        return self._nodes
 
-    def sample(self, f, radii: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, f) -> np.ndarray:
         """Values of ``f`` on the node matrix.
 
         PowerSeries inputs are evaluated on all circles by
         :func:`~disclab.series.sample_rings`; callables are evaluated on the
         complex nodes directly.
         """
-        r = self.radii if radii is None else np.asarray(radii)
         if isinstance(f, PowerSeries):
-            return sample_rings(f, r, self.angular)
-        return f(self.nodes(r))
+            return sample_rings(f, self.radii, self.angular)
+        return f(self.nodes())
 
     def radial_mask(self, rcap: float | None) -> np.ndarray:
         if rcap is None:
@@ -184,14 +167,13 @@ class QuadratureGrid:
 
     # -- integration --------------------------------------------------------
 
-    def integrate_rings(self, ring_means: np.ndarray, rcap: float | None = None) -> float:
-        """``int mean(r) 2 r dr`` over the (possibly capped) radial rule."""
-        m = self.radial_mask(rcap)
-        return float(np.real(np.sum(self.weights[m] * 2 * self.radii[m] * ring_means[m])))
+    def integrate_rings(self, ring_means: np.ndarray) -> float:
+        """``int mean(r) 2 r dr`` over the radial rule."""
+        return float(np.real(np.sum(self.weights * 2 * self.radii * ring_means)))
 
-    def integrate(self, values: np.ndarray, rcap: float | None = None) -> float:
+    def integrate(self, values: np.ndarray) -> float:
         """Normalized-area integral of node values (radii x angles)."""
-        return self.integrate_rings(values.mean(axis=1), rcap)
+        return self.integrate_rings(values.mean(axis=1))
 
     # -- centre sweeps -----------------------------------------------------
 
@@ -324,35 +306,11 @@ class QuadratureGrid:
         return out[0] if isinstance(f, PowerSeries) else out
 
 
-def area_integral(density, grid: QuadratureGrid, rcap: float | None = None) -> float:
+def area_integral(density, grid: QuadratureGrid) -> float:
     """Integral of a density against normalized area measure.
 
     ``density`` may be a callable of complex nodes, a PowerSeries (its
     values are integrated), or a precomputed node-value matrix.
     """
     values = density if isinstance(density, np.ndarray) else grid.sample(density)
-    return grid.integrate(np.real(values), rcap)
-
-
-def dilation_estimate(run, grid: QuadratureGrid):
-    """Full/coarse/divergence protocol shared by the norm and condition
-    estimators.
-
-    ``run(g, dilations)`` must return the raw estimate on grid ``g`` for
-    the input dilated by each ``r`` in ``dilations``, in order (``r = 1``
-    is the value itself).  It is called twice, with ``(1, PROBE_LOW,
-    PROBE_MID, PROBE_HIGH)`` on ``grid`` and ``(1,)`` on its coarsened
-    sibling, so the four base-grid dilations are sampled and swept together.
-    The divergence flag reads the dilations 0.9, 0.99 and 0.999 of the
-    input: a quantity is reported divergent when it more than doubles from
-    0.9 to 0.999 (``PROBE_FACTOR``) AND its last decade increment (0.99 ->
-    0.999) is more than ``PROBE_INCREMENT_RATIO`` (0.7) times the one
-    before (0.9 -> 0.99), i.e. it keeps growing at a sustained rate rather
-    than saturating late.
-    Returns ``(value, value_coarse, divergence_flag)``.
-    """
-    value, lo, mid, hi = map(float, run(grid, (1.0, PROBE_LOW, PROBE_MID, PROBE_HIGH)))
-    (coarse,) = map(float, run(grid.coarsened(), (1.0,)))
-    doubled = hi > PROBE_FACTOR * lo + 1e-300
-    sustained = (hi - mid) > PROBE_INCREMENT_RATIO * (mid - lo) - 1e-300
-    return value, coarse, bool(doubled and sustained)
+    return grid.integrate(np.real(values))

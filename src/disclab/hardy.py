@@ -58,16 +58,10 @@ class NontangentialParams:
     ``Gamma(zeta) = { z : |z - zeta| <= aperture (1 - |z|) }``."""
 
     aperture: float = 2.0
-    boundary_count: int = 256
 
     def __post_init__(self):
         if self.aperture <= 1.0:
             raise ValueError("aperture must exceed 1")
-
-
-def boundary_norm_p(f: PowerSeries, p: float, M: int = 2048) -> float:
-    """``((1/M) sum |f(e^{i theta_j})|^p)^{1/p}`` on the unit circle."""
-    return mp_mean(f, 1.0, p, M)
 
 
 def _ratio_ring_means(
@@ -127,7 +121,7 @@ def hss_residual(
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    hp = boundary_norm_p(f, p, boundary_M) ** p
+    hp = mp_mean(f, 1.0, p, boundary_M) ** p
     means = _ratio_ring_means(f, 1, p, grid, upsample)
     area = grid.integrate_rings(means * np.log(1.0 / grid.radii))
     return float(abs(hp - abs(f.coeffs[0]) ** p - (p * p / 2.0) * area))
@@ -178,7 +172,6 @@ def prop_main_sides(
     p: float,
     k: int,
     grid: QuadratureGrid,
-    params: NontangentialParams | None = None,
     boundary_M: int = 2048,
 ) -> tuple[float, float]:
     """Both sides of the order-k Hardy comparison: returns
@@ -192,7 +185,7 @@ def prop_main_sides(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    hp = boundary_norm_p(f, p, boundary_M) ** p
+    hp = mp_mean(f, 1.0, p, boundary_M) ** p
     means = _ratio_ring_means(f, k, p, grid)
     area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** (2 * k - 1))
     inits = sum(
@@ -263,7 +256,7 @@ def nonvanishing_bound_check(
     """
     _check_zero_free(f, grid)
     g = _normalize_positive(f)
-    lhs = boundary_norm_p(g, p, boundary_M) ** p
+    lhs = mp_mean(g, 1.0, p, boundary_M) ** p
     means = _ratio_ring_means(g, 2, p, grid)
     area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** 3)
     if area <= 0:

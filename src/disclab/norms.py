@@ -1,4 +1,4 @@
-"""Numerical norms and seminorms on the disc.
+"""Numerical norms and seminorms on the disc, and the estimate protocol.
 
 Hardy means and norms, growth norms ``sup |f(z)|(1-|z|^2)^q``, Bloch and
 little-Bloch diagnostics, two equivalent BMOA estimators (the Garsia-type
@@ -6,36 +6,29 @@ derivative integral, and the H^2 definition read from Garsia's identity as
 a Poisson integral), Carleson-measure norms over Carleson squares, and
 general weighted area integrals.
 
-Every estimate is reported as a :class:`NormEstimate` carrying the value, a
-half-resolution companion value, and a divergence flag: the estimator is
-also run on the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)`` and
-flagged when it more than doubles from 0.9 to 0.999 and its increment over
-the last decade (0.99 -> 0.999) is more than 0.7 times the one before
-(0.9 -> 0.99), i.e. when the quantity keeps growing at a sustained rate as
-the dilation exhausts the disc (see :func:`disclab.grids.dilation_estimate`).
-The flag is a diagnostic, not a proof.  ``f`` and its three dilations come
-in one call: the sup and sweep estimators sample and sweep them as one stack.
+Every estimate here and in :mod:`disclab.conditions` is a
+:class:`NormEstimate` made by :func:`dilation_estimate`: the value, a
+half-resolution companion value, and a divergence flag read from the
+estimates of the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)``
+(a diagnostic, not a proof).  ``f`` and its three dilations come in one
+call, sampled and swept as one stack; one :func:`sweep_estimate` serves
+the Moebius and the Carleson-square suprema.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .grids import (
-    PROBE_FACTOR,
-    PROBE_HIGH,
-    PROBE_LOW,
-    QuadratureGrid,
-    area_integral,
-    dilation_estimate,
-)
+from .grids import QuadratureGrid, area_integral
 from .series import PowerSeries, dilate, sample_rings
 
 __all__ = [
     "NormEstimate",
     "QuadratureError",
+    "dilation_estimate",
     "mp_mean",
     "mp_means",
     "hp_norm",
@@ -47,6 +40,19 @@ __all__ = [
     "carleson_norm",
     "area_integral",
 ]
+
+# Dilation radii compared by the divergence heuristic.  An estimate of the
+# dilated input f(r z) is flagged divergent when it more than doubles over
+# 0.9 -> 0.999 AND its decade increments do not decay: logarithmic
+# divergence gains equal increments per decade of 1 - r while late
+# saturation gains shrinking ones.  (A bare 0.99 -> 0.999 window cannot see
+# logarithmic divergence, and the wide window alone mistakes slow
+# saturation for divergence; see decision notes.)
+PROBE_LOW = 0.9
+PROBE_MID = 0.99
+PROBE_HIGH = 0.999
+PROBE_FACTOR = 2.0
+PROBE_INCREMENT_RATIO = 0.7
 
 
 class QuadratureError(RuntimeError):
@@ -62,6 +68,30 @@ class NormEstimate:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("norm estimates are nonnegative")
+
+
+def dilation_estimate(run, grid: QuadratureGrid, at) -> NormEstimate:
+    """Full/coarse/divergence protocol shared by the norm and condition
+    estimators.
+
+    ``at(r)`` is the input dilated by ``r`` (``at(1)`` is the input itself)
+    and ``run(g, inputs)`` returns the raw estimate on grid ``g`` of each
+    input, in order.  ``run`` is called twice, with the inputs at ``(1,
+    PROBE_LOW, PROBE_MID, PROBE_HIGH)`` on ``grid`` and at ``(1,)`` on its
+    coarsened sibling, so the four base-grid inputs are sampled and swept
+    together.  The divergence flag reads the dilations 0.9, 0.99 and 0.999:
+    a quantity is reported divergent when it more than doubles from 0.9 to
+    0.999 (``PROBE_FACTOR``) AND its last decade increment (0.99 -> 0.999)
+    is more than ``PROBE_INCREMENT_RATIO`` (0.7) times the one before
+    (0.9 -> 0.99), i.e. it keeps growing at a sustained rate rather than
+    saturating late.
+    """
+    inputs = [at(r) for r in (1.0, PROBE_LOW, PROBE_MID, PROBE_HIGH)]
+    value, lo, mid, hi = map(float, run(grid, inputs))
+    (coarse,) = map(float, run(grid.coarsened(), inputs[:1]))
+    doubled = hi > PROBE_FACTOR * lo + 1e-300
+    sustained = (hi - mid) > PROBE_INCREMENT_RATIO * (mid - lo) - 1e-300
+    return NormEstimate(value, coarse, bool(doubled and sustained))
 
 
 def mp_means(f: PowerSeries, radii, p: float, M: int) -> list[float]:
@@ -92,12 +122,12 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
     the integrand.
     """
 
-    def run(g: QuadratureGrid, dilations):
+    def run(g: QuadratureGrid, fs):
         radii = g.sup_radii[g.sup_radii > 0]
         out = []
-        for r, fr in zip(dilations, _dilated(f, dilations)):
+        for i, fr in enumerate(fs):
             means = np.array(mp_means(fr, radii, p, g.angular))
-            if r == 1.0:
+            if i == 0:  # the undilated input
                 drops = means[:-1] - means[1:]
                 rel = float(np.max(drops / np.maximum(means[:-1], 1e-30))) if drops.size else 0.0
                 if rel > 1e-6:
@@ -108,12 +138,7 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
             out.append(float(means[-1]))
         return out
 
-    return NormEstimate(*dilation_estimate(run, grid))
-
-
-def _dilated(f: PowerSeries, dilations) -> list[PowerSeries]:
-    """``f(r z)`` for each ``r`` in ``dilations`` (``f`` itself at 1)."""
-    return [f if r == 1.0 else dilate(f, r) for r in dilations]
+    return dilation_estimate(run, grid, partial(dilate, f))
 
 
 def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
@@ -126,21 +151,21 @@ def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
     return [max(abs(f.coeffs[0]) * origin, float(np.max(ring * w))) for f, ring in zip(fs, rings)]
 
 
-def sup_estimate(f: PowerSeries, weight, grid: QuadratureGrid):
+def sup_estimate(f: PowerSeries, weight, grid: QuadratureGrid) -> NormEstimate:
     """Dilation-probe estimate of :func:`_weighted_sup` for one series."""
-    return dilation_estimate(lambda g, rs: _weighted_sup(_dilated(f, rs), weight, g), grid)
+    return dilation_estimate(lambda g, fs: _weighted_sup(fs, weight, g), grid, partial(dilate, f))
 
 
 def growth_norm(f: PowerSeries, q: float, grid: QuadratureGrid) -> NormEstimate:
     """Growth-space estimate ``sup |f(z)| (1 - |z|^2)^q`` over the grid."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return NormEstimate(*sup_estimate(f, lambda r: (1.0 - r * r) ** q, grid))
+    return sup_estimate(f, lambda r: (1.0 - r * r) ** q, grid)
 
 
 def bloch_norm(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     """Bloch seminorm estimate ``sup |f'(z)| (1 - |z|^2)``."""
-    return NormEstimate(*sup_estimate(f.derivative(), lambda r: 1.0 - r * r, grid))
+    return sup_estimate(f.derivative(), lambda r: 1.0 - r * r, grid)
 
 
 def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float, float]]:
@@ -152,34 +177,33 @@ def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float
 
 
 # ---------------------------------------------------------------------------
-# Moebius-centre sweeps (shared with the coefficient conditions)
+# centre sweeps (shared with the coefficient conditions)
 # ---------------------------------------------------------------------------
 
-def moebius_sweep_estimate(f: PowerSeries, make_field, grid: QuadratureGrid, prefactor=None):
-    """Probe-aware ``sup_a prefactor(a) int field(f) (1-|phi_a|^2) dm``.
+def sweep_estimate(
+    f: PowerSeries, make_field, grid: QuadratureGrid, prefactor=None,
+    means=QuadratureGrid.moebius_ring_means,
+) -> NormEstimate:
+    """Probe-aware ``sup_a prefactor(a) int field(f) K_a dm`` over the
+    grid's centres.  ``make_field(g, fs)`` builds the node-value matrices
+    ``(k, radii, angles)`` of the stack ``fs`` of dilated series on grid
+    ``g``; ``means(g, fields)`` takes their per-centre ring means in one
+    sweep: ``QuadratureGrid.moebius_ring_means`` (``K_a = 1 - |phi_a|^2``)
+    or ``QuadratureGrid.square_ring_means`` (``K_a = 1`` on the square
+    ``S_a``)."""
 
-    ``make_field(g, fs)`` builds the node-value matrices ``(k, radii,
-    angles)`` of the stack ``fs`` of dilated series on grid ``g``; the
-    per-centre ring means of all of them are computed in one sweep.
-    """
-
-    def run(g: QuadratureGrid, dilations):
-        rings = g.moebius_ring_means(make_field(g, _dilated(f, dilations)))
-        vals = rings @ (g.weights * 2.0 * g.radii)
+    def run(g: QuadratureGrid, fs):
+        vals = means(g, make_field(g, fs)) @ (g.weights * 2.0 * g.radii)
         if prefactor is not None:
             vals = vals * np.array([prefactor(a) for a in g.a_grid])
         return np.max(vals, axis=-1)
 
-    return dilation_estimate(run, grid)
+    return dilation_estimate(run, grid, partial(dilate, f))
 
 
 def bmoa_garsia(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     """Garsia-type estimate ``sup_a int |f'|^2 (1 - |phi_a|^2) dm``."""
-    return NormEstimate(
-        *moebius_sweep_estimate(
-            f, lambda g, fs: g.sample_folded([fr.derivative() for fr in fs], power=2.0), grid
-        )
-    )
+    return sweep_estimate(f, lambda g, fs: g.sample_folded([fr.derivative() for fr in fs], power=2.0), grid)
 
 
 def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
@@ -194,9 +218,9 @@ def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     are the same on every grid, so ``value_coarse`` equals ``value``.
     """
 
-    def run(g: QuadratureGrid, dilations):
+    def run(g: QuadratureGrid, fs):
         out = []
-        for fr in _dilated(f, dilations):
+        for fr in fs:
             centred = fr - fr.coeffs[0]
             c = centred.coeffs
             b = PowerSeries(np.correlate(c, c, "full")[c.size - 1 :])
@@ -204,7 +228,7 @@ def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
             out.append(max(0.0, float(np.max(poisson - np.abs(centred(g.a_grid)) ** 2))))
         return out
 
-    return NormEstimate(*dilation_estimate(run, grid))
+    return dilation_estimate(run, grid, partial(dilate, f))
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +251,16 @@ def square_sweep(grid: QuadratureGrid, field: np.ndarray, prefactor) -> float:
     return _square_sup(grid, grid.square_ring_means(field), prefactor)
 
 
-def square_sweep_estimate(f: PowerSeries, make_field, grid: QuadratureGrid, prefactor):
-    """Dilation-probe companion of :func:`square_sweep`; ``make_field`` as
-    in :func:`moebius_sweep_estimate`."""
-
-    def run(g: QuadratureGrid, dilations):
-        rings = g.square_ring_means(make_field(g, _dilated(f, dilations)))
-        return [_square_sup(g, means, prefactor) for means in rings]
-
-    return dilation_estimate(run, grid)
-
-
 def carleson_norm(density, grid: QuadratureGrid, dilated=None) -> NormEstimate:
     """Carleson-measure estimate ``sup_a mu(S_a)/(1 - |a|)`` for
     ``d mu = density dm``.
 
     ``density`` is a node-value matrix or a callable of complex nodes.  The
     dilation probe needs to know how the density transforms, so callers may
-    pass ``dilated(r) -> density`` for the probe; without it the probe
-    compares partial masses with radial nodes and centres capped at the
-    probe radii (a weaker but structure-free diagnostic).
+    pass ``dilated(r)``, the density of the input dilated by ``r``
+    (``dilated(1)`` is ``density`` itself); without it the probe compares
+    partial masses with radial nodes and centres capped at the probe radii
+    (a weaker but structure-free diagnostic).
     """
     pref = lambda a: 1.0 / (1.0 - abs(a))
 
@@ -257,12 +271,8 @@ def carleson_norm(density, grid: QuadratureGrid, dilated=None) -> NormEstimate:
         return np.real(vals)
 
     if dilated is not None:
-
-        def run(g: QuadratureGrid, dilations):
-            dens = [density if r == 1.0 else dilated(r) for r in dilations]
-            return [square_sweep(g, field_on(g, d), pref) for d in dens]
-
-        return NormEstimate(*dilation_estimate(run, grid))
+        run = lambda g, dens: [square_sweep(g, field_on(g, d), pref) for d in dens]
+        return dilation_estimate(run, grid, dilated)
 
     base = field_on(grid, density)
     rings = grid.square_ring_means(base)

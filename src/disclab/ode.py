@@ -146,6 +146,8 @@ def residual(
     the common order), so for a recurrence-exact solution it measures
     round-off, and for any other candidate it measures genuine defect.
     """
+    if not 0.0 < r_max <= 1.0:
+        raise ValueError(f"the residual needs 0 < r_max <= 1, got {r_max!r}")
     expr = f.derivative(problem.order)
     for j, A in enumerate(problem.coefficients):
         expr = expr + A * f.derivative(j)

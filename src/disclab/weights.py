@@ -185,8 +185,8 @@ class StandardWeight(RadialWeight):
     ``w_1 = 1/2``."""
 
     def __init__(self, alpha: float, scale: float = 1.0):
-        if alpha <= -1:
-            raise ValueError("standard weights need alpha > -1")
+        if not -1 < alpha < np.inf:
+            raise ValueError(f"standard weights need a finite alpha > -1, got {alpha!r}")
         self.alpha, self.scale = float(alpha), float(scale)
         super().__init__(lambda r: self.scale * ((1.0 - r) * (1.0 + r)) ** self.alpha)
 
@@ -298,6 +298,8 @@ def kernel_derivative_residual(w: RadialWeight, zeta: complex, u: complex, order
     discrepancy reflects only moment quadrature error (it vanishes exactly
     through the identity ``wtilde_{2n+1} (n+1) = w_{2n+3}``).
     """
+    if order < 1:
+        raise ValueError("the kernel derivative needs order >= 1")
     x = complex(u) * np.conj(complex(zeta))
     inv = 0.5 / w.odd_moments(order)
     dcoef = inv[1:] * np.arange(1, order + 1)
@@ -329,7 +331,7 @@ def _derivative_pairing(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid, ra
     return np.sum(grid.weights * 2.0 * r * radial * ring)
 
 
-def bergman_inner(f: PowerSeries, g: PowerSeries, w: RadialWeight, grid=None) -> complex:
+def bergman_inner(f: PowerSeries, g: PowerSeries, w: RadialWeight) -> complex:
     """``<f, g>_{A^2_w} = 2 sum f_k conj(g_k) w_{2k+1}`` (angular
     orthogonality makes the reduction exact; the moments carry the grid
     dependence for tabulated weights)."""

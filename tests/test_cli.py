@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disclab
-from disclab.cli import parse_function, run
+from disclab.cli import CONDITIONS, NORMS, parse_function, run
 
 BASE = ["--order", "64", "--angular", "128", "--nodes-per-panel", "4"]
 
@@ -275,6 +279,43 @@ class TestErrors:
         f = parse_function(spec, 8)
         assert f.order == order and f.coeffs[order] == 1.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # non-finite float and complex flags
+            BASE + ["hardy", "--p", "nan"],
+            BASE + ["norm", "--kind", "hp", "--f", "zn", "--p", "nan"],
+            BASE + ["experiment", "--kind", "hp-membership", "--p", "nan"],
+            BASE + ["norm", "--kind", "growth", "--f", "zn", "--q", "nan"],
+            BASE + ["norm", "--kind", "growth", "--f", "zn", "--q", "inf"],
+            BASE + ["condition", "--kind", "lalpha", "--coeff", "zn", "--alpha", "nan"],
+            BASE + ["kernels", "--weight", "standard:alpha=1", "--zeta", "nan"],
+            ["--r-max", "nan"] + BASE + ["norm", "--kind", "hp", "--f", "zn"],
+            # non-finite spec values
+            BASE + ["kernels", "--weight", "standard:alpha=nan"],
+            BASE + ["kernels", "--weight", "standard:alpha=inf"],
+            # out-of-range values, each checked where it enters
+            ["--order", "0", "kernels", "--weight", "standard:alpha=1"],
+            ["--order", "-1", "kernels", "--weight", "standard:alpha=1"],
+            BASE + ["solve", "--example", "exp-singular", "--emit-coeffs", "-1"],
+            BASE + ["condition", "--kind", "decay", "--coeff", "zn", "--profile-points", "0"],
+            BASE + ["condition", "--kind", "bmoa-h1", "--coeff", "zn", "--dilation", "1.5"],
+            BASE + ["residual", "--example", "hille:gamma=1.0", "--residual-rmax", "0"],
+            # sizes rejected before any array is built
+            ["--order", str(2**20 + 1), "norm", "--kind", "hp", "--f", "zn"],
+            ["--angular", "1000000000", "norm", "--kind", "hp", "--f", "zn"],
+            ["--nodes-per-panel", "1000000000", "norm", "--kind", "hp", "--f", "zn"],
+            ["--grid-refine", "--angular", "65536", "norm", "--kind", "hp", "--f", "zn"],
+            # a grid too coarse for the quantity: 1 - z^8 aliases to 1 - r^8 on 8 angles
+            ["--angular", "8", "norm", "--kind", "hp", "--f", "poly:1,0,0,0,0,0,0,0,-1"],
+        ],
+    )
+    def test_bad_numeric_flag_exits_2_with_one_line(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_exp_at_order_zero_exits_2(self, capsys):
         assert run(["--order", "0", "norm", "--kind", "hp", "--f", "exp:eps=0.1"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
@@ -322,3 +363,117 @@ class TestFunctionSpecs:
     def test_lacunary(self):
         f = parse_function("lacunary:q=2,terms=4", 8)
         assert f.coeffs[2] == 1.0 and f.coeffs[16] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any command line exits 0, 2 or 3, and nothing else escapes run()
+# ---------------------------------------------------------------------------
+
+EDGE = ["0", "-1", "nan", "inf", "-inf"]
+
+
+def mostly(valid, edge):
+    """Text drawn from ``valid`` nine times in ten, else one of ``edge``."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else st.sampled_from(edge))
+
+
+def floats(lo, hi):
+    return mostly(st.floats(lo, hi).map(repr), EDGE)
+
+
+def ints(lo, hi):
+    return mostly(st.integers(lo, hi).map(str), ["0", "-1"])
+
+
+complexes = mostly(st.complex_numbers(max_magnitude=1.2).map(repr), EDGE + ["nanj", "1+infj"])
+values = mostly(st.floats(-4.0, 4.0).map(repr), EDGE + ["1j", "abc", ""])
+# Series sizes stay at most 64, or are ones rejected before a series is built.
+function_specs = st.one_of(
+    st.builds("hille:gamma={}".format, values),
+    st.sampled_from(["exp-singular", "log-reciprocal", "lacunary:q=2,terms=21", "zn:n=2097152"]),
+    st.builds("constant:c={}".format, values),
+    st.builds(lambda cs: "poly:" + ",".join(cs), st.lists(values | st.sampled_from(["1", "-1"]), max_size=10)),
+    st.builds("lacunary:q={},terms={}".format, ints(-1, 4), ints(-1, 3)),
+    st.builds("exp:eps={}".format, values),
+    st.builds("zn:n={}".format, ints(-1, 64)),
+    st.text(max_size=12),
+)
+example_specs = st.one_of(
+    st.builds("hille:gamma={}".format, values),
+    st.builds("constant:c={}".format, values),
+    st.just("exp-singular"),
+    st.text(max_size=12),
+)
+weight_specs = st.builds("standard:alpha={}".format, values) | st.text(max_size=12)
+
+COMMANDS = {
+    "solve": {"--example": example_specs, "--emit-coeffs": ints(-2, 8)},
+    "residual": {"--example": example_specs, "--residual-rmax": floats(0.0, 1.0)},
+    "zeros": {"--example": example_specs, "--count": ints(-1, 4)},
+    "separation": {
+        "--example": example_specs,
+        "--count": ints(-1, 6),
+        "--multiplicity": ints(-1, 3),
+        "--delta": floats(0.0, 1.0),
+    },
+    "condition": {
+        "--kind": st.sampled_from(sorted(CONDITIONS)),
+        "--coeff": function_specs,
+        "--alpha": floats(0.0, 3.0),
+        "--dilation": floats(0.0, 1.0),
+        "--at": complexes,
+        "--profile-points": ints(-1, 4),
+    },
+    "norm": {
+        "--kind": st.sampled_from(sorted(NORMS)),
+        "--f": function_specs,
+        "--p": floats(0.0, 4.0),
+        "--q": floats(0.0, 3.0),
+    },
+    "kernels": {"--weight": weight_specs, "--zeta": complexes, "--at": complexes},
+    "identities": {
+        "--suite": st.sampled_from(["green", "kernel", "hss", "moment"]),
+        "--weight": weight_specs,
+        "--trials": ints(-1, 2),
+    },
+    "hardy": {"--p": floats(0.0, 4.0), "--k": ints(-1, 3)},
+    "experiment": {
+        "--kind": st.sampled_from(["hp-membership", "zero-free-cp", "lacunary"]),
+        "--coeff": function_specs,
+        "--f": function_specs,
+        "--p": floats(0.0, 4.0),
+    },
+}
+REQUIRED = {"--example", "--kind", "--suite", "--weight", "--coeff", "--f"}
+
+
+@st.composite
+def command_lines(draw):
+    # tiny grids and orders; the only oversized sizes drawn are rejected before allocation
+    sizes = {
+        "--order": mostly(st.integers(0, 64).map(str), ["-1", str(2**20 + 1), str(10**12)]),
+        "--angular": mostly(st.integers(8, 64).map(str), ["0", "-1", "1000000000"]),
+        "--nodes-per-panel": mostly(st.integers(2, 4).map(str), ["0", "-1", "1000000000"]),
+    }
+    argv = [f"{flag}={draw(values_of)}" for flag, values_of in sizes.items()]
+    for flag, values_of in {"--r-max": floats(0.5, 0.999), "--seed": ints(-1, 9)}.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values_of)}")
+    argv += [flag for flag in ("--strict", "--grid-refine") if draw(st.booleans())]
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv.append(command)
+    for flag, values_of in COMMANDS[command].items():
+        if flag in REQUIRED or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values_of)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzz_any_command_line_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3)
+    if code == 2 and not err.getvalue().startswith("usage:"):  # argparse prints its usage too
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from disclab import series
 from disclab.conditions import (
+    ConditionReport,
+    _h1_inner_fields,
     apply_SA,
     bmoa_dd,
     bmoa_h1_cond,
@@ -21,6 +27,7 @@ from disclab.conditions import (
     order3_area,
     order3_growth,
 )
+from disclab.norms import NormEstimate
 from disclab.ode import named_example, solve_series, symmetric_power_problem
 from disclab.series import PowerSeries, binomial_series, geometric_series
 
@@ -207,7 +214,51 @@ class TestCauchyBound:
         assert val == pytest.approx(oracle, abs=1e-6)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 80),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 0.99),
+        st.complex_numbers(max_magnitude=0.95),
+        st.integers(1, 40),
+        st.sampled_from([None, 2**10]),
+    )
+    def test_matches_per_point_products(self, order, seed, r, z, count, block_bytes):
+        # the slow path it replaced: one series product and double primitive per x = e^{it}
+        rng = np.random.default_rng(seed)
+        A = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        Ar = PowerSeries(A.coeffs * r ** np.arange(order + 1))
+        want = 0.0
+        for t in 2 * np.pi * np.arange(count) / count:
+            x = np.exp(1j * t)
+            inner = (Ar * (geometric_series(np.conj(x), order) * x ** (-1))).antiderivative(0.0).antiderivative(0.0)
+            want += abs(inner(z))
+        with mock.patch.object(series, "_BLOCK_BYTES", block_bytes or series._BLOCK_BYTES):
+            got = cauchy_bound(A, r, z, angular_count=count)
+        assert got == pytest.approx(want / count, rel=1e-12, abs=1e-300)
+
+
 class TestBmoaH1:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([None, 2**12]))
+    def test_inner_fields_match_per_t_loop(self, small_grid, order, seed, t_count, block_bytes):
+        # the slow path it replaced: one product, primitive and grid sample per t
+        rng = np.random.default_rng(seed)
+        A = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        Ar = PowerSeries(A.coeffs * 0.9 ** np.arange(order + 1))
+        want = np.zeros((small_grid.radii.size, small_grid.angular))
+        for t in 2 * np.pi * np.arange(t_count) / t_count:
+            prim = (Ar * geometric_series(np.exp(-1j * t), order)).antiderivative(0.0)
+            want += np.abs(small_grid.sample(prim))
+        with mock.patch.object(series, "_BLOCK_BYTES", block_bytes or series._BLOCK_BYTES):
+            got = _h1_inner_fields(A, 0.9, small_grid, t_count)
+        np.testing.assert_allclose(got, want / t_count, rtol=1e-12, atol=1e-300)
+
+    def test_dilation_outside_unit_interval_raises(self, small_grid):
+        for r in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                bmoa_h1_cond(zeros_series(8), r, small_grid)
+
     def test_zero(self, small_grid):
         assert bmoa_h1_cond(zeros_series(16), 0.9, small_grid).value == 0.0
 
@@ -293,3 +344,29 @@ class TestDecayProfiles:
         rows = decay_conditions(A, [0.9, 0.99, 0.999], grid)
         for _, _, logsup in rows:
             assert logsup > 1.0
+
+
+class TestConditionReport:
+    def test_every_estimator_returns_a_norm_estimate(self, small_grid):
+        A = log_reciprocal_coefficient(24)
+        reports = [
+            nehari_sup(A, small_grid),
+            *order3_growth(A, A, A, small_grid),
+            *order3_area(A, A, A, small_grid),
+            lalpha_norm(A, 1.0, small_grid),
+            lmoa_quantity(A, small_grid),
+            lmoa_square(A, small_grid),
+            bmoa_dd(A, small_grid),
+            bmoa_h1_cond(A, 0.9, small_grid, t_count=8),
+        ]
+        for rep in reports:
+            assert isinstance(rep, NormEstimate) and isinstance(rep, ConditionReport)
+            assert rep.grid_fingerprint == small_grid.fingerprint()
+
+    def test_declares_only_the_label_fields(self):
+        own = set(ConditionReport.__dataclass_fields__) - set(NormEstimate.__dataclass_fields__)
+        assert own == {"kind", "grid_fingerprint"}
+
+    def test_nonnegative(self):
+        with pytest.raises(ValueError):
+            ConditionReport(-1.0, 0.0, False, "k", "fp")
