@@ -2,11 +2,13 @@
 
 Subcommands: solve, residual, zeros, separation, condition, norm, kernels,
 identities, hardy, experiment.  Every run emits a canonical JSON report
-(sorted keys, 17-significant-digit floats, schema version 1, no
-timestamps), so identical configurations produce byte-identical output;
-profile tables can additionally be written as RFC-4180 CSV.
+(sorted keys, floats in their shortest round-trip form, schema version 1,
+no timestamps), so identical configurations produce byte-identical output;
+profile tables can additionally be written as RFC-4180 CSV (floats as
+``.17g``).
 
-Exit codes: 0 success, 2 configuration error, 3 when ``--strict`` is given
+Exit codes: 0 success, 2 configuration error or a non-finite value in the
+report (JSON has no ``Infinity`` or ``NaN``), 3 when ``--strict`` is given
 and a numerical-accuracy warning fired during the run.
 """
 
@@ -134,30 +136,26 @@ def build_grid(args) -> QuadratureGrid:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-def _canon(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
+def _jsonable(obj):
+    """``json.dumps`` hook: complex numbers as ``[re, im]``, numpy scalars
+    as Python ones, dataclasses as dicts of their fields."""
     if isinstance(obj, complex):
-        return [_canon(obj.real), _canon(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _canon(obj.item())
-    if isinstance(obj, np.complexfloating):
-        return _canon(complex(obj))
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
     if hasattr(obj, "__dataclass_fields__"):
-        return {k: _canon(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return obj
+        return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
+    raise TypeError(f"{type(obj).__name__} is not serializable")
 
 
 def render_report(command: str, config: dict, results, grid: QuadratureGrid | None) -> str:
+    """The canonical JSON report; a non-finite value raises ``ValueError``
+    naming it, since ``Infinity`` and ``NaN`` are not JSON."""
     body = {
         "schema": 1,
         "command": command,
-        "config": _canon(config),
-        "results": _canon(results),
+        "config": config,
+        "results": results,
         "versions": {
             "disclab": __version__,
             "numpy": np.__version__,
@@ -167,11 +165,16 @@ def render_report(command: str, config: dict, results, grid: QuadratureGrid | No
     if grid is not None:
         body["grid"] = {
             "fingerprint": grid.fingerprint(),
-            "r_max": _canon(grid.r_max),
+            "r_max": grid.r_max,
             "angular": grid.angular,
             "nodes_per_panel": grid.nodes_per_panel,
         }
-    return json.dumps(body, sort_keys=True, indent=1)
+    dump = lambda allow_nan: json.dumps(body, sort_keys=True, indent=1, default=_jsonable, allow_nan=allow_nan)
+    try:
+        return dump(False)
+    except ValueError:
+        bad = next(line for line in dump(True).splitlines() if line.rstrip(",").endswith(("NaN", "Infinity")))
+        raise ValueError(f"the report holds a non-finite value: {bad.strip().rstrip(',')}") from None
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -195,18 +198,14 @@ def _cmd_solve(args, grid):
         res = residual(f, ex.problem, r_max=min(0.9, grid.r_max))
     except ValueError:
         res = None  # overflow-truncated solutions have no evaluable residual
-    out = {
+    n = min(f.order, ex.reference.order, 60)
+    return {
         "tag": ex.tag,
         "order": f.order,
         "residual_r09": res,
         "coefficients": [complex(c) for c in f.coeffs[: args.emit_coeffs]],
+        "reference_coeff_error": float(np.max(np.abs(f.coeffs[: n + 1] - ex.reference.coeffs[: n + 1]))),
     }
-    if ex.reference is not None:
-        n = min(f.order, ex.reference.order, 60)
-        out["reference_coeff_error"] = float(
-            np.max(np.abs(f.coeffs[: n + 1] - ex.reference.coeffs[: n + 1]))
-        )
-    return out
 
 
 def _cmd_residual(args, grid):
@@ -365,6 +364,8 @@ def _cmd_experiment(args, grid):
             write_csv(args.csv, ["p", "C_emp"], track)
         return {"fitted_exponent": slope, "track": [list(t) for t in track]}
     freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])  # lacunary
+    if len(freqs) < 2:
+        raise ValueError("lacunary needs terms >= 2 here: one frequency has no gap ratio")
     return lacunary_lmoa(np.ones(len(freqs)), freqs)
 
 

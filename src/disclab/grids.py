@@ -160,11 +160,6 @@ class QuadratureGrid:
             return sample_rings(f, self.radii, self.angular)
         return f(self.nodes())
 
-    def radial_mask(self, rcap: float | None) -> np.ndarray:
-        if rcap is None:
-            return np.ones_like(self.radii, dtype=bool)
-        return self.radii <= rcap
-
     # -- integration --------------------------------------------------------
 
     def integrate_rings(self, ring_means: np.ndarray) -> float:

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# Boundary nodes of the Hardy means in prop_main_sides and nonvanishing_bound_check.
+_BOUNDARY_M = 2048
+
+
 @dataclass(frozen=True)
 class NontangentialParams:
     """Aperture and resolution of the non-tangential approach regions
@@ -104,13 +108,7 @@ def _ratio_ring_means(
     return means
 
 
-def hss_residual(
-    f: PowerSeries,
-    p: float,
-    grid: QuadratureGrid,
-    boundary_M: int = 4096,
-    upsample: int | None = None,
-) -> float:
+def hss_residual(f: PowerSeries, p: float, grid: QuadratureGrid, boundary_M: int = 4096) -> float:
     """Residual of the Hardy-Stein-Spencer identity at exponent p:
     the Hardy power minus ``|f(0)|^p`` minus ``(p^2/2) int |f|^{p-2} |f'|^2
     log(1/|z|) dm`` on the polar grid.
@@ -122,7 +120,7 @@ def hss_residual(
     if p <= 0:
         raise ValueError("p must be positive")
     hp = mp_mean(f, 1.0, p, boundary_M) ** p
-    means = _ratio_ring_means(f, 1, p, grid, upsample)
+    means = _ratio_ring_means(f, 1, p, grid)
     area = grid.integrate_rings(means * np.log(1.0 / grid.radii))
     return float(abs(hp - abs(f.coeffs[0]) ** p - (p * p / 2.0) * area))
 
@@ -167,13 +165,7 @@ def shadow_length(z: complex, params: NontangentialParams) -> float:
 # the two-sided higher-derivative comparison
 # ---------------------------------------------------------------------------
 
-def prop_main_sides(
-    f: PowerSeries,
-    p: float,
-    k: int,
-    grid: QuadratureGrid,
-    boundary_M: int = 2048,
-) -> tuple[float, float]:
+def prop_main_sides(f: PowerSeries, p: float, k: int, grid: QuadratureGrid) -> tuple[float, float]:
     """Both sides of the order-k Hardy comparison: returns
 
         ( ||f||_{H^p}^p ,
@@ -185,7 +177,7 @@ def prop_main_sides(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    hp = mp_mean(f, 1.0, p, boundary_M) ** p
+    hp = mp_mean(f, 1.0, p, _BOUNDARY_M) ** p
     means = _ratio_ring_means(f, k, p, grid)
     area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** (2 * k - 1))
     inits = sum(
@@ -239,9 +231,7 @@ def _check_zero_free(f: PowerSeries, grid: QuadratureGrid) -> None:
         raise ValueError("branch ambiguity: f winds about 0 at grid resolution")
 
 
-def nonvanishing_bound_check(
-    f: PowerSeries, p: float, grid: QuadratureGrid, boundary_M: int = 2048
-) -> tuple[float, float, float]:
+def nonvanishing_bound_check(f: PowerSeries, p: float, grid: QuadratureGrid) -> tuple[float, float, float]:
     """For zero-free f: both sides of the second-derivative area bound and
     the empirical constant.
 
@@ -256,7 +246,7 @@ def nonvanishing_bound_check(
     """
     _check_zero_free(f, grid)
     g = _normalize_positive(f)
-    lhs = mp_mean(g, 1.0, p, boundary_M) ** p
+    lhs = mp_mean(g, 1.0, p, _BOUNDARY_M) ** p
     means = _ratio_ring_means(g, 2, p, grid)
     area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** 3)
     if area <= 0:

@@ -6,19 +6,20 @@ derivative integral, and the H^2 definition read from Garsia's identity as
 a Poisson integral), Carleson-measure norms over Carleson squares, and
 general weighted area integrals.
 
-Every estimate here and in :mod:`disclab.conditions` is a
+Every estimate of a series here and in :mod:`disclab.conditions` is a
 :class:`NormEstimate` made by :func:`dilation_estimate`: the value, a
 half-resolution companion value, and a divergence flag read from the
 estimates of the dilations ``f(0.9 z)``, ``f(0.99 z)`` and ``f(0.999 z)``
 (a diagnostic, not a proof).  ``f`` and its three dilations come in one
 call, sampled and swept as one stack; one :func:`sweep_estimate` serves
-the Moebius and the Carleson-square suprema.
+the Moebius and the Carleson-square suprema.  A measure given as a
+node-value matrix (:func:`carleson_norm`) has no dilations: its probe caps
+radial nodes and centres at the probe radii instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -70,23 +71,22 @@ class NormEstimate:
             raise ValueError("norm estimates are nonnegative")
 
 
-def dilation_estimate(run, grid: QuadratureGrid, at) -> NormEstimate:
+def dilation_estimate(run, grid: QuadratureGrid, f: PowerSeries) -> NormEstimate:
     """Full/coarse/divergence protocol shared by the norm and condition
     estimators.
 
-    ``at(r)`` is the input dilated by ``r`` (``at(1)`` is the input itself)
-    and ``run(g, inputs)`` returns the raw estimate on grid ``g`` of each
-    input, in order.  ``run`` is called twice, with the inputs at ``(1,
-    PROBE_LOW, PROBE_MID, PROBE_HIGH)`` on ``grid`` and at ``(1,)`` on its
-    coarsened sibling, so the four base-grid inputs are sampled and swept
-    together.  The divergence flag reads the dilations 0.9, 0.99 and 0.999:
-    a quantity is reported divergent when it more than doubles from 0.9 to
-    0.999 (``PROBE_FACTOR``) AND its last decade increment (0.99 -> 0.999)
-    is more than ``PROBE_INCREMENT_RATIO`` (0.7) times the one before
-    (0.9 -> 0.99), i.e. it keeps growing at a sustained rate rather than
-    saturating late.
+    ``run(g, fs)`` returns the raw estimate on grid ``g`` of each series of
+    the same-order stack ``fs``, in order.  ``run`` is called twice, with
+    ``f`` and its dilations ``f(r z)`` at ``r = PROBE_LOW, PROBE_MID,
+    PROBE_HIGH`` on ``grid``, and with ``f`` alone on its coarsened sibling,
+    so the four base-grid inputs are sampled and swept together.  The
+    divergence flag reads the dilations 0.9, 0.99 and 0.999: a quantity is
+    reported divergent when it more than doubles from 0.9 to 0.999
+    (``PROBE_FACTOR``) AND its last decade increment (0.99 -> 0.999) is more
+    than ``PROBE_INCREMENT_RATIO`` (0.7) times the one before (0.9 -> 0.99),
+    i.e. it keeps growing at a sustained rate rather than saturating late.
     """
-    inputs = [at(r) for r in (1.0, PROBE_LOW, PROBE_MID, PROBE_HIGH)]
+    inputs = [f] + [dilate(f, r) for r in (PROBE_LOW, PROBE_MID, PROBE_HIGH)]
     value, lo, mid, hi = map(float, run(grid, inputs))
     (coarse,) = map(float, run(grid.coarsened(), inputs[:1]))
     doubled = hi > PROBE_FACTOR * lo + 1e-300
@@ -138,7 +138,7 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
             out.append(float(means[-1]))
         return out
 
-    return dilation_estimate(run, grid, partial(dilate, f))
+    return dilation_estimate(run, grid, f)
 
 
 def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
@@ -153,7 +153,7 @@ def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
 
 def sup_estimate(f: PowerSeries, weight, grid: QuadratureGrid) -> NormEstimate:
     """Dilation-probe estimate of :func:`_weighted_sup` for one series."""
-    return dilation_estimate(lambda g, fs: _weighted_sup(fs, weight, g), grid, partial(dilate, f))
+    return dilation_estimate(lambda g, fs: _weighted_sup(fs, weight, g), grid, f)
 
 
 def growth_norm(f: PowerSeries, q: float, grid: QuadratureGrid) -> NormEstimate:
@@ -198,7 +198,7 @@ def sweep_estimate(
             vals = vals * np.array([prefactor(a) for a in g.a_grid])
         return np.max(vals, axis=-1)
 
-    return dilation_estimate(run, grid, partial(dilate, f))
+    return dilation_estimate(run, grid, f)
 
 
 def bmoa_garsia(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
@@ -228,60 +228,33 @@ def bmoa_h2_def(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
             out.append(max(0.0, float(np.max(poisson - np.abs(centred(g.a_grid)) ** 2))))
         return out
 
-    return dilation_estimate(run, grid, partial(dilate, f))
+    return dilation_estimate(run, grid, f)
 
 
 # ---------------------------------------------------------------------------
 # Carleson measures
 # ---------------------------------------------------------------------------
 
-def _square_sup(grid: QuadratureGrid, rings: np.ndarray, prefactor, rcap: float | None = None) -> float:
-    """``sup_a prefactor(a) int_{S_a} field dm`` (at least 0) from the
-    square ring means of ``field``; with ``rcap``, radial nodes and centres
-    beyond it are left out."""
-    mask = grid.radial_mask(rcap)
-    keep = np.ones(grid.a_grid.size, dtype=bool) if rcap is None else np.abs(grid.a_grid) <= rcap
-    wq = grid.weights[mask] * 2.0 * grid.radii[mask]
-    vals = rings[keep][:, mask] @ wq * np.array([prefactor(a) for a in grid.a_grid[keep]])
-    return max(0.0, float(np.max(vals))) if vals.size else 0.0
-
-
-def square_sweep(grid: QuadratureGrid, field: np.ndarray, prefactor) -> float:
-    """``sup_a prefactor(a) int_{S_a} field dm`` over Carleson squares."""
-    return _square_sup(grid, grid.square_ring_means(field), prefactor)
-
-
-def carleson_norm(density, grid: QuadratureGrid, dilated=None) -> NormEstimate:
+def carleson_norm(density: np.ndarray, grid: QuadratureGrid) -> NormEstimate:
     """Carleson-measure estimate ``sup_a mu(S_a)/(1 - |a|)`` for
-    ``d mu = density dm``.
+    ``d mu = density dm``, the density given as a node-value matrix
+    (radii x angles).
 
-    ``density`` is a node-value matrix or a callable of complex nodes.  The
-    dilation probe needs to know how the density transforms, so callers may
-    pass ``dilated(r)``, the density of the input dilated by ``r``
-    (``dilated(1)`` is ``density`` itself); without it the probe compares
-    partial masses with radial nodes and centres capped at the probe radii
-    (a weaker but structure-free diagnostic).
+    A node matrix has no coarser sibling, so ``value_coarse`` equals
+    ``value``, and no dilations, so the divergence probe compares partial
+    masses with radial nodes and centres capped at the probe radii: the
+    flag is ``sup(PROBE_HIGH) > PROBE_FACTOR * sup(PROBE_LOW)``.
     """
-    pref = lambda a: 1.0 / (1.0 - abs(a))
+    if np.any(density < -1e-12):
+        raise ValueError("density must be nonnegative")
+    rings = grid.square_ring_means(np.real(density))
+    a = np.abs(grid.a_grid)
+    pref, wq = 1.0 / (1.0 - a), grid.weights * 2.0 * grid.radii
 
-    def field_on(g, dens):
-        vals = dens if isinstance(dens, np.ndarray) else np.real(g.sample(dens))
-        if np.any(vals < -1e-12):
-            raise ValueError("density must be nonnegative")
-        return np.real(vals)
+    def sup(rcap: float) -> float:
+        keep, mask = a <= rcap, grid.radii <= rcap
+        return float(np.max(rings[keep][:, mask] @ wq[mask] * pref[keep], initial=0.0))
 
-    if dilated is not None:
-        run = lambda g, dens: [square_sweep(g, field_on(g, d), pref) for d in dens]
-        return dilation_estimate(run, grid, dilated)
-
-    base = field_on(grid, density)
-    rings = grid.square_ring_means(base)
-    value = _square_sup(grid, rings, pref)
-    if isinstance(density, np.ndarray):
-        coarse = value
-    else:
-        cg = grid.coarsened()
-        coarse = square_sweep(cg, field_on(cg, density), pref)
-    capped = lambda rcap: _square_sup(grid, rings, pref, rcap)
-    flag = bool(capped(PROBE_HIGH) > PROBE_FACTOR * capped(PROBE_LOW) + 1e-300)
-    return NormEstimate(value, coarse, flag)
+    value = sup(1.0)
+    flag = bool(sup(PROBE_HIGH) > PROBE_FACTOR * sup(PROBE_LOW) + 1e-300)
+    return NormEstimate(value, value, flag)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -248,17 +249,26 @@ def symmetric_power_problem(
 
 @dataclass(frozen=True)
 class NamedExample:
-    """A realized classical equation, with the closed-form solution series
-    when one exists."""
+    """A realized classical equation; its closed-form solution series is
+    built on first use."""
 
     tag: str
     params: dict
     problem: ODEProblem
-    reference: PowerSeries | None = None
 
     @property
     def coefficient(self) -> PowerSeries:
         return self.problem.coefficients[0]
+
+    @cached_property
+    def reference(self) -> PowerSeries:
+        """The closed-form solution through the problem's truncation order."""
+        order = self.problem.truncation_order
+        if self.tag == "hille":
+            return _hille_reference(self.params["gamma"], order)
+        if self.tag == "exp-singular":
+            return _exp_singular_reference(order)
+        return _constant_reference(self.params["c"], order)
 
 
 def _hille_coefficient(gamma: float, order: int) -> PowerSeries:
@@ -331,14 +341,13 @@ def named_example(spec: str, order: int = 256) -> NamedExample:
     name, params = parse_spec(spec, EXAMPLE_SPECS)
     if name == "hille":
         gamma = params["gamma"]
-        A, iv, ref = _hille_coefficient(gamma, order), (0.0, 2.0 * gamma), _hille_reference(gamma, order)
+        A, iv = _hille_coefficient(gamma, order), (0.0, 2.0 * gamma)
     elif name == "exp-singular":
         e = math.exp(-1.0)
-        A, iv, ref = _exp_singular_coefficient(order), (e, -2.0 * e), _exp_singular_reference(order)
+        A, iv = _exp_singular_coefficient(order), (e, -2.0 * e)
     else:
-        c = params["c"]
-        A, iv, ref = PowerSeries([c]).pad(order), (1.0, 0.0), _constant_reference(c, order)
-    return NamedExample(name, params, ODEProblem(2, (A, zero_series(order)), iv, order), ref)
+        A, iv = PowerSeries([params["c"]]).pad(order), (1.0, 0.0)
+    return NamedExample(name, params, ODEProblem(2, (A, zero_series(order)), iv, order))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +367,7 @@ def _hille_local_problem(gamma: float, b: float, order: int, initial_values) -> 
     return ODEProblem(2, (A0, A1), initial_values, order)
 
 
-def hille_zero_table(
-    gamma: float,
-    count: int,
-    order: int = 256,
-    step_s: float = 0.75,
-    trust_s: float = 1.05,
-) -> list[tuple[float, float]]:
+def hille_zero_table(gamma: float, count: int, order: int = 256) -> list[tuple[float, float]]:
     """First ``count`` positive zeros of the Hille solution.
 
     Returns ``(x, s)`` pairs where ``x = tanh(s)`` is the disc location and
@@ -378,6 +381,7 @@ def hille_zero_table(
     gamma = _hille_gamma(gamma)
     if count < 1:
         raise ValueError("count must be positive")
+    step_s, trust_s = 0.75, 1.05  # hyperbolic step between centres; radius trusted around each
     sigma = math.tanh(step_s)
     # local solution around the current centre; start at the origin
     h = solve_series(_hille_local_problem(gamma, 0.0, order, (0.0, 2.0 * gamma)))

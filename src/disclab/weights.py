@@ -393,12 +393,12 @@ def pointwise_growth_margin(
 # kernel-based Bloch quantity and the solution bound
 # ---------------------------------------------------------------------------
 
-def _u_rule(grid: QuadratureGrid, angles: int):
-    """Coarser polar rule for the kernel integral's u variable."""
+def _u_rule(grid: QuadratureGrid):
+    """Coarser polar rule (96 angles) for the kernel integral's u variable."""
     sub = QuadratureGrid(
         r_max=grid.r_max,
         nodes_per_panel=4,
-        angular=angles,
+        angular=96,
         inner_depth=12,
         outer_depth=18,
         a_radii=(0.0,),
@@ -415,7 +415,6 @@ def bloch_kernel_quantity(
     kernel_order: int | None = None,
     z_radii: int = 16,
     z_angles: int = 16,
-    u_angles: int = 96,
     _radial_weight=None,
 ) -> NormEstimate:
     """Grid estimate of the kernel Bloch quantity ``X(A)`` (or its r-slice
@@ -450,7 +449,7 @@ def bloch_kernel_quantity(
     scale = np.arange(1, nk + 1) / (2.0 * mom[1 : nk + 1])
     Q = P * scale[:, None]  # row n-1: coefficient of v^{n-1} per z
 
-    ur, uw, uth = _u_rule(grid, u_angles)
+    ur, uw, uth = _u_rule(grid)
     if _radial_weight is None:
         radial = w.wstar(ur) / (1.0 - ur**2)
     else:

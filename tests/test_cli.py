@@ -16,6 +16,7 @@ import disclab
 from disclab.cli import CONDITIONS, NORMS, parse_function, run
 
 BASE = ["--order", "64", "--angular", "128", "--nodes-per-panel", "4"]
+TINY = ["--order", "64", "--angular", "64", "--nodes-per-panel", "2"]
 
 
 def run_to_file(tmp_path, name, args):
@@ -320,6 +321,29 @@ class TestErrors:
         assert run(["--order", "0", "norm", "--kind", "hp", "--f", "exp:eps=0.1"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["condition", "--kind", "lalpha", "--coeff", "log-reciprocal", "--alpha", "1000"],
+            ["norm", "--kind", "hp", "--f", "exp:eps=0.5", "--p", "1e300"],
+            ["hardy", "--p", "1000"],
+        ],
+    )
+    def test_non_finite_report_exits_2_with_one_line(self, argv, capsys):
+        # finite flags whose estimates overflow: JSON has no Infinity or NaN
+        assert run(TINY + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the report holds a non-finite value: ")
+        assert "Infinity" in captured.err and captured.err.count("\n") == 1
+
+    def test_single_frequency_lacunary_experiment_exits_2(self, capsys):
+        # one frequency has no gap, so the gap ratio would be infinite
+        assert run(BASE + ["experiment", "--kind", "lacunary", "--coeff", "lacunary:terms=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lacunary needs terms >= 2") and captured.err.count("\n") == 1
+
     def test_strict_escalates_accuracy_warnings(self, tmp_path):
         # a huge constant coefficient overflows the recurrence, which is
         # reported (and truncated) via an accuracy warning
@@ -327,6 +351,53 @@ class TestErrors:
                 "solve", "--example", "constant:c=1e280"]
         assert run(args) == 0
         assert run(["--strict"] + args) == 3
+
+
+# ---------------------------------------------------------------------------
+# padding: a series padded with zero coefficients is the same function
+# ---------------------------------------------------------------------------
+
+def _leaves(x):
+    if isinstance(x, dict):
+        return [v for k in sorted(x) for v in _leaves(x[k])]
+    if isinstance(x, list):
+        return [v for item in x for v in _leaves(item)]
+    return [x]
+
+
+PADDED = "poly:0.5,1,0.5"
+PADDING_KINDS = {
+    **{kind: ["norm", "--kind", kind, "--f", PADDED] for kind in NORMS},
+    **{kind: ["condition", "--kind", kind, "--coeff", PADDED] for kind in CONDITIONS},
+    "hp-membership": ["experiment", "--kind", "hp-membership", "--coeff", PADDED],
+}
+ORDER_DEPENDENT = pytest.mark.xfail(
+    strict=True,
+    reason="sample_folded picks its upsampling factor from the stored order, not the degree, "
+    "and bmoa-h1 truncates its Cauchy products at A's order",
+)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        pytest.param(kind, marks=ORDER_DEPENDENT)
+        if kind in {"bmoa-garsia", "area3", "lmoa", "bmoa-dd", "bmoa-h1", "hp-membership"}
+        else kind
+        for kind in PADDING_KINDS
+    ],
+)
+def test_results_do_not_depend_on_the_padding_order(kind, tmp_path):
+    grid = ["--angular", "64", "--nodes-per-panel", "4"]
+    results = []
+    for order in (64, 128):
+        code, text = run_to_file(tmp_path, f"{order}.json", ["--order", str(order)] + grid + PADDING_KINDS[kind])
+        assert code == 0
+        results.append(_leaves(json.loads(text)["results"]))
+    low, high = results
+    assert [v for v in low if not isinstance(v, float)] == [v for v in high if not isinstance(v, float)]
+    floats_of = lambda vs: [v for v in vs if isinstance(v, float)]
+    np.testing.assert_allclose(floats_of(low), floats_of(high), rtol=1e-12, atol=0.0)
 
 
 class TestStartup:
@@ -475,5 +546,7 @@ def test_fuzz_any_command_line_exits_0_2_or_3(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 2, 3)
+    if code != 2:  # every report is strict JSON
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"{token} in the report"))
     if code == 2 and not err.getvalue().startswith("usage:"):  # argparse prints its usage too
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -206,14 +206,14 @@ class TestBmoaH2:
 
 class TestCarleson:
     def test_unit_density(self, grid):
-        est = carleson_norm(lambda z: np.ones(z.shape), grid)
+        est = carleson_norm(np.ones(grid.nodes().shape), grid)
         assert est.value == pytest.approx(1.0, abs=1e-3)
         assert est.value >= 1.0 - 1e-9
         assert not est.divergence_flag
 
     def test_bloch_identity_density(self, grid):
         # d mu = (1-|z|^2) |f'|^2 dm for f = z: mass of squares ~ (1-|a|)^2
-        est = carleson_norm(lambda z: (1 - np.abs(z) ** 2), grid)
+        est = carleson_norm(1 - np.abs(grid.nodes()) ** 2, grid)
         assert np.isfinite(est.value)
         assert not est.divergence_flag
 
@@ -229,12 +229,12 @@ class TestCarleson:
             return np.where(inside, 1.0, 0.0)
 
         mass = area_integral(bump, grid)
-        est = carleson_norm(bump, grid)
+        est = carleson_norm(bump(grid.nodes()), grid)
         assert est.value == pytest.approx(mass / (1 - a), rel=0.05)
 
     def test_negative_density_rejected(self, grid):
         with pytest.raises(ValueError):
-            carleson_norm(lambda z: -np.ones(z.shape), grid)
+            carleson_norm(-np.ones(grid.nodes().shape), grid)
 
 
 class TestNormEstimate:
