@@ -40,7 +40,7 @@ from .geometry import (
     separation_constants,
     separation_sums,
 )
-from .grids import QuadratureGrid, area_integral
+from .grids import QuadratureGrid
 from .hardy import (
     CorpusFunction,
     MembershipReport,

@@ -334,9 +334,11 @@ def _cmd_identities(args, grid):
     if suite == "hss":
         worst = 0.0
         for _ in range(args.trials):
-            f = random_poly(6) + 4.0  # push zeros away from the closed disc
-            for p in (0.5, 1.0, 2.0, 4.0):
-                worst = max(worst, hss_residual(f, p, grid))
+            c = np.array([1.0 + 0j])
+            for _ in range(6):  # roots of modulus 1.2 to 3: zero-free on the closed disc
+                w = (1.2 + 1.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                c = np.convolve(c, [1.0, -1.0 / w])
+            worst = max(worst, *hss_residual(PowerSeries(c), (0.5, 1.0, 2.0, 4.0), grid))
         return {"suite": "hss", "max_residual": worst}
     return {"suite": "moment", "moment_gap": moment_identity_gap(w)}
 

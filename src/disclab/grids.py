@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .series import PowerSeries, ring_blocks, sample_rings
 
-__all__ = ["QuadratureGrid", "area_integral"]
+__all__ = ["QuadratureGrid"]
 
 # Most nodes (radii x angles) of a grid; the refined default has about 1.2e6.
 MAX_GRID_NODES = 2**24
@@ -149,16 +149,10 @@ class QuadratureGrid:
             self._nodes.setflags(write=False)
         return self._nodes
 
-    def sample(self, f) -> np.ndarray:
-        """Values of ``f`` on the node matrix.
-
-        PowerSeries inputs are evaluated on all circles by
-        :func:`~disclab.series.sample_rings`; callables are evaluated on the
-        complex nodes directly.
-        """
-        if isinstance(f, PowerSeries):
-            return sample_rings(f, self.radii, self.angular)
-        return f(self.nodes())
+    def sample(self, f: PowerSeries) -> np.ndarray:
+        """Values of the series ``f`` on the node matrix, every circle by
+        :func:`~disclab.series.sample_rings`."""
+        return sample_rings(f, self.radii, self.angular)
 
     # -- integration --------------------------------------------------------
 
@@ -300,12 +294,3 @@ class QuadratureGrid:
             out[:, block] = vals.reshape(len(fs), -1, self.angular, up).mean(axis=-1)
         return out[0] if isinstance(f, PowerSeries) else out
 
-
-def area_integral(density, grid: QuadratureGrid) -> float:
-    """Integral of a density against normalized area measure.
-
-    ``density`` may be a callable of complex nodes, a PowerSeries (its
-    values are integrated), or a precomputed node-value matrix.
-    """
-    values = density if isinstance(density, np.ndarray) else grid.sample(density)
-    return grid.integrate(np.real(values))

@@ -9,7 +9,8 @@ companions: for 0 < p <= 2 the p-th Hardy power is dominated by the area
 quantity ``int |f|^{p-2} |f^{(k)}|^2 (1-|z|^2)^{2k-1} dm`` plus initial
 terms, and for p >= 2 (or any p when f is uniformly locally univalent) the
 domination reverses.  Both sides are returned so corpus-wide constants can
-be tracked.
+be tracked, and one sampling of f and its derivatives serves every
+``(p, k)`` asked for in one call.
 
 For zero-free f with small ``||f'/f||`` in the weighted sup norm, the
 second-derivative area bound holds with a constant that scales like p^2 as
@@ -30,7 +31,7 @@ import numpy as np
 
 from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
-from .norms import NormEstimate, carleson_norm, mp_mean, mp_means
+from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
 from .series import PowerSeries, exp_series, pow_series, ring_blocks, sample_circle, sample_rings
 
@@ -52,8 +53,9 @@ __all__ = [
 ]
 
 
-# Boundary nodes of the Hardy means in prop_main_sides and nonvanishing_bound_check.
+# Boundary nodes of the Hardy means, and the exponents fit_cp_exponent reads.
 _BOUNDARY_M = 2048
+_CP_PS = (1.0, 0.5, 0.25, 0.125)
 
 
 @dataclass(frozen=True)
@@ -68,61 +70,75 @@ class NontangentialParams:
             raise ValueError("aperture must exceed 1")
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _ratio_ring_means(
-    f: PowerSeries, k: int, p: float, grid: QuadratureGrid, upsample: int | None = None
+    f: PowerSeries, ks, ps, grid: QuadratureGrid, upsample: int | None = None
 ) -> np.ndarray:
-    """Per-ring angular means of ``|f|^{p-2} |f^{(k)}|^2``.
+    """Per-ring angular means of ``|f|^{p-2} |f^{(k)}|^2``, shape
+    ``(len(ks), len(ps), radii)``: one sampling serves every ``(p, k)``.
 
-    For p < 2 the integrand is singular at zeros of f: a zero sitting
-    exactly on a sample is treated by perturbing the ring half a radial
-    step outward (with the limiting value 0 when the derivative vanishes
-    too), and rings are upsampled angularly (factor 8) when f comes close
-    to vanishing near the boundary, where near-zeros are narrower than the
-    angular cells.  Zero-free integrands stay at the grid resolution, where
-    the trapezoid rule is spectrally accurate.  Rings are sampled and
-    reduced one block (:func:`~disclab.series.ring_blocks`) at a time.
+    The stack ``[f, f^{(k)} for k in ks]`` (derivatives padded to f's
+    order) is sampled once per angular size, one block
+    (:func:`~disclab.series.ring_blocks`) at a time, and every p is reduced
+    from the same block.  For p < 2 the integrand is singular at zeros of
+    f: a ring on which f vanishes exactly at a sample moves half a radial
+    step outward (limiting value 0 when the derivative vanishes too), and
+    rings are upsampled angularly (factor 8, or ``upsample`` for every p
+    when given) when f comes close to vanishing near the boundary, where
+    near-zeros are narrower than the angular cells.  Otherwise rings stay
+    at the grid resolution, where the trapezoid rule is spectrally accurate.
     """
-    df = f.derivative(k)
-    if upsample is None:
-        if p >= 2:
-            upsample = 1
-        else:
-            outer = np.abs(sample_circle(f, grid.r_max, grid.angular))
-            scale = float(np.max(np.abs(f.coeffs))) + 1e-30
-            upsample = 1 if float(np.min(outer)) > 1e-3 * scale else 8
-    M = upsample * grid.angular
+    ps, low = [float(p) for p in ps], upsample or 1
+    if upsample is None and min(ps) < 2:
+        outer = np.abs(sample_circle(f, grid.r_max, grid.angular))
+        scale = float(np.max(np.abs(f.coeffs))) + 1e-30
+        low = 1 if float(np.min(outer)) > 1e-3 * scale else 8
+    sizes = [(low if p < 2 or upsample else 1) * grid.angular for p in ps]
+    stack = [f] + [f.derivative(k).pad(f.order) for k in ks]
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
-    means = np.empty(grid.radii.size)
-    for block in ring_blocks(grid.radii.size, f.order, M):
-        r = grid.radii[block].copy()
-        fv = np.abs(sample_rings(f, r, M))
-        if p < 2:
-            hit = np.any(fv == 0.0, axis=1)
-            if np.any(hit):
-                r[hit] = np.minimum(r[hit] + step, 1.0 - 1e-12)
-                fv[hit] = np.abs(sample_rings(f, r[hit], M))
-        dv = np.abs(sample_rings(df, r, M))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(fv > 0.0, fv ** (p - 2.0) * dv**2, 0.0)
-        means[block] = np.mean(vals, axis=1)
+    means = np.empty((len(ks), len(ps), grid.radii.size))
+    for M in sorted(set(sizes)):
+        cols = [j for j, m in enumerate(sizes) if m == M]
+        for block in ring_blocks(grid.radii.size, f.order, M, len(stack)):
+            r = grid.radii[block]
+            vals = moved = np.abs(sample_rings(stack, r, M))
+            hit = np.any(vals[0] == 0.0, axis=1)
+            if np.any(hit) and min(ps[j] for j in cols) < 2:
+                moved = vals.copy()
+                moved[:, hit] = np.abs(sample_rings(stack, np.minimum(r[hit] + step, 1.0 - 1e-12), M))
+            for j in cols:
+                v = moved if ps[j] < 2 else vals
+                ratio = np.where(v[0] > 0.0, v[0] ** (ps[j] - 2.0) * v[1:] ** 2, 0.0)
+                means[:, j, block] = np.mean(ratio, axis=-1)
     return means
 
 
-def hss_residual(f: PowerSeries, p: float, grid: QuadratureGrid, boundary_M: int = 4096) -> float:
+def _sides(f: PowerSeries, ks: list[int], p, grid: QuadratureGrid, weight):
+    """``p`` as a list, ``||f||_{H^p}^p`` per p (one sampling of the unit
+    circle) and ``int |f|^{p-2} |f^{(k)}|^2 weight(k) dm`` (rows k, columns p)."""
+    ps = [float(q) for q in np.ravel(p)]
+    if min(ps) <= 0:
+        raise ValueError("p must be positive")
+    vals = np.abs(sample_circle(f, 1.0, _BOUNDARY_M))
+    hp = [float(np.mean(vals**q) ** (1.0 / q)) ** q for q in ps]  # mp_mean(f, 1, q) ** q
+    means = _ratio_ring_means(f, ks, ps, grid)
+    area = [[grid.integrate_rings(m * w) for m in row] for row, w in zip(means, map(weight, ks))]
+    return ps, hp, np.array(area)
+
+
+def hss_residual(f: PowerSeries, p, grid: QuadratureGrid):
     """Residual of the Hardy-Stein-Spencer identity at exponent p:
     the Hardy power minus ``|f(0)|^p`` minus ``(p^2/2) int |f|^{p-2} |f'|^2
-    log(1/|z|) dm`` on the polar grid.
+    log(1/|z|) dm`` on the polar grid.  A sequence of p gives a list of
+    residuals from one sampling.
 
     Pure quadrature error for a truncated series; tends to 0 under
     simultaneous radial and angular refinement (see
     :func:`_ratio_ring_means` for the zero handling at p < 2).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    hp = mp_mean(f, 1.0, p, boundary_M) ** p
-    means = _ratio_ring_means(f, 1, p, grid)
-    area = grid.integrate_rings(means * np.log(1.0 / grid.radii))
-    return float(abs(hp - abs(f.coeffs[0]) ** p - (p * p / 2.0) * area))
+    ps, hp, area = _sides(f, [1], p, grid, lambda k: np.log(1.0 / grid.radii))
+    res = [abs(h - abs(f.coeffs[0]) ** q - (q * q / 2.0) * a) for h, q, a in zip(hp, ps, area[0])]
+    return np.reshape(res, np.shape(p)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +181,7 @@ def shadow_length(z: complex, params: NontangentialParams) -> float:
 # the two-sided higher-derivative comparison
 # ---------------------------------------------------------------------------
 
-def prop_main_sides(f: PowerSeries, p: float, k: int, grid: QuadratureGrid) -> tuple[float, float]:
+def prop_main_sides(f: PowerSeries, p, k, grid: QuadratureGrid):
     """Both sides of the order-k Hardy comparison: returns
 
         ( ||f||_{H^p}^p ,
@@ -174,17 +190,19 @@ def prop_main_sides(f: PowerSeries, p: float, k: int, grid: QuadratureGrid) -> t
     For 0 < p <= 2 the first is dominated by a constant multiple of the
     second; for p >= 2 (or f uniformly locally univalent) the reverse holds.
     Ratios are left to the caller, who tracks corpus-wide constants.
+
+    Sequences of p and k give two nested lists of shape ``np.shape(p) +
+    np.shape(k)``, read from one sampling of f and its derivatives.
     """
-    if k < 1:
+    ks = [int(j) for j in np.ravel(k)]
+    if min(ks) < 1:
         raise ValueError("k must be a positive integer")
-    hp = mp_mean(f, 1.0, p, _BOUNDARY_M) ** p
-    means = _ratio_ring_means(f, k, p, grid)
-    area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** (2 * k - 1))
-    inits = sum(
-        abs(f.derivative(j).coeffs[0]) ** p if j else abs(f.coeffs[0]) ** p
-        for j in range(k)
-    )
-    return float(hp), float(area + inits)
+    ps, hp, area = _sides(f, ks, p, grid, lambda j: (1.0 - grid.radii**2) ** (2 * j - 1))
+    c0 = [abs(f.derivative(j).coeffs[0]) for j in range(max(ks))]
+    rhs = [[a + sum(c**q for c in c0[:j]) for a, q in zip(row, ps)] for row, j in zip(area, ks)]
+    shape = np.shape(p) + np.shape(k)
+    lhs = np.repeat(hp, len(ks)).reshape(shape)
+    return lhs.tolist(), np.transpose(rhs).reshape(shape).tolist()
 
 
 def loc_univ_margin(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, dict[int, float]]:
@@ -192,18 +210,15 @@ def loc_univ_margin(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, dict[i
     uniformly locally univalent f) plus the induction quantities
     ``sup |f^{(k+1)}(z)/f'(z)| (1-|z|^2)^k`` for k <= 3.
 
-    Raises if f' vanishes at grid resolution.
+    ``f'`` to ``f^{(4)}`` are sampled as one stack.  Raises if f' vanishes
+    at grid resolution.
     """
     df = f.derivative()
-    d1 = grid.sample(df)
-    if float(np.min(np.abs(d1))) == 0.0 or df.coeffs[0] == 0.0:
+    d = sample_rings([f.derivative(k).pad(df.order) for k in range(1, 5)], grid.radii, grid.angular)
+    if float(np.min(np.abs(d[0]))) == 0.0 or df.coeffs[0] == 0.0:
         raise ValueError("f' vanishes on the grid: not locally univalent at resolution")
-    radii = grid.radii
-    out: dict[int, float] = {}
-    for k in range(1, 4):
-        dk = grid.sample(f.derivative(k + 1))
-        ratio = np.abs(dk / d1) * (1.0 - radii**2)[:, None] ** k
-        out[k] = float(np.max(ratio))
+    weight = 1.0 - grid.radii**2
+    out = {k: float(np.max(np.abs(d[k] / d[0]) * weight[:, None] ** k)) for k in range(1, 4)}
     return out[1], out
 
 
@@ -231,7 +246,7 @@ def _check_zero_free(f: PowerSeries, grid: QuadratureGrid) -> None:
         raise ValueError("branch ambiguity: f winds about 0 at grid resolution")
 
 
-def nonvanishing_bound_check(f: PowerSeries, p: float, grid: QuadratureGrid) -> tuple[float, float, float]:
+def nonvanishing_bound_check(f: PowerSeries, p, grid: QuadratureGrid):
     """For zero-free f: both sides of the second-derivative area bound and
     the empirical constant.
 
@@ -242,34 +257,24 @@ def nonvanishing_bound_check(f: PowerSeries, p: float, grid: QuadratureGrid) -> 
 
     holds by construction (the |f'(0)|^p term is dropped from the
     subtraction -- keeping it can push the numerator negative and hide the
-    p^2 scaling that the fit is after).
+    p^2 scaling that the fit is after).  A sequence of p gives three lists
+    of its shape, read from one sampling.
     """
     _check_zero_free(f, grid)
     g = _normalize_positive(f)
-    lhs = mp_mean(g, 1.0, p, _BOUNDARY_M) ** p
-    means = _ratio_ring_means(g, 2, p, grid)
-    area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** 3)
-    if area <= 0:
+    ps, lhs, (area,) = _sides(g, [2], p, grid, lambda k: (1.0 - grid.radii**2) ** 3)
+    if min(area) <= 0:
         raise ValueError("degenerate area quantity")
-    c_emp = max(lhs - abs(g.coeffs[0]) ** p, 0.0) / area
-    return float(lhs), float(area), float(c_emp)
+    c_emp = [max(h - abs(g.coeffs[0]) ** q, 0.0) / a for h, q, a in zip(lhs, ps, area)]
+    return tuple(np.reshape(side, np.shape(p)).tolist() for side in (lhs, area, c_emp))
 
 
-def fit_cp_exponent(
-    f: PowerSeries,
-    grid: QuadratureGrid,
-    ps: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
-) -> tuple[float, list[tuple[float, float]]]:
-    """Least-squares slope of ``log C_emp(p)`` against ``log p``; the
-    zero-free theory predicts a slope near 2."""
-    track = []
-    for p in ps:
-        _, _, c = nonvanishing_bound_check(f, p, grid)
-        track.append((p, c))
-    xs = np.log([t[0] for t in track])
-    ys = np.log([t[1] for t in track])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, track
+def fit_cp_exponent(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, list[tuple[float, float]]]:
+    """Least-squares slope of ``log C_emp(p)`` against ``log p`` over
+    ``p = 1, 1/2, 1/4, 1/8``; the zero-free theory predicts a slope near 2."""
+    _, _, c_emp = nonvanishing_bound_check(f, _CP_PS, grid)
+    slope = float(np.polyfit(np.log(_CP_PS), np.log(c_emp), 1)[0])
+    return slope, list(zip(_CP_PS, c_emp))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +340,10 @@ def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[Corp
         i = len(out)
         kind = i % 4
         if kind == 0:
-            deg = int(rng.integers(2, 9))
-            roots = []
-            for _ in range(deg):
-                rad = 1.2 + 1.8 * rng.random()
-                ang = 2 * np.pi * rng.random()
-                roots.append(rad * np.exp(1j * ang))
             c = np.array([1.0 + 0j])
-            for w in roots:
-                c = np.convolve(c, np.array([1.0, -1.0 / w]))
+            for _ in range(int(rng.integers(2, 9))):  # roots w of modulus 1.2 to 3
+                w = (1.2 + 1.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                c = np.convolve(c, [1.0, -1.0 / w])
             f = PowerSeries(c).pad(order)
             out.append(CorpusFunction(f"polyfree{i}", f, ("zero-free",)))
         elif kind == 1:

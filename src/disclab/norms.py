@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuadratureGrid, area_integral
+from .grids import QuadratureGrid
 from .series import PowerSeries, dilate, sample_rings
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "bmoa_garsia",
     "bmoa_h2_def",
     "carleson_norm",
-    "area_integral",
 ]
 
 # Dilation radii compared by the divergence heuristic.  An estimate of the

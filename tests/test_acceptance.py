@@ -140,9 +140,7 @@ def test_criterion_5_identity_suites(grid):
         c = np.array([1.0 + 0j])
         for w in roots:
             c = np.convolve(c, [1.0, -1.0 / w])
-        f = PowerSeries(c)
-        for p in (0.5, 1.0, 2.0, 4.0):
-            worst_hss = max(worst_hss, hss_residual(f, p, grid))
+        worst_hss = max(worst_hss, *hss_residual(PowerSeries(c), (0.5, 1.0, 2.0, 4.0), grid))
     assert worst_hss < 1e-6
     # Green-type identity for standard weights
     worst_green = 0.0
@@ -188,19 +186,19 @@ def test_criterion_6_standard_kernels():
 def test_criterion_7_two_sided_hardy_comparison(grid):
     corpus = default_corpus(seed=7, count=30)
 
+    ps = np.array([0.5, 1.0, 2.0, 4.0, 6.0])
+    low, high = ps <= 2.0, ps >= 2.0
+
     def constants(g):
         c_low = 0.0
         c_high = 0.0
         for cf in corpus:
-            for k in (1, 2):
-                for p in (0.5, 1.0, 2.0):
-                    lhs, rhs = prop_main_sides(cf.series, p, k, g)
-                    assert rhs > 0.0
-                    c_low = max(c_low, lhs / rhs)
-                for p in (2.0, 4.0, 6.0):
-                    lhs, rhs = prop_main_sides(cf.series, p, k, g)
-                    assert lhs > 0.0
-                    c_high = max(c_high, rhs / lhs)
+            # rows p, columns k in (1, 2), all from one sampling
+            lhs, rhs = np.array(prop_main_sides(cf.series, ps, (1, 2), g))
+            assert np.all(rhs[low] > 0.0)
+            c_low = max(c_low, float(np.max(lhs[low] / rhs[low])))
+            assert np.all(lhs[high] > 0.0)
+            c_high = max(c_high, float(np.max(rhs[high] / lhs[high])))
         return c_low, c_high
 
     base = constants(grid)
@@ -275,7 +273,7 @@ def test_criterion_9_partition_bounds():
 def test_criterion_10_zero_free_constant_scaling(grid):
     lin = np.zeros(41, dtype=complex)
     lin[1] = 0.1
-    slope, track = fit_cp_exponent(exp_series(PowerSeries(lin)), grid, ps=(1.0, 0.5, 0.25, 0.125))
+    slope, track = fit_cp_exponent(exp_series(PowerSeries(lin)), grid)
     assert 1.5 <= slope <= 2.5
     print(f"ACCEPTANCE 10 PASS: fitted C(p) exponent {slope:.3f} in [1.5, 2.5]")
 

@@ -94,6 +94,14 @@ class TestCommands:
         assert code == 0
         assert json.loads(text)["results"]["max_residual"] < 1e-8
 
+    @pytest.mark.parametrize("seed", ["7", "1609"])
+    def test_identities_hss_inputs_are_zero_free(self, seed, tmp_path):
+        # roots of modulus >= 1.2: the residual is the identity's quadrature
+        # error, not the p < 2 error near a zero inside the disc
+        code, text = run_to_file(tmp_path, "h.json", ["--seed", seed, "identities", "--suite", "hss"])
+        assert code == 0
+        assert json.loads(text)["results"]["max_residual"] < 1e-6
+
     def test_solve_reports_reference_error(self, tmp_path):
         code, text = run_to_file(tmp_path, "s.json", ["--order", "80", "solve", "--example", "exp-singular"])
         body = json.loads(text)

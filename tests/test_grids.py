@@ -1,12 +1,13 @@
-"""The shift-invariant centre sweep engine, the blocked ring sampling and
-the two-pass dilation protocol against the per-centre, per-ring and
-per-dilation loops they replaced.
+"""The shift-invariant centre sweep engine, the blocked ring sampling, the
+stacked Hardy-comparison sampling and the two-pass dilation protocol
+against the per-centre, per-ring, per-(p, k) and per-dilation loops they
+replaced.
 
 The oracles below are the straightforward passes: one weight matrix per
 Moebius centre or Carleson square over the full node matrix, one
-``np.add.at`` fold and 1-d inverse FFT per ring, and five single-dilation
-runs per estimate.  They live here only, as the slow paths the fast ones
-are checked against.
+``np.add.at`` fold and 1-d inverse FFT per ring, one sampling of f and
+f^(k) per (p, k) call, and five single-dilation runs per estimate.  They
+live here only, as the slow paths the fast ones are checked against.
 """
 
 from unittest import mock
@@ -32,7 +33,7 @@ from disclab.conditions import (
     order3_area,
     order3_growth,
 )
-from disclab.hardy import _ratio_ring_means
+from disclab.hardy import _ratio_ring_means, hss_residual, nonvanishing_bound_check, prop_main_sides
 from disclab.norms import (
     _weighted_sup,
     bloch_norm,
@@ -41,8 +42,9 @@ from disclab.norms import (
     carleson_norm,
     growth_norm,
     hp_norm,
+    mp_mean,
 )
-from disclab.series import PowerSeries, dilate
+from disclab.series import PowerSeries, dilate, ring_blocks, sample_circle, sample_rings
 
 REL = 1e-12
 
@@ -280,6 +282,44 @@ def oracle_ratio_ring_means(f, k, p, grid, upsample):
     return means, shifted
 
 
+def reference_ratio_ring_means(f, k, p, grid, upsample=None):
+    """The blocked pass of one (p, k) that the stacked one replaced: f and
+    f^(k) resampled for every call."""
+    df = f.derivative(k)
+    if upsample is None:
+        if p >= 2:
+            upsample = 1
+        else:
+            outer = np.abs(sample_circle(f, grid.r_max, grid.angular))
+            scale = float(np.max(np.abs(f.coeffs))) + 1e-30
+            upsample = 1 if float(np.min(outer)) > 1e-3 * scale else 8
+    M = upsample * grid.angular
+    step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
+    means = np.empty(grid.radii.size)
+    for block in ring_blocks(grid.radii.size, f.order, M):
+        r = grid.radii[block].copy()
+        fv = np.abs(sample_rings(f, r, M))
+        if p < 2:
+            hit = np.any(fv == 0.0, axis=1)
+            if np.any(hit):
+                r[hit] = np.minimum(r[hit] + step, 1.0 - 1e-12)
+                fv[hit] = np.abs(sample_rings(f, r[hit], M))
+        dv = np.abs(sample_rings(df, r, M))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(fv > 0.0, fv ** (p - 2.0) * dv**2, 0.0)
+        means[block] = np.mean(vals, axis=1)
+    return means
+
+
+def reference_prop_main_sides(f, p, k, grid):
+    """The per-call comparison the stacked one replaced."""
+    hp = mp_mean(f, 1.0, p, 2048) ** p
+    means = reference_ratio_ring_means(f, k, p, grid)
+    area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** (2 * k - 1))
+    inits = sum(abs(f.derivative(j).coeffs[0]) ** p if j else abs(f.coeffs[0]) ** p for j in range(k))
+    return float(hp), float(area + inits)
+
+
 def oracle_weighted_sup(f, weight, grid):
     best = abs(f.coeffs[0]) * float(weight(0.0))
     for r in grid.sup_radii[grid.sup_radii > 0]:
@@ -338,32 +378,63 @@ def test_stacked_sample_folded_matches_per_series_calls(case, k, power):
         assert_rel(field, oracle_sample_folded(grid, f, power))
 
 
+exponents = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4)
+orders = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+def assert_matches_per_call(got, f, ks, ps, grid, upsample):
+    # each (k, p) entry equals the per-call pass bit for bit, and the
+    # per-ring loop to rounding (the loop needs the angular size given)
+    assert got.shape == (len(ks), len(ps), grid.radii.size)
+    for i, k in enumerate(ks):
+        for j, p in enumerate(ps):
+            assert np.array_equal(got[i, j], reference_ratio_ring_means(f, k, p, grid, upsample))
+            if upsample is not None:
+                assert_rel(got[i, j], oracle_ratio_ring_means(f, k, p, grid, upsample)[0])
+
+
 @settings(max_examples=40, deadline=None)
-@given(sampled_cases(), st.integers(1, 3), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
-       st.sampled_from([1, 2, 8]))
-def test_ratio_ring_means_match_per_ring_loop(case, k, p, upsample):
+@given(sampled_cases(), orders, exponents, st.sampled_from([1, 2, 8, None]))
+def test_ratio_ring_means_match_per_ring_loop(case, ks, ps, upsample):
+    # the buffer holds `rows` rings of the stack [f, f^(k) for k in ks]
     spec, order, rows, seed = case
     grid = QuadratureGrid(**spec)
     f = random_series(order, seed)
-    with blocks_of(rows, order, upsample * grid.angular):
-        got = _ratio_ring_means(f, k, p, grid, upsample)
-    assert_rel(got, oracle_ratio_ring_means(f, k, p, grid, upsample)[0])
+    with blocks_of(rows, order, (upsample or 1) * grid.angular, 1 + len(ks)):
+        got = _ratio_ring_means(f, ks, ps, grid, upsample)
+    assert_matches_per_call(got, f, ks, ps, grid, upsample)
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid_specs(), st.data(), st.integers(1, 7), st.sampled_from([0.5, 1.0, 1.5]),
-       st.sampled_from([1, 8]))
-def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, p, upsample):
+@given(grid_specs(), st.data(), st.integers(1, 7), orders,
+       exponents.filter(lambda ps: min(ps) < 2), st.sampled_from([1, 8]))
+def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, ks, ps, upsample):
     # f = z - r_i vanishes exactly at the node r_i of angle 0: that ring
-    # (and any other hit) moves half a radial step outward
+    # (and any other hit) moves half a radial step outward for p < 2 only
     grid = QuadratureGrid(**spec)
     i = data.draw(st.integers(0, grid.radii.size - 1))
     f = PowerSeries([-grid.radii[i], 1.0]).pad(data.draw(st.integers(1, 3 * grid.angular)))
-    want, shifted = oracle_ratio_ring_means(f, 1, p, grid, upsample)
-    assert shifted >= 1
-    with blocks_of(rows, f.order, upsample * grid.angular):
-        got = _ratio_ring_means(f, 1, p, grid, upsample)
-    assert_rel(got, want)
+    assert oracle_ratio_ring_means(f, 1, min(ps), grid, upsample)[1] >= 1
+    with blocks_of(rows, f.order, upsample * grid.angular, 1 + len(ks)):
+        got = _ratio_ring_means(f, ks, ps, grid, upsample)
+    assert_matches_per_call(got, f, ks, ps, grid, upsample)
+
+
+def test_sequence_calls_match_scalar_calls(small_grid):
+    # a zero-free input, and one with a zero just outside r_max: for p < 2
+    # the second is sampled at 8x the angular rule, for p >= 2 at 1x
+    ps, ks = [0.5, 1.0, 2.0, 3.0], [1, 2, 3]
+    free = PowerSeries([1.0, 0.4, -0.3, 0.2, 0.1]).pad(40)
+    for f in (free, PowerSeries([-0.9995, 1.0]).pad(40)):
+        lhs, rhs = prop_main_sides(f, ps, ks, small_grid)
+        assert np.shape(lhs) == np.shape(rhs) == (len(ps), len(ks))
+        for j, p in enumerate(ps):
+            for i, k in enumerate(ks):
+                want = prop_main_sides(f, p, k, small_grid)
+                assert (lhs[j][i], rhs[j][i]) == want == reference_prop_main_sides(f, p, k, small_grid)
+        assert hss_residual(f, ps, small_grid) == [hss_residual(f, p, small_grid) for p in ps]
+    sides = nonvanishing_bound_check(free, ps, small_grid)
+    assert list(zip(*sides)) == [nonvanishing_bound_check(free, p, small_grid) for p in ps]
 
 
 @settings(max_examples=40, deadline=None)

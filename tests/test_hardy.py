@@ -52,7 +52,7 @@ class TestHardySteinSpencer:
     def test_refinement_convergence(self, grid, small_grid):
         f = PowerSeries([1.0, 0.4, -0.3, 0.2, 0.1])
         for p in (0.5, 1.0, 2.0, 4.0):
-            coarse = hss_residual(f, p, small_grid, boundary_M=256)
+            coarse = hss_residual(f, p, small_grid)
             fine = hss_residual(f, p, grid)
             assert fine <= coarse + 1e-12
             assert fine < 1e-8

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from disclab import QuadratureGrid
 from disclab.cli import parse_function
-from disclab.grids import area_integral
 from disclab.norms import (
     NormEstimate,
     bloch_norm,
@@ -32,23 +31,27 @@ def log_e_series(zeta: complex, order: int = 256) -> PowerSeries:
 
 class TestAreaIntegral:
     def test_unit_mass(self, grid):
-        val = area_integral(lambda z: np.ones(z.shape), grid)
+        z = grid.nodes()
+        val = grid.integrate(np.ones(z.shape))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_weight(self, grid):
-        val = area_integral(lambda z: (1 - np.abs(z) ** 2) ** 3, grid)
+        z = grid.nodes()
+        val = grid.integrate((1 - np.abs(z) ** 2) ** 3)
         assert val == pytest.approx(0.25, abs=1e-10)
 
     def test_log_weight(self, grid):
-        val = area_integral(lambda z: np.log(1 / np.abs(z)), grid)
+        z = grid.nodes()
+        val = grid.integrate(np.log(1 / np.abs(z)))
         assert val == pytest.approx(0.5, abs=1e-8)
 
     def test_linear_and_monotone(self, grid):
-        f = grid.sample(lambda z: np.abs(z) ** 2)
-        g = grid.sample(lambda z: (1 - np.abs(z) ** 2))
-        lhs = area_integral(2.0 * f + 3.0 * g, grid)
-        assert lhs == pytest.approx(2 * area_integral(f, grid) + 3 * area_integral(g, grid))
-        assert area_integral(f + g, grid) >= area_integral(f, grid)
+        z = grid.nodes()
+        f = np.abs(z) ** 2
+        g = 1 - np.abs(z) ** 2
+        lhs = grid.integrate(2.0 * f + 3.0 * g)
+        assert lhs == pytest.approx(2 * grid.integrate(f) + 3 * grid.integrate(g))
+        assert grid.integrate(f + g) >= grid.integrate(f)
 
 
 class TestMpMean:
@@ -228,8 +231,9 @@ class TestCarleson:
             inside = (r > 0.93) & (r < 0.98) & (np.abs(th) < half / 2)
             return np.where(inside, 1.0, 0.0)
 
-        mass = area_integral(bump, grid)
-        est = carleson_norm(bump(grid.nodes()), grid)
+        density = bump(grid.nodes())
+        mass = grid.integrate(density)
+        est = carleson_norm(density, grid)
         assert est.value == pytest.approx(mass / (1 - a), rel=0.05)
 
     def test_negative_density_rejected(self, grid):
