@@ -217,6 +217,9 @@ class QuadratureGrid:
         out = np.empty(shape, dtype=np.result_type(fields, 1.0))
         g = math.gcd(M, P)
         step, stride, k = M // g, P // g, np.arange(M)
+        # phases j, j + stride, ... share one offset f_j and so one sin^2 row
+        offsets = [divmod(j * M, P) for j in range(stride)]
+        sin2 = [np.sin(np.pi * (k * P - f) / (M * P)) ** 2 for _, f in offsets]
         for lo in range(0, self.radii.size, _SWEEP_RINGS):
             block = slice(lo, lo + _SWEEP_RINGS)
             rho = self.radii[block]
@@ -227,10 +230,8 @@ class QuadratureGrid:
             kernel = wrapped[:, :M]
             for b, s in enumerate(ring_radii):
                 sr = s * rho
-                for j in range(stride):  # phases j, j + stride, ... share one offset
-                    m, f = divmod(j * M, P)
-                    sin2 = np.sin(np.pi * (k * P - f) / (M * P)) ** 2
-                    np.multiply((4.0 * sr)[:, None], sin2[None, :], out=kernel)
+                for j, (m, _) in enumerate(offsets):
+                    np.multiply((4.0 * sr)[:, None], sin2[j][None, :], out=kernel)
                     kernel += ((1.0 - sr) ** 2)[:, None]
                     np.divide(1.0 - s * s, kernel, out=kernel)
                     wrapped[:, M:] = kernel
@@ -278,19 +279,24 @@ class QuadratureGrid:
         an upsampled circle (factor up to 16) and averaged over the angular
         cell around each node.  The cell mass is exact, so boundary peaks of
         high-order singular coefficients are neither missed nor
-        double-counted by coarser sweeps.  Each block of upsampled rings
-        (:func:`~disclab.series.ring_blocks`, the whole stack counted) is
-        reduced to the node cells before the next is sampled, so the
-        radii x upsampled-angles matrix is never built.
+        double-counted by coarser sweeps.  The cells are centred on the
+        nodes by rotating the series, ``c_n exp(-2 pi i n (up//2) / M)``,
+        which shifts every upsampled ring by ``up//2`` samples (exactly, also
+        when the rings fold modulo ``M``), and a cell's mean is one
+        matrix-vector product with ``(1/up, ..., 1/up)``.  Each block of
+        upsampled rings (:func:`~disclab.series.ring_blocks`, the whole stack
+        counted) is reduced to the node cells before the next is sampled, so
+        the radii x upsampled-angles matrix is never built.
         """
         fs = [f] if isinstance(f, PowerSeries) else list(f)
         up = int(np.ceil((2 * fs[0].order + 2) / self.angular))
         up = min(max(up, 1), 16)
         M = up * self.angular
+        turn = np.exp(-2j * np.pi * (up // 2) * np.arange(fs[0].order + 1) / M)
+        fs = [PowerSeries(g.coeffs * turn) for g in fs]  # centre cells on the nodes
         out = np.empty((len(fs), self.radii.size, self.angular))
         for block in ring_blocks(self.radii.size, fs[0].order, M, len(fs)):
             vals = np.abs(sample_rings(fs, self.radii[block], M)) ** power
-            vals = np.roll(vals, up // 2, axis=-1)  # centre cells on the nodes
-            out[:, block] = vals.reshape(len(fs), -1, self.angular, up).mean(axis=-1)
+            out[:, block] = vals.reshape(len(fs), -1, self.angular, up) @ np.full(up, 1.0 / up)
         return out[0] if isinstance(f, PowerSeries) else out
 

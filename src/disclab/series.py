@@ -174,7 +174,8 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-# Bound on the complex buffer of one block of rings in sample_rings.
+# Bound on the complex buffer that sample_rings fills for a block of rings;
+# one buffer serves every full block, so a call allocates it at most twice.
 _BLOCK_BYTES = 8 * 2**20
 
 
@@ -200,9 +201,15 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
     inverse FFT gives the ring, which is exact for the stored polynomial.
     Rings go in blocks (see :func:`ring_blocks`): one ``r[:, None] ** n``
     table shared by the whole stack, one fold and one ``ifft`` along the
-    rows per block, the block's complex buffer (series x rings x order
-    rounded up to a multiple of ``M``) kept at 8 MB or less, one ring when
-    a single ring needs more.
+    rows per block.  One zero-padded complex buffer (series x rings x order
+    rounded up to a multiple of ``M``) serves every block; a short last
+    block gets its own.  Powers are formed only below a block's underflow
+    cut ``n < 1075 / -log2(max r) + 2``, beyond which ``r**n`` is exactly
+    0; the buffer from the cut to the order is zeroed, as a block before
+    may have filled it.  ``ifft`` writes into the output, which is scaled
+    by ``M`` in place there to give the unnormalised sum.  Rows are
+    bit-identical to ``M * ifft`` of the fully scaled, folded coefficients
+    of each ring alone.
     ``r = 1`` is allowed: a truncated series is a polynomial, continuous on
     the closed disc, and the boundary circle is where Hardy-space means
     live.  Every radius must lie in (0, 1]; NaN is rejected.
@@ -222,14 +229,19 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
     n = np.arange(size)
     folds = -(-size // M)
     out = np.empty((k, r.size, M), dtype=complex)
+    scaled = None
     for block in ring_blocks(r.size, size - 1, M, k):
         rb = r[block]
-        scaled = np.zeros((k, rb.size, folds, M), dtype=complex)
-        np.multiply(c[:, None], rb[:, None] ** n, out=scaled.reshape(k, rb.size, -1)[:, :, :size])
-        folded = scaled[:, :, 0]
+        if scaled is None or scaled.shape[1] != rb.size:
+            scaled = np.zeros((k, rb.size, folds * M), dtype=complex)
+        live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
+        np.multiply(c[:, None, :live], rb[:, None] ** n[:live], out=scaled[:, :, :live])
+        scaled[:, :, live:size] = 0.0
+        folded = scaled[:, :, :M]
         for j in range(1, folds):
-            folded += scaled[:, :, j]
-        out[:, block] = M * np.fft.ifft(folded, axis=-1)
+            folded += scaled[:, :, j * M : (j + 1) * M]
+        np.fft.ifft(folded, axis=-1, out=out[:, block])
+        out[:, block] *= M
     return out[0] if isinstance(f, PowerSeries) else out
 
 

@@ -332,9 +332,12 @@ def oracle_weighted_sup(f, weight, grid):
 def sampled_cases(draw):
     """A small grid, a series whose order falls below or above the angular
     rule (so sample_folded upsamples and sample_rings folds), a block
-    buffer holding 1 to 7 rings, and a seed."""
+    buffer holding 1 to 7 rings, and a seed.  Orders above 8x the angular
+    rule meet the 16x cap on upsampling; from 16x on, the upsampled rings
+    fold too."""
     spec = draw(grid_specs())
-    order = draw(st.integers(0, 6 * spec["angular"]))
+    A = spec["angular"]
+    order = draw(st.integers(0, 6 * A) | st.integers(8 * A, 20 * A))
     rows = draw(st.integers(1, 7))
     return spec, order, rows, draw(st.integers(0, 2**32 - 1))
 
@@ -351,15 +354,22 @@ def random_series(order, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@example(case=(dict(SMALL, angular=8, a_radii=(0.5,), a_angles=3), 200, 3, 0), power=2.0)  # capped, folded
+@example(case=(dict(SMALL, angular=40, a_radii=(0.5,), a_angles=3), 19, 2, 1), power=0.5)  # up == 1
 @given(sampled_cases(), st.sampled_from([1.0, 2.0, 0.5, 3.0]))
 def test_sample_folded_matches_per_ring_loop(case, power):
+    # the cells are centred by rotating the coefficients, the oracle rolls
+    # the samples: the two agree to rounding, and exactly without upsampling
     spec, order, rows, seed = case
     grid = QuadratureGrid(**spec)
     f = random_series(order, seed)
     up = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16)
     with blocks_of(rows, order, up * grid.angular):
         got = grid.sample_folded(f, power=power)
-    assert_rel(got, oracle_sample_folded(grid, f, power))
+    want = oracle_sample_folded(grid, f, power)
+    assert_rel(got, want)
+    if up == 1:
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disclab import QuadratureGrid, series
@@ -151,16 +151,28 @@ def oracle_sample_circle(f, r, M):
     return M * np.fft.ifft(folded)
 
 
+# the default grid's innermost radial node
+INNERMOST = QuadratureGrid().radii[0]
+
+
 @st.composite
 def ring_cases(draw):
     """A series, radii (r = 1 included at times) and a node count M; the
-    order falls below or above M, so the fold modulo M is exercised."""
+    order falls below or above M, so the fold modulo M is exercised.  The
+    radii come in no order, uniform on (1e-3, 1) or log-uniform down to
+    INNERMOST, and the order may pass the underflow cut of r**n for all but
+    the outer radii: blocks of one buffer then zero more or fewer powers
+    than the block before them."""
     M = draw(st.integers(1, 40))
-    order = draw(st.integers(0, 5 * M + 3))
+    order = draw(st.integers(0, 5 * M + 3) | st.integers(0, 1500))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     f = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
-    radii = list(rng.uniform(1e-3, 1.0, draw(st.integers(0, 11))))
+    count = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        radii = list(rng.uniform(1e-3, 1.0, count))
+    else:
+        radii = list(INNERMOST ** rng.uniform(0.0, 1.0, count))
     if draw(st.booleans()):
         radii.insert(draw(st.integers(0, len(radii))), 1.0)
     return f, radii, M
@@ -177,8 +189,20 @@ def stack_cases(draw):
     return fs, radii, M
 
 
+# one ring per block, underflow cuts of none, 1077, 109, 41, 464 and none:
+# the third and fourth blocks reuse a buffer whose tail the block before
+# them filled further
+UNDERFLOW_CASE = (
+    PowerSeries(np.random.default_rng(3).normal(size=1500) + 0.5j),
+    [0.9999999, 0.5, 1e-3, INNERMOST, 0.2, 1.0],
+    64,
+)
+
+
 class TestSampleRings:
     @settings(max_examples=150, deadline=None)
+    @example(case=UNDERFLOW_CASE, rows=1)
+    @example(case=UNDERFLOW_CASE, rows=4)
     @given(ring_cases(), st.integers(1, 5))
     def test_bit_identical_to_one_ring_sampler(self, case, rows):
         # the block buffer is shrunk so that blocks hold `rows` rings (one
@@ -194,6 +218,14 @@ class TestSampleRings:
         assert got.shape == (len(radii), M)
         want = np.array([oracle_sample_circle(f, float(r), M) for r in radii]).reshape(-1, M)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [INNERMOST, 1e-3, 0.2, 0.5, 0.9])
+    def test_underflow_cut_keeps_the_last_nonzero_power(self, r):
+        # z**n for the last n with r**n > 0 (a subnormal): on one node the
+        # ring is r**n itself, so a cut one power too early reads 0
+        n = int(np.flatnonzero(r ** np.arange(8000))[-1])
+        f = PowerSeries([0.0] * n + [1.0, 0.0, 0.0])
+        assert sample_rings(f, [r], 1)[0, 0] == r**n > 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(stack_cases(), st.integers(1, 5))
