@@ -431,7 +431,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=5)
 
     sp = sub.add_parser("hardy", help="two-sided Hardy comparison over a corpus")
-    sp.add_argument("--corpus", help="corpus manifest JSON path (default: built-in)")
+    sp.add_argument("--corpus", help='corpus manifest JSON path (default: built-in): '
+                    '{"functions": [{"name": ..., "coeffs": [[re, im], ...], "tags": [...]}, ...]}')
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--k", type=int, default=1)
 

@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
-from .series import PowerSeries, reciprocal_series, ring_blocks, sample_circle, sample_rings
+from .series import PowerSeries, reciprocal_series, ring_blocks, sample_blocks, sample_circle
 
 __all__ = [
     "ConditionReport",
@@ -245,12 +245,14 @@ def cauchy_bound(A: PowerSeries, r: float, z: complex, angular_count: int = 256)
 
 def _h1_inner_fields(A: PowerSeries, r: float, grid: QuadratureGrid, t_count: int):
     """Node matrix of ``(1/2pi) int_0^{2pi} |int_0^z A(r zeta)/(1 - e^{-it} zeta) dzeta| dt``;
-    the primitives of a block of ``t`` are sampled as one stack."""
+    the primitives of a block of ``t`` are sampled as one stack, and each
+    ring block of :func:`~disclab.series.sample_blocks` is summed over the
+    stack before the next."""
     acc = np.zeros((grid.radii.size, grid.angular))
     for prod in _cauchy_products(A, r, t_count):
         prims = [PowerSeries(row).antiderivative(0.0) for row in prod]
-        for block in ring_blocks(grid.radii.size, A.order + 1, grid.angular, len(prims)):
-            acc[block] += np.abs(sample_rings(prims, grid.radii[block], grid.angular)).sum(axis=0)
+        for block, values in sample_blocks(prims, grid.radii, grid.angular):
+            acc[block] += np.abs(values, out=values).real.sum(axis=0)  # the block is ours until the next
     return acc / t_count
 
 

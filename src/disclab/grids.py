@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
-from .series import PowerSeries, ring_blocks, sample_rings
+from .series import PowerSeries, sample_blocks, sample_rings
 
 __all__ = ["QuadratureGrid"]
 
@@ -284,9 +284,9 @@ class QuadratureGrid:
         which shifts every upsampled ring by ``up//2`` samples (exactly, also
         when the rings fold modulo ``M``), and a cell's mean is one
         matrix-vector product with ``(1/up, ..., 1/up)``.  Each block of
-        upsampled rings (:func:`~disclab.series.ring_blocks`, the whole stack
-        counted) is reduced to the node cells before the next is sampled, so
-        the radii x upsampled-angles matrix is never built.
+        upsampled rings from :func:`~disclab.series.sample_blocks` is
+        reduced to the node cells before the next is sampled, so the radii x
+        upsampled-angles matrix is never built.
         """
         fs = [f] if isinstance(f, PowerSeries) else list(f)
         up = int(np.ceil((2 * fs[0].order + 2) / self.angular))
@@ -295,8 +295,8 @@ class QuadratureGrid:
         turn = np.exp(-2j * np.pi * (up // 2) * np.arange(fs[0].order + 1) / M)
         fs = [PowerSeries(g.coeffs * turn) for g in fs]  # centre cells on the nodes
         out = np.empty((len(fs), self.radii.size, self.angular))
-        for block in ring_blocks(self.radii.size, fs[0].order, M, len(fs)):
-            vals = np.abs(sample_rings(fs, self.radii[block], M)) ** power
+        for block, values in sample_blocks(fs, self.radii, M):
+            vals = np.abs(values, out=values).real ** power  # the block is ours until the next
             out[:, block] = vals.reshape(len(fs), -1, self.angular, up) @ np.full(up, 1.0 / up)
         return out[0] if isinstance(f, PowerSeries) else out
 

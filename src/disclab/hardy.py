@@ -33,7 +33,7 @@ from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, pow_series, ring_blocks, sample_circle, sample_rings
+from .series import PowerSeries, exp_series, pow_series, sample_blocks, sample_circle, sample_rings
 
 __all__ = [
     "NontangentialParams",
@@ -48,7 +48,6 @@ __all__ = [
     "MembershipReport",
     "CorpusFunction",
     "default_corpus",
-    "corpus_to_manifest",
     "corpus_from_manifest",
 ]
 
@@ -78,8 +77,8 @@ def _ratio_ring_means(
     ``(len(ks), len(ps), radii)``: one sampling serves every ``(p, k)``.
 
     The stack ``[f, f^{(k)} for k in ks]`` (derivatives padded to f's
-    order) is sampled once per angular size, one block
-    (:func:`~disclab.series.ring_blocks`) at a time, and every p is reduced
+    order) is sampled once per angular size, one block of
+    :func:`~disclab.series.sample_blocks` at a time, and every p is reduced
     from the same block.  For p < 2 the integrand is singular at zeros of
     f: a ring on which f vanishes exactly at a sample moves half a radial
     step outward (limiting value 0 when the derivative vanishes too), and
@@ -99,13 +98,13 @@ def _ratio_ring_means(
     means = np.empty((len(ks), len(ps), grid.radii.size))
     for M in sorted(set(sizes)):
         cols = [j for j, m in enumerate(sizes) if m == M]
-        for block in ring_blocks(grid.radii.size, f.order, M, len(stack)):
-            r = grid.radii[block]
-            vals = moved = np.abs(sample_rings(stack, r, M))
+        for block, values in sample_blocks(stack, grid.radii, M):
+            vals = moved = np.abs(values, out=values).real  # the block is ours until the next
             hit = np.any(vals[0] == 0.0, axis=1)
             if np.any(hit) and min(ps[j] for j in cols) < 2:
                 moved = vals.copy()
-                moved[:, hit] = np.abs(sample_rings(stack, np.minimum(r[hit] + step, 1.0 - 1e-12), M))
+                r = np.minimum(grid.radii[block][hit] + step, 1.0 - 1e-12)
+                moved[:, hit] = np.abs(sample_rings(stack, r, M))
             for j in cols:
                 v = moved if ps[j] < 2 else vals
                 ratio = np.where(v[0] > 0.0, v[0] ** (ps[j] - 2.0) * v[1:] ** 2, 0.0)
@@ -374,23 +373,23 @@ def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[Corp
     return out
 
 
-def corpus_to_manifest(corpus: list[CorpusFunction]) -> str:
-    items = []
-    for cf in corpus:
-        items.append(
-            {
-                "name": cf.name,
-                "tags": list(cf.tags),
-                "coeffs": [[float(c.real), float(c.imag)] for c in cf.series.coeffs],
-            }
-        )
-    return json.dumps({"schema": 1, "functions": items}, indent=1, sort_keys=True)
-
-
 def corpus_from_manifest(text: str) -> list[CorpusFunction]:
+    """The corpus of a JSON manifest ``{"functions": [{"name": "...",
+    "coeffs": [[re, im], ...], "tags": ["...", ...]}, ...]}``: one or more
+    functions, each a name, Taylor coefficients ``c_0, c_1, ...`` as
+    ``[re, im]`` pairs and optional tags; other keys are ignored.  Anything
+    else raises :class:`ValueError` with a one-line message."""
     data = json.loads(text)
+    items = data.get("functions") if isinstance(data, dict) else None
+    if not isinstance(items, list) or not items:
+        raise ValueError('corpus manifest needs a non-empty "functions" list')
     out = []
-    for item in data["functions"]:
-        coeffs = [complex(re, im) for re, im in item["coeffs"]]
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and isinstance(item.get("name"), str) and isinstance(item.get("tags", []), list)):
+            raise ValueError(f'corpus manifest function {i} needs a "name" string and a "tags" list if any')
+        try:
+            coeffs = [complex(re, im) for re, im in item.get("coeffs")]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f'corpus manifest function {i} needs "coeffs" as [re, im] number pairs') from None
         out.append(CorpusFunction(item["name"], PowerSeries(coeffs), tuple(item.get("tags", ()))))
     return out

@@ -118,24 +118,22 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
 
     A relative monotonicity violation beyond 1e-6 raises
     :class:`QuadratureError`: it means the angular rule no longer resolves
-    the integrand.
+    the integrand.  The input and its dilations are sampled as one stack.
     """
+    if p <= 0:
+        raise ValueError("p must be positive")
 
     def run(g: QuadratureGrid, fs):
         radii = g.sup_radii[g.sup_radii > 0]
-        out = []
-        for i, fr in enumerate(fs):
-            means = np.array(mp_means(fr, radii, p, g.angular))
-            if i == 0:  # the undilated input
-                drops = means[:-1] - means[1:]
-                rel = float(np.max(drops / np.maximum(means[:-1], 1e-30))) if drops.size else 0.0
-                if rel > 1e-6:
-                    raise QuadratureError(
-                        "integral means decreased along the radial profile; "
-                        "angular resolution too coarse for this integrand"
-                    )
-            out.append(float(means[-1]))
-        return out
+        means = np.mean(np.abs(sample_rings(fs, radii, g.angular)) ** p, axis=-1) ** (1.0 / p)
+        drops = means[0, :-1] - means[0, 1:]  # the undilated input
+        rel = float(np.max(drops / np.maximum(means[0, :-1], 1e-30))) if drops.size else 0.0
+        if rel > 1e-6:
+            raise QuadratureError(
+                "integral means decreased along the radial profile; "
+                "angular resolution too coarse for this integrand"
+            )
+        return means[:, -1]
 
     return dilation_estimate(run, grid, f)
 

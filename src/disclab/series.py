@@ -23,6 +23,7 @@ __all__ = [
     "PowerSeries",
     "sample_circle",
     "sample_rings",
+    "sample_blocks",
     "ring_blocks",
     "compose_moebius",
     "exp_series",
@@ -174,45 +175,51 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-# Bound on the complex buffer that sample_rings fills for a block of rings;
-# one buffer serves every full block, so a call allocates it at most twice.
+# Bound on the complex fold buffer of sample_blocks: it decides how many rings
+# go in a block, and one buffer serves every block of a call.
 _BLOCK_BYTES = 8 * 2**20
 
 
 def ring_blocks(rings: int, order: int, M: int, k: int = 1) -> list[slice]:
-    """Consecutive slices of ``range(rings)``, each as many rings as one
-    block of :func:`sample_rings` holds for a stack of ``k`` series of this
-    ``order``; callers that reduce samples ring by ring use them to reduce
-    each block before the next is sampled."""
+    """Consecutive slices of ``range(rings)``, each as many rows of
+    ``order + 1`` coefficients, rounded up to a multiple of ``M``, as fit
+    ``_BLOCK_BYTES`` for a stack of ``k`` series (at least one row): the
+    ring blocks of :func:`sample_blocks`, and any other row blocks of
+    that budget."""
     width = -(-(order + 1) // M) * M
     rows = max(1, _BLOCK_BYTES // (16 * width * k))
     return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
 
 
-def sample_rings(f, radii, M: int) -> np.ndarray:
-    """Values ``f(r * exp(2*pi*i*j/M))``, one row per radius ``r`` in
-    ``radii`` and one column per ``j = 0..M-1``: shape ``(len(radii), M)``.
+def sample_blocks(f, radii, M: int):
+    """The rings of :func:`sample_rings` one block at a time: an iterator
+    of ``(block, values)``, where ``block`` is a slice of ``radii`` (see
+    :func:`ring_blocks`, the whole stack counted) and ``values`` are its
+    rows, shape ``(block rings, M)`` for one series and ``(k, block rings,
+    M)`` for a stack.  Callers reduce each block before the next, so the
+    radii x M samples are never held at once.
 
-    ``f`` is one :class:`PowerSeries` or a sequence of ``k`` series of one
-    order; a stack gives shape ``(k, len(radii), M)``, each row
-    bit-identical to sampling its series alone.
-    Each radius' scaled coefficients ``c_n r**n`` are folded modulo ``M``
-    (``sum_k c_{j+kM} r**(j+kM)``, added in increasing ``k``) and one
-    inverse FFT gives the ring, which is exact for the stored polynomial.
-    Rings go in blocks (see :func:`ring_blocks`): one ``r[:, None] ** n``
-    table shared by the whole stack, one fold and one ``ifft`` along the
-    rows per block.  One zero-padded complex buffer (series x rings x order
-    rounded up to a multiple of ``M``) serves every block; a short last
-    block gets its own.  Powers are formed only below a block's underflow
-    cut ``n < 1075 / -log2(max r) + 2``, beyond which ``r**n`` is exactly
-    0; the buffer from the cut to the order is zeroed, as a block before
-    may have filled it.  ``ifft`` writes into the output, which is scaled
-    by ``M`` in place there to give the unnormalised sum.  Rows are
+    ``values`` is a view into the one zero-padded fold buffer of the call
+    (series x rings x order rounded up to a multiple of ``M``); the next
+    block overwrites it, so consume it first.  Until then it is the
+    caller's: taking ``np.abs(values, out=values)`` in place spares an
+    allocation the size of the block.  A short last block uses the buffer's
+    leading rings.  Per block, one ``r[:, None] ** n`` table is
+    shared by the stack; the scaled coefficients ``c_n r**n`` are folded
+    modulo ``M`` into the first ``M`` columns (``sum_k c_{j+kM}
+    r**(j+kM)``, added in increasing ``k``), and the inverse FFT runs in
+    place there and is scaled by ``M`` to give the unnormalised sum.
+    Powers are formed only below a block's underflow cut ``n < 1075 /
+    -log2(max r) + 2``, beyond which ``r**n`` is exactly 0; the buffer is
+    zeroed from the cut to its end, as the block before may have filled
+    coefficients there and its FFT the padding columns.  Rows are
     bit-identical to ``M * ifft`` of the fully scaled, folded coefficients
     of each ring alone.
-    ``r = 1`` is allowed: a truncated series is a polynomial, continuous on
+
+    The arguments are checked when this is called, before any block:
+    ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
     the closed disc, and the boundary circle is where Hardy-space means
-    live.  Every radius must lie in (0, 1]; NaN is rejected.
+    live); every radius must lie in (0, 1], NaN is rejected.
     """
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1:
@@ -224,25 +231,46 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
     fs = [f] if isinstance(f, PowerSeries) else list(f)
     if not fs or len({g.order for g in fs}) != 1:
         raise ValueError("a stack of series needs one or more series of one order")
-    c = np.stack([g.coeffs for g in fs])
+    return _blocks(np.stack([g.coeffs for g in fs]), r, M, isinstance(f, PowerSeries))
+
+
+def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
+    """The generator behind :func:`sample_blocks`, for the coefficient rows
+    ``c`` of checked arguments; ``single`` drops the stack axis."""
     k, size = c.shape
-    n = np.arange(size)
-    folds = -(-size // M)
-    out = np.empty((k, r.size, M), dtype=complex)
-    scaled = None
-    for block in ring_blocks(r.size, size - 1, M, k):
+    blocks = ring_blocks(r.size, size - 1, M, k)
+    buffer = np.empty((k, blocks[0].stop if blocks else 0, -(-size // M) * M), dtype=complex)
+    for block in blocks:
         rb = r[block]
-        if scaled is None or scaled.shape[1] != rb.size:
-            scaled = np.zeros((k, rb.size, folds * M), dtype=complex)
+        scaled = buffer[:, : rb.size]
         live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
-        np.multiply(c[:, None, :live], rb[:, None] ** n[:live], out=scaled[:, :, :live])
-        scaled[:, :, live:size] = 0.0
+        np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
+        scaled[:, :, live:] = 0.0
         folded = scaled[:, :, :M]
-        for j in range(1, folds):
-            folded += scaled[:, :, j * M : (j + 1) * M]
-        np.fft.ifft(folded, axis=-1, out=out[:, block])
-        out[:, block] *= M
-    return out[0] if isinstance(f, PowerSeries) else out
+        for j in range(M, size, M):
+            folded += scaled[:, :, j : j + M]
+        np.fft.ifft(folded, axis=-1, out=folded)
+        folded *= M
+        yield block, folded[0] if single else folded
+
+
+def sample_rings(f, radii, M: int) -> np.ndarray:
+    """Values ``f(r * exp(2*pi*i*j/M))``, one row per radius ``r`` in
+    ``radii`` and one column per ``j = 0..M-1``: shape ``(len(radii), M)``.
+
+    ``f`` is one :class:`PowerSeries` or a sequence of ``k`` series of one
+    order; a stack gives shape ``(k, len(radii), M)``, each row
+    bit-identical to sampling its series alone.  The rows are those of
+    :func:`sample_blocks` (one fold per ring, the inverse FFT in place in
+    the one fold buffer, zeroed from the underflow cut on), each block
+    copied into the output; the arguments are checked before the output is
+    allocated.  Every radius must lie in (0, 1]; NaN is rejected.
+    """
+    blocks = sample_blocks(f, radii, M)
+    out = np.empty((len(radii), M) if isinstance(f, PowerSeries) else (len(f), len(radii), M), dtype=complex)
+    for block, values in blocks:
+        out[..., block, :] = values
+    return out
 
 
 def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:

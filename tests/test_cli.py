@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disclab
+from disclab import PowerSeries, QuadratureGrid
 from disclab.cli import CONDITIONS, NORMS, parse_function, run
+from disclab.hardy import prop_main_sides
 
 BASE = ["--order", "64", "--angular", "128", "--nodes-per-panel", "4"]
 TINY = ["--order", "64", "--angular", "64", "--nodes-per-panel", "2"]
@@ -147,6 +149,21 @@ class TestCommands:
         assert 1.5 <= body["results"]["fitted_exponent"] <= 2.5
 
 
+    def test_corpus_manifest_sides_are_prop_main_sides(self, tmp_path):
+        fs = {"poly": [[1.0, 0.0], [0.5, -0.25], [0.0, 0.125]], "lin": [[0.5, 0.0], [0.0, 0.3]]}
+        items = [{"name": name, "coeffs": coeffs, "schema": 1} for name, coeffs in fs.items()]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"functions": items}))
+        code, text = run_to_file(tmp_path, "h.json", BASE + ["hardy", "--corpus", str(path), "--p", "1.5", "--k", "2"])
+        assert code == 0
+        rows = json.loads(text)["results"]["functions"]
+        grid = QuadratureGrid(nodes_per_panel=4, angular=128)
+        assert [row["name"] for row in rows] == list(fs)
+        for row, coeffs in zip(rows, fs.values()):
+            lhs, rhs = prop_main_sides(PowerSeries([complex(*c) for c in coeffs]), 1.5, 2, grid)
+            assert (row["hardy_power"], row["area_plus_inits"]) == (lhs, rhs)
+
+
 class TestErrors:
     def test_bad_subcommand_exits_2(self):
         assert run(["definitely-not-a-command"]) == 2
@@ -266,6 +283,34 @@ class TestErrors:
         path.write_text("0.5 2.0\n")
         code, text = run_to_file(tmp_path, "k.json", BASE + ["kernels", "--weight", f"table:{path}"])
         assert code == 0 and json.loads(text)["results"]["moment_identity_gap"] < 1e-10
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ("{}", '"functions" list'),
+            ("[1]", '"functions" list'),
+            ('{"functions": []}', '"functions" list'),
+            ('{"functions": {"name": "f"}}', '"functions" list'),
+            ('{"functions": [1]}', '"name" string'),
+            ('{"functions": [{"coeffs": [[1, 0]]}]}', '"name" string'),
+            ('{"functions": [{"name": 3, "coeffs": [[1, 0]]}]}', '"name" string'),
+            ('{"functions": [{"name": "f", "coeffs": [[1, 0]], "tags": 5}]}', '"tags" list'),
+            ('{"functions": [{"name": "f"}]}', '"coeffs"'),
+            ('{"functions": [{"name": "f", "coeffs": [1, 2]}]}', '"coeffs"'),
+            ('{"functions": [{"name": "f", "coeffs": [[1]]}]}', '"coeffs"'),
+            ('{"functions": [{"name": "f", "coeffs": [["1", 0]]}]}', '"coeffs"'),
+            ('{"functions": [{"name": "f", "coeffs": [[1e999999, 0]]}]}', "finite"),
+            ('{"functions": [{"name": "f", "coeffs": [[1' + "0" * 400 + ', 0]]}]}', '"coeffs"'),
+            ('{"functions": [{"name": "f", "coeffs": []}]}', "non-empty"),
+            ('{"functions": [', ""),  # not JSON
+        ],
+    )
+    def test_bad_corpus_manifest_exits_2_with_one_line(self, manifest, message, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(manifest)
+        assert run(BASE + ["hardy", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "spec",

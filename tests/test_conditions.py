@@ -284,19 +284,20 @@ class TestBmoaH1:
         c, r = 0.8, 0.9
         A = PowerSeries([c]).pad(256)
         rep = bmoa_h1_cond(A, r, small_grid, t_count=48)
-        # oracle: same truncated integrand, path integral by Gauss-Legendre
+        # oracle: same truncated integrand, path integral by Gauss-Legendre;
+        # A(r zeta) is the constant c, so the integrand at zeta = t1 z is the
+        # geometric sum c (1 - x^{N+1}) / (1 - x), x = e^{-it} t1 z
         xs, ws = leggauss(64)
         t01 = (xs + 1) / 2
         nodes = small_grid.nodes()
+        x0 = t01[:, None, None] * nodes
+        tail = t01[:, None, None] ** (A.order + 1) * nodes ** (A.order + 1)
         ts = 2 * np.pi * np.arange(48) / 48
         field = np.zeros(nodes.shape)
         for t in ts:
-            geo = geometric_series(np.exp(-1j * t), A.order)
-            integrand = A * geo  # A(r zeta) is the constant c here
-            vals = np.zeros(nodes.shape, dtype=complex)
-            for t1, w1 in zip(t01, ws):
-                vals += w1 * integrand(t1 * nodes) * nodes / 2
-            field += np.abs(vals)
+            turn = np.exp(-1j * t)
+            integrand = c * (1.0 - turn ** (A.order + 1) * tail) / (1.0 - turn * x0)
+            field += np.abs(np.tensordot(ws, integrand, axes=1) * nodes / 2)
         field /= len(ts)
         best = 0.0
         for a in small_grid.a_grid:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from disclab.hardy import (
     NontangentialParams,
     corpus_from_manifest,
-    corpus_to_manifest,
     default_corpus,
     fit_cp_exponent,
     hp_membership_experiment,
@@ -203,7 +203,11 @@ class TestCorpus:
 
     def test_manifest_round_trip(self, tmp_path):
         corpus = default_corpus(seed=3, count=6)
-        text = corpus_to_manifest(corpus)
+        items = [
+            {"name": cf.name, "tags": list(cf.tags), "coeffs": [[c.real, c.imag] for c in cf.series.coeffs]}
+            for cf in corpus
+        ]
+        text = json.dumps({"functions": items})
         back = corpus_from_manifest(text)
         for x, y in zip(corpus, back):
             assert x.name == y.name and x.tags == y.tags

@@ -19,6 +19,7 @@ from disclab.series import (
     pow_series,
     reciprocal_series,
     ring_blocks,
+    sample_blocks,
     sample_circle,
     sample_rings,
 )
@@ -277,11 +278,53 @@ class TestSampleRings:
             sample_circle(PowerSeries([1.0, 1.0]), bad, 8)
 
     def test_rejects_empty_node_set(self):
-        with pytest.raises(ValueError, match="node"):
-            sample_rings(PowerSeries([1.0]), [0.5], 0)
+        # checked before the output is allocated, which fails otherwise at M < 0
+        for M in (0, -1):
+            with pytest.raises(ValueError, match="node"):
+                sample_rings(PowerSeries([1.0]), [0.5], M)
 
     def test_no_radii_no_rows(self):
         assert sample_rings(PowerSeries([1.0, 2.0]), [], 6).shape == (0, 6)
+
+
+class TestSampleBlocks:
+    @settings(max_examples=100, deadline=None)
+    @example(case=UNDERFLOW_CASE, rows=4)
+    @given(ring_cases(), st.integers(1, 5))
+    def test_every_block_is_the_one_ring_sampler(self, case, rows):
+        # blocks of `rows` rings, a short last one when the count is not a
+        # multiple; each block is checked before the next overwrites it, and
+        # then overwritten by the caller, which the next block must not see
+        f, radii, M = case
+        width = -(-(f.order + 1) // M) * M
+        seen = []
+        with mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * width):
+            for block, values in sample_blocks(f, radii, M):
+                want = [oracle_sample_circle(f, float(r), M) for r in radii[block]]
+                assert values.shape == (len(want), M) and np.array_equal(values, want)
+                values[...] = np.nan
+                seen.append(block)
+        short = len(radii) % rows
+        assert [b.stop - b.start for b in seen] == [rows] * (len(radii) // rows) + ([short] if short else [])
+        assert [i for b in seen for i in range(b.start, b.stop)] == list(range(len(radii)))
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_blocks_share_one_buffer(self, rows):
+        # the values of a block are overwritten by the next: consume first
+        f, radii, M = UNDERFLOW_CASE
+        width = -(-(f.order + 1) // M) * M
+        with mock.patch.object(series, "_BLOCK_BYTES", 3 * rows * 16 * width):
+            views = [values for _, values in sample_blocks([f, f, f], radii, M)]
+        assert len(views) == -(-len(radii) // rows)
+        assert all(np.shares_memory(a, b) for a, b in zip(views, views[1:]))
+
+    def test_arguments_are_checked_before_the_first_block(self):
+        with pytest.raises(ValueError, match="sampling radius"):
+            sample_blocks(PowerSeries([1.0, 1.0]), [0.5, 1.5], 8)
+        with pytest.raises(ValueError, match="node"):
+            sample_blocks(PowerSeries([1.0]), [0.5], 0)
+        with pytest.raises(ValueError, match="one order"):
+            sample_blocks([PowerSeries([1.0]), PowerSeries([1.0, 2.0])], [0.5], 4)
 
 
 @settings(max_examples=300, deadline=None)
