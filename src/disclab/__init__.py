@@ -54,6 +54,7 @@ from .hardy import (
     nt_max,
     prop_main_sides,
     shadow_length,
+    zero_free_polynomial,
 )
 from .norms import (
     NormEstimate,

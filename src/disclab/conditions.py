@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
 from .series import PowerSeries, reciprocal_series, ring_blocks, sample_blocks, sample_circle
+from .weights import RadialWeight
 
 __all__ = [
     "ConditionReport",
@@ -150,18 +150,15 @@ class LacunaryReport:
     moment_ratios: tuple[tuple[int, float], ...]
 
 
+# The weight of the lacunary moments, read on the one panel rule of
+# :mod:`disclab.weights`.
+_LOG_MOMENT_WEIGHT = RadialWeight(lambda r: (1 - r) ** 3 * _log_weight(r) ** 3)
+
+
 def moment_log_integral(n: int) -> float:
-    """``int_0^1 r^n (1-r)^3 log(e/(1-r))^3 dr`` by 39 boundary-refined
-    32-point Gauss panels; behaves like ``(log n)^3 / n^4`` for large n."""
-    x, w = leggauss(32)
-    edges = [0.0] + [1.0 - 2.0**-j for j in range(1, 40)]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r = (hi - lo) / 2 * x + (hi + lo) / 2
-        total += (hi - lo) / 2 * float(
-            np.sum(w * r**n * (1 - r) ** 3 * _log_weight(r) ** 3)
-        )
-    return total
+    """``int_0^1 r^n (1-r)^3 log(e/(1-r))^3 dr``, the n-th moment of that
+    weight on the panel rule; behaves like ``(log n)^3 / n^4`` for large n."""
+    return _LOG_MOMENT_WEIGHT.moment(n)
 
 
 def lacunary_lmoa(coefficients, frequencies) -> LacunaryReport:

@@ -48,6 +48,7 @@ __all__ = [
     "MembershipReport",
     "CorpusFunction",
     "default_corpus",
+    "zero_free_polynomial",
     "corpus_from_manifest",
 ]
 
@@ -119,7 +120,7 @@ def _sides(f: PowerSeries, ks: list[int], p, grid: QuadratureGrid, weight):
     if min(ps) <= 0:
         raise ValueError("p must be positive")
     vals = np.abs(sample_circle(f, 1.0, _BOUNDARY_M))
-    hp = [float(np.mean(vals**q) ** (1.0 / q)) ** q for q in ps]  # mp_mean(f, 1, q) ** q
+    hp = [float(np.mean(vals**q)) for q in ps]
     means = _ratio_ring_means(f, ks, ps, grid)
     area = [[grid.integrate_rings(m * w) for m in row] for row, w in zip(means, map(weight, ks))]
     return ps, hp, np.array(area)
@@ -325,6 +326,17 @@ class CorpusFunction:
     tags: tuple[str, ...] = field(default=())
 
 
+def zero_free_polynomial(rng: np.random.Generator, degree: int) -> PowerSeries:
+    """``prod (1 - z/w)`` over ``degree`` roots ``w`` drawn from ``rng``, each
+    of modulus uniform in [1.2, 3] and uniform phase: zero-free on the
+    closed disc, with value 1 at the origin."""
+    c = np.array([1.0 + 0j])
+    for _ in range(degree):
+        w = (1.2 + 1.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        c = np.convolve(c, [1.0, -1.0 / w])
+    return PowerSeries(c)
+
+
 def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[CorpusFunction]:
     """Deterministic corpus of analytic test functions.
 
@@ -339,11 +351,7 @@ def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[Corp
         i = len(out)
         kind = i % 4
         if kind == 0:
-            c = np.array([1.0 + 0j])
-            for _ in range(int(rng.integers(2, 9))):  # roots w of modulus 1.2 to 3
-                w = (1.2 + 1.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                c = np.convolve(c, [1.0, -1.0 / w])
-            f = PowerSeries(c).pad(order)
+            f = zero_free_polynomial(rng, int(rng.integers(2, 9))).pad(order)
             out.append(CorpusFunction(f"polyfree{i}", f, ("zero-free",)))
         elif kind == 1:
             eps = 0.05 + 0.4 * rng.random()

@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, sample_rings
+from .series import AccuracyWarning, PowerSeries, sample_blocks, sample_rings
 from .specs import parse_spec
 
 __all__ = [
@@ -393,43 +393,36 @@ def pointwise_growth_margin(
 # kernel-based Bloch quantity and the solution bound
 # ---------------------------------------------------------------------------
 
-def _u_rule(grid: QuadratureGrid):
-    """Coarser polar rule (96 angles) for the kernel integral's u variable."""
-    sub = QuadratureGrid(
-        r_max=grid.r_max,
-        nodes_per_panel=4,
-        angular=96,
-        inner_depth=12,
-        outer_depth=18,
-        a_radii=(0.0,),
-        a_angles=1,
-    )
-    return sub.radii, sub.weights, sub.thetas
-
-
 def bloch_kernel_quantity(
     A: PowerSeries,
     w: RadialWeight,
     grid: QuadratureGrid,
-    r: float | None = None,
     kernel_order: int | None = None,
     z_radii: int = 16,
     z_angles: int = 16,
     _radial_weight=None,
 ) -> NormEstimate:
-    """Grid estimate of the kernel Bloch quantity ``X(A)`` (or its r-slice
-    when ``r`` is given, i.e. with ``A(r zeta)`` in the path integral).
+    """Grid estimate of the kernel Bloch quantity ``X(A)``; its r-slice
+    (``A(r zeta)`` in the path integral) is ``X(dilate(A, r))``.
 
     The path integral collapses to the separable form
     ``sum_n n/(2 w_{2n+1}) conj(u)^{n-1} P_n(z)`` with
     ``P_n(z) = int_0^z zeta^n A(zeta) dzeta``, so the u-integral is an
-    angular mean of polynomial magnitudes per u-radius.  ``_radial_weight``
-    replaces the default radial factor ``wstar(u)/(1-|u|^2)`` (used by
-    consistency tests, e.g. with ``wtilde``).
+    angular mean of polynomial magnitudes per u-radius.  The primitives
+    ``P_n``, ``n = 1..kernel_order``, are sampled as one stack on the
+    z-rings (0.3, 0.6 and ``max(z_radii - 2, 4)`` radii refined
+    geometrically toward ``grid.r_max``, each with ``z_angles`` equal
+    angles); the u-polynomial of every z node is then sampled on the rings
+    of a polar rule with 96 angles, one ring block at a time, and reduced
+    to angular means of its modulus.
+
+    ``value`` is the maximum of ``(1-|z|^2)`` times the u-integral over the
+    z nodes, ``value_coarse`` the maximum over every other z node, and the
+    flag is ``value > 2 x`` the maximum over ``|z| <= 0.9``: a capped
+    z-probe, not the dilation protocol.  ``_radial_weight`` replaces the
+    default radial factor ``wstar(u)/(1-|u|^2)`` (used by consistency
+    tests, e.g. with ``wtilde``).
     """
-    coeffs = A.coeffs.copy()
-    if r is not None:
-        coeffs = coeffs * float(r) ** np.arange(coeffs.size)
     nk = kernel_order if kernel_order is not None else min(max(A.order, 16), 128)
     mom = w.odd_moments(nk)
 
@@ -437,37 +430,33 @@ def bloch_kernel_quantity(
     zr = np.sort(np.unique(np.concatenate(
         [[0.3, 0.6], 1.0 - np.geomspace(0.5, 1.0 - grid.r_max, max(z_radii - 2, 4))]
     )))
-    zth = np.exp(2j * np.pi * np.arange(z_angles) / z_angles)
-    zset = (zr[:, None] * zth[None, :]).ravel()
+    n = np.arange(1, nk + 1)[:, None]
+    m = np.arange(A.order + 1)
+    prims = np.zeros((nk, A.order + nk + 2), dtype=complex)
+    prims[n - 1, m + n + 1] = A.coeffs / (m + n + 1)  # P_n, n = 1..nk
+    P = sample_rings([PowerSeries(c) for c in prims], zr, z_angles).reshape(nk, -1)
+    Q = P * (n / (2.0 * mom[1:, None]))  # row n-1: coefficient of v^{n-1} per z
 
-    # P_n(z) for n = 1..nk
-    m = np.arange(coeffs.size)
-    P = np.empty((nk, zset.size), dtype=complex)
-    for n in range(1, nk + 1):
-        prim = coeffs / (m + n + 1)
-        P[n - 1] = np.polynomial.polynomial.polyval(zset, prim) * zset ** (n + 1)
-    scale = np.arange(1, nk + 1) / (2.0 * mom[1 : nk + 1])
-    Q = P * scale[:, None]  # row n-1: coefficient of v^{n-1} per z
-
-    ur, uw, uth = _u_rule(grid)
+    u = QuadratureGrid(
+        r_max=grid.r_max, nodes_per_panel=4, angular=96, inner_depth=12, outer_depth=18,
+        a_radii=(0.0,), a_angles=1,
+    )
     if _radial_weight is None:
-        radial = w.wstar(ur) / (1.0 - ur**2)
+        radial = w.wstar(u.radii) / (1.0 - u.radii**2)
     else:
-        radial = np.asarray(_radial_weight(ur), dtype=float)
+        radial = np.asarray(_radial_weight(u.radii), dtype=float)
+    ring_weights = u.weights * 2.0 * u.radii * radial
 
-    acc = np.zeros(zset.size)
-    phases = np.exp(1j * uth)
-    term_means = np.zeros(nk)  # for the tail diagnostic
-    for s, ws, rad in zip(ur, uw, radial):
-        vand = (s * phases)[None, :] ** np.arange(nk)[:, None]
-        vals = np.abs(Q.T @ vand)  # (z, angles)
-        acc += ws * 2.0 * s * rad * vals.mean(axis=1)
-        term_means += ws * 2.0 * s * rad * s ** np.arange(nk)
-    est = (1.0 - np.abs(zset) ** 2) * acc
+    acc = np.zeros(Q.shape[1])
+    for block, vals in sample_blocks([PowerSeries(q) for q in Q.T], u.radii, u.angular):
+        acc += np.abs(vals, out=vals).real.mean(axis=-1) @ ring_weights[block]
+    radius = np.repeat(zr, z_angles)
+    est = (1.0 - radius**2) * acc
     value = float(np.max(est))
 
     # geometric tail extrapolation from the last terms
-    tail_terms = np.abs(Q[-8:]).max(axis=1) * term_means[-8:]
+    term_means = ring_weights @ u.radii[:, None] ** np.arange(nk)[-8:]
+    tail_terms = np.abs(Q[-8:]).max(axis=1) * term_means
     if np.all(tail_terms[:-1] > 0):
         q = float(np.clip(np.median(tail_terms[1:] / tail_terms[:-1]), 0.0, 0.999))
         tail = float(tail_terms[-1] * q / (1.0 - q))
@@ -478,9 +467,8 @@ def bloch_kernel_quantity(
                 stacklevel=2,
             )
 
-    coarse_idx = np.arange(0, zset.size, 2)
-    coarse = float(np.max(est[coarse_idx]))
-    inner = float(np.max(est[np.abs(zset) <= 0.9]))
+    coarse = float(np.max(est[::2]))
+    inner = float(np.max(est[radius <= 0.9]))
     flag = bool(value > 2.0 * inner + 1e-300)
     return NormEstimate(value, coarse, flag)
 
@@ -498,14 +486,13 @@ def bloch_solution_bound(
     grid: QuadratureGrid,
     initial_values: tuple[complex, complex] = (1.0, 0.0),
     order: int | None = None,
-    **kernel_kwargs,
 ) -> BlochBoundReport:
     """Check the Bloch solution bound against an actually solved series.
 
     Requires the kernel quantity below 1/4; otherwise raises
     :class:`BoundNotApplicableError`.
     """
-    x = bloch_kernel_quantity(A, w, grid, **kernel_kwargs).value
+    x = bloch_kernel_quantity(A, w, grid).value
     if x >= 0.25:
         raise BoundNotApplicableError(
             f"kernel quantity {x:.4f} is not below 1/4; bound not applicable"

@@ -186,6 +186,41 @@ class TestLacunary:
             ratio = moment_log_integral(n) / (math.log(n) ** 3 / n**4)
             assert 1 / 8 <= ratio <= 8
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 256, 4096, 2**14, 2**20])
+    def test_moment_matches_boundary_panel_rule(self, n):
+        # the 39 boundary-refined 32-point Gauss panels of the moment's own
+        # former rule, against the shared weights panel rule
+        x, w = leggauss(32)
+        edges = [0.0] + [1.0 - 2.0**-j for j in range(1, 40)]
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            r = (hi - lo) / 2 * x + (hi + lo) / 2
+            total += (hi - lo) / 2 * float(np.sum(w * r**n * (1 - r) ** 3 * np.log(np.e / (1 - r)) ** 3))
+        assert moment_log_integral(n) == pytest.approx(total, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "n, exact",
+        [
+            (2, 0.08189490740740740740740740740740740740741),
+            (16, 0.001194656042368686067527792569193903710467),
+            (256, 2.068889521540923076982652496350349276775e-7),
+            (4096, 1.129308614345914631278873403282641121575e-11),
+        ],
+    )
+    def test_moment_against_high_precision_values(self, n, exact):
+        """The 40-digit values come from the closed form, with ``t = 1 - r``
+        and ``(1 - log t)^3`` expanded into derivatives of the beta function::
+
+            import mpmath as mp
+            mp.mp.dps = 50
+            for n in (2, 16, 256, 4096):
+                B = lambda a: mp.beta(a, n + 1)
+                m = B(4) - 3 * mp.diff(B, 4, 1) + 3 * mp.diff(B, 4, 2) - mp.diff(B, 4, 3)
+                print(n, mp.nstr(m, 40))
+
+        ``mp.quad`` of the integrand on 64 equal panels gives the same digits."""
+        assert moment_log_integral(n) == pytest.approx(exact, rel=1e-14)
+
 
 class TestCauchyBound:
     def test_zero_coefficient(self):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from disclab.series import PowerSeries
+from disclab.grids import QuadratureGrid
+from disclab.norms import NormEstimate
+from disclab.series import AccuracyWarning, PowerSeries, dilate
 from disclab.weights import (
     BoundNotApplicableError,
     RadialWeight,
@@ -278,10 +281,122 @@ class TestPointwiseGrowth:
         assert pointwise_growth_margin(f, w, 2.0, grid, C=4.0) >= 0.0
 
 
+def reference_bloch_kernel_quantity(
+    A, w, grid, r=None, kernel_order=None, z_radii=16, z_angles=16, _radial_weight=None
+):
+    """The estimate as evaluated before it read the sampling layer: a
+    ``polyval`` per primitive on the z nodes and a Vandermonde product per
+    u-radius, with the r-slice as an option."""
+
+    def _u_rule(grid):
+        sub = QuadratureGrid(
+            r_max=grid.r_max,
+            nodes_per_panel=4,
+            angular=96,
+            inner_depth=12,
+            outer_depth=18,
+            a_radii=(0.0,),
+            a_angles=1,
+        )
+        return sub.radii, sub.weights, sub.thetas
+
+    coeffs = A.coeffs.copy()
+    if r is not None:
+        coeffs = coeffs * float(r) ** np.arange(coeffs.size)
+    nk = kernel_order if kernel_order is not None else min(max(A.order, 16), 128)
+    mom = w.odd_moments(nk)
+
+    # z sweep set: geometrically boundary-refined radii x equal angles
+    zr = np.sort(np.unique(np.concatenate(
+        [[0.3, 0.6], 1.0 - np.geomspace(0.5, 1.0 - grid.r_max, max(z_radii - 2, 4))]
+    )))
+    zth = np.exp(2j * np.pi * np.arange(z_angles) / z_angles)
+    zset = (zr[:, None] * zth[None, :]).ravel()
+
+    # P_n(z) for n = 1..nk
+    m = np.arange(coeffs.size)
+    P = np.empty((nk, zset.size), dtype=complex)
+    for n in range(1, nk + 1):
+        prim = coeffs / (m + n + 1)
+        P[n - 1] = np.polynomial.polynomial.polyval(zset, prim) * zset ** (n + 1)
+    scale = np.arange(1, nk + 1) / (2.0 * mom[1 : nk + 1])
+    Q = P * scale[:, None]  # row n-1: coefficient of v^{n-1} per z
+
+    ur, uw, uth = _u_rule(grid)
+    if _radial_weight is None:
+        radial = w.wstar(ur) / (1.0 - ur**2)
+    else:
+        radial = np.asarray(_radial_weight(ur), dtype=float)
+
+    acc = np.zeros(zset.size)
+    phases = np.exp(1j * uth)
+    term_means = np.zeros(nk)  # for the tail diagnostic
+    for s, ws, rad in zip(ur, uw, radial):
+        vand = (s * phases)[None, :] ** np.arange(nk)[:, None]
+        vals = np.abs(Q.T @ vand)  # (z, angles)
+        acc += ws * 2.0 * s * rad * vals.mean(axis=1)
+        term_means += ws * 2.0 * s * rad * s ** np.arange(nk)
+    est = (1.0 - np.abs(zset) ** 2) * acc
+    value = float(np.max(est))
+
+    # geometric tail extrapolation from the last terms
+    tail_terms = np.abs(Q[-8:]).max(axis=1) * term_means[-8:]
+    if np.all(tail_terms[:-1] > 0):
+        q = float(np.clip(np.median(tail_terms[1:] / tail_terms[:-1]), 0.0, 0.999))
+        tail = float(tail_terms[-1] * q / (1.0 - q))
+        if value > 0 and tail > 0.01 * value:
+            warnings.warn(
+                "bloch_kernel_quantity: kernel truncation tail above 1% of the value",
+                AccuracyWarning,
+                stacklevel=2,
+            )
+
+    coarse_idx = np.arange(0, zset.size, 2)
+    coarse = float(np.max(est[coarse_idx]))
+    inner = float(np.max(est[np.abs(zset) <= 0.9]))
+    flag = bool(value > 2.0 * inner + 1e-300)
+    return NormEstimate(value, coarse, flag)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A complex coefficient of order 0-300 (zero at scale 0), a standard
+    weight, the estimate's options and an optional slice radius."""
+    order = draw(st.integers(0, 300))
+    scale = draw(st.sampled_from([0.0, 0.01, 1.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = PowerSeries(scale * (rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)))
+    w = RadialWeight.standard(draw(st.sampled_from([0.0, 1.0, 2.5])))
+    opts = dict(
+        kernel_order=draw(st.none() | st.integers(8, 128)),
+        z_radii=draw(st.integers(4, 16)),
+        z_angles=draw(st.integers(4, 16)),
+        _radial_weight=draw(st.sampled_from([None, w.wtilde])),
+    )
+    r = draw(st.none() | st.floats(0.5, 1.0, exclude_min=True))
+    return A, w, opts, r
+
+
 class TestBlochKernelQuantity:
     def test_zero_coefficient(self, grid):
         w = RadialWeight.standard(1.0)
         assert bloch_kernel_quantity(PowerSeries(np.zeros(33)), w, grid).value == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(kernel_cases())
+    @example((PowerSeries(np.zeros(41)), RadialWeight.standard(1.0), {}, 0.9))
+    @example((PowerSeries(np.arange(1.0, 130.0) + 0.5j), RadialWeight.standard(2.5), {"kernel_order": 96}, 0.9))
+    def test_matches_per_radius_loops(self, grid, case):
+        # the sampled stacks against the polyval and Vandermonde loops; an
+        # r-slice is the estimate of the dilated coefficient
+        A, w, opts, r = case
+        got = bloch_kernel_quantity(A if r is None else dilate(A, r), w, grid, **opts)
+        want = reference_bloch_kernel_quantity(A, w, grid, r=r, **opts)
+        if not np.any(A.coeffs):
+            assert got.value == got.value_coarse == want.value == 0.0
+        assert_rel(got.value, want.value, 1e-12)
+        assert_rel(got.value_coarse, want.value_coarse, 1e-12)
+        assert got.divergence_flag == want.divergence_flag
 
     def test_homogeneous_degree_one(self, grid):
         w = RadialWeight.standard(1.0)
