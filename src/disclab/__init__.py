@@ -84,6 +84,7 @@ from .series import (
     PowerSeries,
     compose_moebius,
     sample_circle,
+    sample_moduli,
     sample_rings,
 )
 from .weights import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
-from .series import PowerSeries, reciprocal_series, ring_blocks, sample_blocks, sample_circle
+from .series import PowerSeries, reciprocal_series, ring_blocks, sample_blocks, sample_moduli
 from .weights import RadialWeight
 
 __all__ = [
@@ -296,7 +296,7 @@ def decay_conditions(
     Vanishing profiles as rho -> 1 are the hypotheses for vanishing mean
     oscillation and little-Bloch membership of solutions.
     """
-    field = np.abs(grid.sample(A)) ** 2 * (1 - grid.radii**2)[:, None] ** 2
+    field = sample_moduli(A, grid.radii, grid.angular) ** 2 * (1 - grid.radii**2)[:, None] ** 2
     wq = grid.weights * 2.0 * grid.radii
     out = []
     for rho in radii:
@@ -304,7 +304,7 @@ def decay_conditions(
         pref = float(_log_weight(rho)) ** 2
         rings = grid.moebius_ring_means(field, a_radii=(rho if rho > 0 else 0.0,))
         best = max(0.0, float(np.max(pref * (rings @ wq))))
-        ring = float(np.max(np.abs(sample_circle(A, rho, grid.angular)))) if rho > 0 else abs(A.coeffs[0])
+        ring = float(np.max(sample_moduli(A, [rho], grid.angular))) if rho > 0 else abs(A.coeffs[0])
         logsup = ring * (1 - rho * rho) ** 2 * float(_log_weight(rho))
         out.append((rho, best, logsup))
     return out

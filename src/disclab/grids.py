@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
-from .series import PowerSeries, sample_blocks, sample_rings
+from .series import PowerSeries, modulus_blocks, sample_rings
 
 __all__ = ["QuadratureGrid"]
 
@@ -279,24 +279,23 @@ class QuadratureGrid:
         an upsampled circle (factor up to 16) and averaged over the angular
         cell around each node.  The cell mass is exact, so boundary peaks of
         high-order singular coefficients are neither missed nor
-        double-counted by coarser sweeps.  The cells are centred on the
-        nodes by rotating the series, ``c_n exp(-2 pi i n (up//2) / M)``,
-        which shifts every upsampled ring by ``up//2`` samples (exactly, also
-        when the rings fold modulo ``M``), and a cell's mean is one
-        matrix-vector product with ``(1/up, ..., 1/up)``.  Each block of
-        upsampled rings from :func:`~disclab.series.sample_blocks` is
-        reduced to the node cells before the next is sampled, so the radii x
+        double-counted by coarser sweeps.  The moduli come from
+        :func:`~disclab.series.modulus_blocks` shifted by ``up//2``
+        samples, which centres the cells on the nodes (a real FFT of half
+        the length for real coefficients, a phase turn of the coefficients
+        otherwise; exact also when the rings fold modulo ``M``).  Each
+        block is raised to ``power`` in place and reduced to the node cells
+        before the next is sampled, one ``np.dot`` with ``(1/up, ...,
+        1/up)`` per series (a scaled copy when ``up == 1``), so the radii x
         upsampled-angles matrix is never built.
         """
         fs = [f] if isinstance(f, PowerSeries) else list(f)
         up = int(np.ceil((2 * fs[0].order + 2) / self.angular))
         up = min(max(up, 1), 16)
-        M = up * self.angular
-        turn = np.exp(-2j * np.pi * (up // 2) * np.arange(fs[0].order + 1) / M)
-        fs = [PowerSeries(g.coeffs * turn) for g in fs]  # centre cells on the nodes
+        cell = np.full(up, 1.0 / up)
         out = np.empty((len(fs), self.radii.size, self.angular))
-        for block, values in sample_blocks(fs, self.radii, M):
-            vals = np.abs(values, out=values).real ** power  # the block is ours until the next
-            out[:, block] = vals.reshape(len(fs), -1, self.angular, up) @ np.full(up, 1.0 / up)
+        for block, values in modulus_blocks(fs, self.radii, up * self.angular, shift=up // 2):
+            values **= power  # the block is ours until the next
+            for g, rows in zip(out[:, block], values.reshape(len(fs), -1, up)):
+                np.dot(rows, cell, out=g.reshape(-1))
         return out[0] if isinstance(f, PowerSeries) else out
-

@@ -33,7 +33,7 @@ from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, pow_series, sample_blocks, sample_circle, sample_rings
+from .series import PowerSeries, exp_series, pow_series, sample_blocks, sample_circle, sample_moduli, sample_rings
 
 __all__ = [
     "NontangentialParams",
@@ -154,7 +154,7 @@ def nt_max(
         raise ValueError("vertex must lie on the unit circle")
     z = grid.nodes()
     mask = np.abs(z - zeta) <= params.aperture * (1.0 - np.abs(z))
-    vals = np.abs(grid.sample(f))
+    vals = sample_moduli(f, grid.radii, grid.angular)
     best = abs(f.coeffs[0])  # the origin always belongs to the region
     if np.any(mask):
         best = max(best, float(np.max(vals[mask])))
@@ -306,11 +306,11 @@ def hp_membership_experiment(
     AN = A.truncate(N) if A.order > N else A.pad(N)
     f = solve_series(ODEProblem(2, (AN, zero), tuple(initial_values), N))
     dd = bmoa_dd(A, grid)
-    dens = np.abs(grid.sample(A)) ** 2 * ((1.0 - grid.radii**2) ** 3)[:, None]
+    dens = sample_moduli(A, grid.radii, grid.angular) ** 2 * ((1.0 - grid.radii**2) ** 3)[:, None]
     mu = carleson_norm(dens, grid)
     tail = grid.sup_radii[grid.sup_radii >= 0.5]
     profile = tuple(zip(map(float, tail), mp_means(f, tail, p, grid.angular)))
-    fv = np.abs(grid.sample(f))
+    fv = sample_moduli(f, grid.radii, grid.angular)
     ee = grid.integrate(fv**p * dens)
     return MembershipReport(dd, mu, profile, float(ee))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import QuadratureGrid
-from .series import PowerSeries, dilate, sample_rings
+from .series import PowerSeries, dilate, sample_moduli
 
 __all__ = [
     "NormEstimate",
@@ -102,7 +102,7 @@ def mp_means(f: PowerSeries, radii, p: float, M: int) -> list[float]:
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    vals = np.abs(sample_rings(f, radii, M))
+    vals = sample_moduli(f, radii, M)
     return [float(m ** (1.0 / p)) for m in np.mean(vals**p, axis=1)]
 
 
@@ -125,7 +125,7 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
 
     def run(g: QuadratureGrid, fs):
         radii = g.sup_radii[g.sup_radii > 0]
-        means = np.mean(np.abs(sample_rings(fs, radii, g.angular)) ** p, axis=-1) ** (1.0 / p)
+        means = np.mean(sample_moduli(fs, radii, g.angular) ** p, axis=-1) ** (1.0 / p)
         drops = means[0, :-1] - means[0, 1:]  # the undilated input
         rel = float(np.max(drops / np.maximum(means[0, :-1], 1e-30))) if drops.size else 0.0
         if rel > 1e-6:
@@ -143,7 +143,7 @@ def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
     value per series of the same-order stack ``fs``."""
     radii = grid.sup_radii[grid.sup_radii > 0]
     w = np.array([float(weight(float(r))) for r in radii])
-    rings = np.max(np.abs(sample_rings(fs, radii, grid.angular)), axis=-1)
+    rings = np.max(sample_moduli(fs, radii, grid.angular), axis=-1)
     origin = float(weight(0.0))
     return [max(abs(f.coeffs[0]) * origin, float(np.max(ring * w))) for f, ring in zip(fs, rings)]
 
@@ -169,7 +169,7 @@ def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float
     """Per-radius values ``sup_{|z|=r} |f'(z)| (1 - r^2)``; tends to 0 for
     little-Bloch functions and stays bounded below otherwise."""
     radii = [float(r) for r in radii]
-    rings = np.max(np.abs(sample_rings(f.derivative(), radii, angular)), axis=1)
+    rings = np.max(sample_moduli(f.derivative(), radii, angular), axis=1)
     return [(r, float(ring) * (1.0 - r**2)) for r, ring in zip(radii, rings)]
 
 

@@ -35,7 +35,7 @@ from .series import (
     compose_moebius,
     exp_series,
     geometric_series,
-    sample_rings,
+    sample_moduli,
     zero_series,
 )
 from .specs import checked, parse_spec
@@ -156,7 +156,7 @@ def residual(
         radii = np.linspace(r_max / 8, r_max, 24)
     radii = np.asarray(radii, dtype=float)
     radii = radii[~((radii <= 0) | (radii > r_max))]
-    rings = np.max(np.abs(sample_rings(expr, radii, angular)), axis=1)
+    rings = np.max(sample_moduli(expr, radii, angular), axis=1)
     return max([0.0, *map(float, rings)])
 
 

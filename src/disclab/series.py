@@ -10,6 +10,16 @@ fabricated beyond what both operands determine.
 Instances are immutable after construction (the coefficient array is
 write-locked), every operation is pure, and values can therefore be shared
 freely between threads.
+
+The circle samplers take one series, a sequence of ``k`` series of one
+order, or a 2-D array of ``k`` coefficient rows (checked and flushed as a
+:class:`PowerSeries` is), and sample rings of radii in (0, 1] at ``M``
+equally spaced nodes one ring block at a time: the rows are scaled by
+``r**n`` and folded modulo ``M`` in one buffer per call, then transformed
+there.  :func:`sample_blocks` and :func:`sample_rings` give the complex
+values, one inverse FFT per ring.  :func:`modulus_blocks` and
+:func:`sample_moduli` give ``|f|`` alone: a stack whose coefficients are
+all real takes a real FFT of half the length, any other the complex path.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ __all__ = [
     "sample_circle",
     "sample_rings",
     "sample_blocks",
+    "sample_moduli",
+    "modulus_blocks",
     "ring_blocks",
     "compose_moebius",
     "exp_series",
@@ -175,20 +187,69 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-# Bound on the complex fold buffer of sample_blocks: it decides how many rings
-# go in a block, and one buffer serves every block of a call.
+# Bound on the fold buffer of a sampling call (with the half spectrum of
+# the real path): it decides how many rings go in a block, and one buffer
+# serves every block of a call.
 _BLOCK_BYTES = 8 * 2**20
 
 
-def ring_blocks(rings: int, order: int, M: int, k: int = 1) -> list[slice]:
+def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) -> list[slice]:
     """Consecutive slices of ``range(rings)``, each as many rows of
     ``order + 1`` coefficients, rounded up to a multiple of ``M``, as fit
     ``_BLOCK_BYTES`` for a stack of ``k`` series (at least one row): the
     ring blocks of :func:`sample_blocks`, and any other row blocks of
-    that budget."""
+    that budget.  A row costs 16 bytes per entry in a complex fold buffer;
+    on the real path of :func:`modulus_blocks` (``real``) it costs 8 bytes
+    per entry of the real fold buffer plus the ``M // 2 + 1`` complex
+    entries of its half spectrum."""
     width = -(-(order + 1) // M) * M
-    rows = max(1, _BLOCK_BYTES // (16 * width * k))
+    row = 8 * width + 16 * (M // 2 + 1) if real else 16 * width
+    rows = max(1, _BLOCK_BYTES // (row * k))
     return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
+
+
+def _checked(f, radii, M: int):
+    """Checked sampler arguments: the coefficient rows (complex, one per
+    series), the radii as floats, and whether ``f`` is one series."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1:
+        raise ValueError("radii must be a 1-d sequence")
+    if not np.all((r > 0.0) & (r <= 1.0)):
+        raise ValueError("sampling radius must lie in (0, 1]")
+    if M < 1:
+        raise ValueError("need at least one node")
+    if isinstance(f, PowerSeries):
+        return f.coeffs[None], r, True
+    if isinstance(f, np.ndarray) and f.ndim == 2:
+        c = np.array(f, dtype=complex)
+        if c.size == 0:
+            raise ValueError("a stack of series needs one or more series of one order")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        c[np.abs(c) < _FLUSH] = 0.0
+        return c, r, False
+    fs = list(f)
+    if not fs or len({g.order for g in fs}) != 1:
+        raise ValueError("a stack of series needs one or more series of one order")
+    return np.stack([g.coeffs for g in fs]), r, False
+
+
+def _folds(c: np.ndarray, r: np.ndarray, M: int, blocks, buffer: np.ndarray):
+    """Per block of ``blocks``: the rows ``c`` scaled by ``r**n`` in
+    ``buffer`` (of ``c``'s dtype) and folded modulo ``M`` into its first
+    ``M`` columns; yields ``(block, folded)``, a view of shape ``(k, block
+    rings, M)``."""
+    size = c.shape[1]
+    for block in blocks:
+        rb = r[block]
+        scaled = buffer[:, : rb.size]
+        live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
+        np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
+        scaled[:, :, live:] = 0.0
+        folded = scaled[:, :, :M]
+        for j in range(M, size, M):
+            folded += scaled[:, :, j : j + M]
+        yield block, folded
 
 
 def sample_blocks(f, radii, M: int):
@@ -196,8 +257,9 @@ def sample_blocks(f, radii, M: int):
     of ``(block, values)``, where ``block`` is a slice of ``radii`` (see
     :func:`ring_blocks`, the whole stack counted) and ``values`` are its
     rows, shape ``(block rings, M)`` for one series and ``(k, block rings,
-    M)`` for a stack.  Callers reduce each block before the next, so the
-    radii x M samples are never held at once.
+    M)`` for a stack (a sequence of series or a 2-D coefficient array).
+    Callers reduce each block before the next, so the radii x M samples
+    are never held at once.
 
     ``values`` is a view into the one zero-padded fold buffer of the call
     (series x rings x order rounded up to a multiple of ``M``); the next
@@ -221,17 +283,8 @@ def sample_blocks(f, radii, M: int):
     the closed disc, and the boundary circle is where Hardy-space means
     live); every radius must lie in (0, 1], NaN is rejected.
     """
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1:
-        raise ValueError("radii must be a 1-d sequence")
-    if not np.all((r > 0.0) & (r <= 1.0)):
-        raise ValueError("sampling radius must lie in (0, 1]")
-    if M < 1:
-        raise ValueError("need at least one node")
-    fs = [f] if isinstance(f, PowerSeries) else list(f)
-    if not fs or len({g.order for g in fs}) != 1:
-        raise ValueError("a stack of series needs one or more series of one order")
-    return _blocks(np.stack([g.coeffs for g in fs]), r, M, isinstance(f, PowerSeries))
+    c, r, single = _checked(f, radii, M)
+    return _blocks(c, r, M, single)
 
 
 def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
@@ -240,37 +293,95 @@ def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
     k, size = c.shape
     blocks = ring_blocks(r.size, size - 1, M, k)
     buffer = np.empty((k, blocks[0].stop if blocks else 0, -(-size // M) * M), dtype=complex)
-    for block in blocks:
-        rb = r[block]
-        scaled = buffer[:, : rb.size]
-        live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
-        np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
-        scaled[:, :, live:] = 0.0
-        folded = scaled[:, :, :M]
-        for j in range(M, size, M):
-            folded += scaled[:, :, j : j + M]
+    for block, folded in _folds(c, r, M, blocks, buffer):
         np.fft.ifft(folded, axis=-1, out=folded)
         folded *= M
         yield block, folded[0] if single else folded
+
+
+def modulus_blocks(f, radii, M: int, shift: int = 0):
+    """The moduli ``|f(r exp(2 pi i (j - shift) / M))|`` one ring block at
+    a time: an iterator of ``(block, values)`` shaped as in
+    :func:`sample_blocks`, with real ``values`` that are the caller's until
+    the next block (raising them to a power in place allocates nothing).
+    The arguments are checked when this is called.
+
+    When every coefficient of the stack has imaginary part 0, the rows are
+    folded into a real buffer, and one ``np.fft.rfft`` per ring writes the
+    half spectrum ``F_m``, ``m = 0..M//2``, into a second buffer reused by
+    every block (the two within ``_BLOCK_BYTES``, see :func:`ring_blocks`).
+    Real coefficients give ``f(r exp(2 pi i m / M)) = conj(F_m)`` and
+    ``|f|`` at ``M - m`` equal to ``|f|`` at ``m``, so the modulus is
+    taken in place and one ``np.take`` over ``min(m, M - m)``, ``m = (j -
+    shift) mod M``, mirrors and shifts it into the dead fold buffer.  The
+    values then agree with the complex path to FFT rounding, which is
+    relative to the ring's norm (so relative to its maximum).  Any other
+    stack takes the complex path: the coefficients are turned by
+    ``exp(-2 pi i (n shift mod M) / M)``, sampled by :func:`sample_blocks`'s
+    generator and their modulus taken in place, so its values are
+    ``np.abs`` of :func:`sample_rings` of the turned stack, exactly.
+    """
+    c, r, single = _checked(f, radii, M)
+    return _moduli(c, r, M, shift, single)
+
+
+def _moduli(c: np.ndarray, r: np.ndarray, M: int, shift: int, single: bool):
+    """The generator behind :func:`modulus_blocks`."""
+    k, size = c.shape
+    if np.any(c.imag):
+        if shift:  # the phase n * shift reduced modulo M exactly, so it stays below one turn
+            c = c * np.exp(-2j * np.pi * (np.arange(size) * shift % M) / M)
+        for block, values in _blocks(c, r, M, single):
+            yield block, np.abs(values, out=values).real
+        return
+    blocks = ring_blocks(r.size, size - 1, M, k, real=True)
+    rows, half = (blocks[0].stop if blocks else 0), M // 2 + 1
+    buffer = np.empty((k, rows, -(-size // M) * M))
+    spectra = np.empty(k * rows * half, dtype=complex)
+    m = (np.arange(M) - shift) % M
+    mirror = 2 * np.minimum(m, M - m)  # the real parts in the float view of a spectrum
+    real = np.ascontiguousarray(c.real)  # unit-stride rows scale faster
+    for block, folded in _folds(real, r, M, blocks, buffer):
+        n = k * (block.stop - block.start)
+        spectrum = spectra[: n * half].reshape(k, -1, half)
+        np.fft.rfft(folded, axis=-1, out=spectrum)
+        np.abs(spectrum, out=spectrum)
+        values = buffer.reshape(-1)[: n * M].reshape(k, -1, M)
+        np.take(spectrum.view(float), mirror, axis=-1, out=values, mode="clip")
+        yield block, values[0] if single else values
+
+
+def _collect(blocks, f, radii, M: int, dtype) -> np.ndarray:
+    """The rows of a block iterator of ``f`` gathered into one array."""
+    out = np.empty((len(radii), M) if isinstance(f, PowerSeries) else (len(f), len(radii), M), dtype=dtype)
+    for block, values in blocks:
+        out[..., block, :] = values
+    return out
 
 
 def sample_rings(f, radii, M: int) -> np.ndarray:
     """Values ``f(r * exp(2*pi*i*j/M))``, one row per radius ``r`` in
     ``radii`` and one column per ``j = 0..M-1``: shape ``(len(radii), M)``.
 
-    ``f`` is one :class:`PowerSeries` or a sequence of ``k`` series of one
-    order; a stack gives shape ``(k, len(radii), M)``, each row
-    bit-identical to sampling its series alone.  The rows are those of
-    :func:`sample_blocks` (one fold per ring, the inverse FFT in place in
-    the one fold buffer, zeroed from the underflow cut on), each block
-    copied into the output; the arguments are checked before the output is
-    allocated.  Every radius must lie in (0, 1]; NaN is rejected.
+    ``f`` is one :class:`PowerSeries`, a sequence of ``k`` series of one
+    order or a 2-D array of ``k`` coefficient rows; a stack gives shape
+    ``(k, len(radii), M)``, each row bit-identical to sampling its series
+    alone.  The rows are those of :func:`sample_blocks` (one fold per ring,
+    the inverse FFT in place in the one fold buffer, zeroed from the
+    underflow cut on), each block copied into the output; the arguments
+    are checked before the output is allocated.  Every radius must lie in
+    (0, 1]; NaN is rejected.
     """
-    blocks = sample_blocks(f, radii, M)
-    out = np.empty((len(radii), M) if isinstance(f, PowerSeries) else (len(f), len(radii), M), dtype=complex)
-    for block, values in blocks:
-        out[..., block, :] = values
-    return out
+    return _collect(sample_blocks(f, radii, M), f, radii, M, complex)
+
+
+def sample_moduli(f, radii, M: int) -> np.ndarray:
+    """Moduli ``|f(r * exp(2*pi*i*j/M))|`` in the layout of
+    :func:`sample_rings`, gathered from :func:`modulus_blocks`: equal to
+    ``np.abs(sample_rings(f, radii, M))`` exactly for a stack with a
+    non-real coefficient, and to FFT rounding (relative to each ring's
+    maximum) for a real one, at about half the cost."""
+    return _collect(modulus_blocks(f, radii, M), f, radii, M, float)
 
 
 def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, sample_blocks, sample_rings
+from .series import AccuracyWarning, PowerSeries, sample_blocks, sample_moduli, sample_rings
 from .specs import parse_spec
 
 __all__ = [
@@ -381,10 +381,10 @@ def pointwise_growth_margin(
     if p == 2:
         norm = float(np.sqrt(np.real(bergman_inner(f, f, w))))
     else:
-        dens = np.abs(grid.sample(f)) ** p * w(grid.radii)[:, None]
+        dens = sample_moduli(f, grid.radii, grid.angular) ** p * w(grid.radii)[:, None]
         norm = grid.integrate(dens) ** (1.0 / p)
     radii = grid.sup_radii[(grid.sup_radii >= 0.5) & (grid.sup_radii <= grid.r_max)]
-    rings = np.max(np.abs(sample_rings(f, radii, grid.angular)), axis=1)
+    rings = np.max(sample_moduli(f, radii, grid.angular), axis=1)
     bound = C * norm / (w.what(radii) * (1.0 - radii)) ** (1.0 / p)
     return float(np.min(bound - rings, initial=np.inf))
 
@@ -434,7 +434,7 @@ def bloch_kernel_quantity(
     m = np.arange(A.order + 1)
     prims = np.zeros((nk, A.order + nk + 2), dtype=complex)
     prims[n - 1, m + n + 1] = A.coeffs / (m + n + 1)  # P_n, n = 1..nk
-    P = sample_rings([PowerSeries(c) for c in prims], zr, z_angles).reshape(nk, -1)
+    P = sample_rings(prims, zr, z_angles).reshape(nk, -1)
     Q = P * (n / (2.0 * mom[1:, None]))  # row n-1: coefficient of v^{n-1} per z
 
     u = QuadratureGrid(
@@ -448,7 +448,7 @@ def bloch_kernel_quantity(
     ring_weights = u.weights * 2.0 * u.radii * radial
 
     acc = np.zeros(Q.shape[1])
-    for block, vals in sample_blocks([PowerSeries(q) for q in Q.T], u.radii, u.angular):
+    for block, vals in sample_blocks(Q.T, u.radii, u.angular):
         acc += np.abs(vals, out=vals).real.mean(axis=-1) @ ring_weights[block]
     radius = np.repeat(zr, z_angles)
     est = (1.0 - radius**2) * acc

@@ -388,6 +388,33 @@ def test_stacked_sample_folded_matches_per_series_calls(case, k, power):
         assert_rel(field, oracle_sample_folded(grid, f, power))
 
 
+def real_series(order, seed):
+    return PowerSeries(np.random.default_rng(seed).normal(size=order + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(dict(SMALL, angular=8, a_radii=(0.5,), a_angles=3), 200, 3, 0), k=2, power=2.0)  # capped, folded
+@example(case=(dict(SMALL, angular=41, a_radii=(0.5,), a_angles=3), 19, 2, 1), k=1, power=3.0)  # up == 1, odd
+@example(case=(dict(SMALL, angular=9, a_radii=(0.5,), a_angles=3), 0, 1, 2), k=3, power=1.0)  # order 0
+@given(sampled_cases(), st.integers(1, 3), st.sampled_from([1.0, 2.0, 3.0]))
+def test_real_sample_folded_matches_per_ring_loop(case, k, power):
+    # real stacks take the half-length real FFT, which agrees with the
+    # per-ring loop to FFT rounding: relative to the ring's norm, so each
+    # entry is held to 1e-12 times the largest cell on its ring (powers
+    # below 1 would magnify the rounding at zeros of f, so none is drawn);
+    # the real budget holds `rows` rings of the stack
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    fs = [real_series(order, seed + i) for i in range(k)]
+    M = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16) * grid.angular
+    width = -(-(order + 1) // M) * M
+    with mock.patch.object(series, "_BLOCK_BYTES", k * rows * (8 * width + 16 * (M // 2 + 1))):
+        got = grid.sample_folded(fs, power=power)
+    for f, field in zip(fs, got):
+        want = oracle_sample_folded(grid, f, power)
+        assert np.all(np.abs(field - want) <= 1e-12 * np.max(want, axis=1, keepdims=True))
+
+
 exponents = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4)
 orders = st.lists(st.integers(1, 3), min_size=1, max_size=3)
 

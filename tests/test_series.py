@@ -16,11 +16,13 @@ from disclab.series import (
     exp_series,
     geometric_series,
     log_series,
+    modulus_blocks,
     pow_series,
     reciprocal_series,
     ring_blocks,
     sample_blocks,
     sample_circle,
+    sample_moduli,
     sample_rings,
 )
 
@@ -339,6 +341,155 @@ def test_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
     for b in blocks:
         count = b.stop - b.start
         assert count == 1 or k * count * width * 16 <= series._BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the modulus sampler: a half-length real FFT for real stacks
+# ---------------------------------------------------------------------------
+
+def real_budget(rows, order, M, k=1):
+    """The _BLOCK_BYTES that makes the real path hold ``rows`` rings of a
+    stack of ``k`` series: a real fold buffer and a complex half spectrum."""
+    width = -(-(order + 1) // M) * M
+    return mock.patch.object(series, "_BLOCK_BYTES", k * rows * (8 * width + 16 * (M // 2 + 1)))
+
+
+def assert_within_ring_max(got, want):
+    # FFT rounding is relative to the ring's norm, so bound each entry by
+    # 1e-12 times the largest modulus on its ring
+    scale = np.max(want, axis=-1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def real_part(case):
+    f, radii, M = case
+    return PowerSeries(f.coeffs.real), radii, M
+
+
+class TestModulusBlocks:
+    @settings(max_examples=150, deadline=None)
+    @example(case=real_part(UNDERFLOW_CASE), rows=1, shift=0)
+    @example(case=real_part(UNDERFLOW_CASE), rows=4, shift=33)
+    @example(case=(PowerSeries([2.5]), [0.5, 1.0, 0.1], 7), rows=2, shift=3)  # order 0, odd M
+    @example(case=(PowerSeries([0.0, -1.0, 0.5]), [1.0], 1), rows=1, shift=0)  # one node
+    @given(st.builds(real_part, ring_cases()), st.integers(1, 5), st.integers(0, 50))
+    def test_real_stack_is_the_one_ring_sampler_to_rounding(self, case, rows, shift):
+        # a stack of two real series on the real path: blocks of `rows`
+        # rings and a short last one, each shifted by `shift` nodes and
+        # checked before the caller overwrites it
+        f, radii, M = case
+        fs = [f, PowerSeries(f.coeffs[::-1] - 0.25)]
+        seen = []
+        with real_budget(rows, f.order, M, 2):
+            sizes = [b.stop - b.start for b in ring_blocks(len(radii), f.order, M, 2, real=True)]
+            for block, values in modulus_blocks(fs, radii, M, shift=shift):
+                assert values.shape == (2, block.stop - block.start, M) and values.dtype == float
+                for g, rows_of_g in zip(fs, values):
+                    want = [np.roll(np.abs(oracle_sample_circle(g, float(r), M)), shift) for r in radii[block]]
+                    assert_within_ring_max(rows_of_g, np.reshape(want, (-1, M)))
+                values[...] = np.nan
+                seen.append(block)
+        short = len(radii) % rows
+        assert sizes == [rows] * (len(radii) // rows) + ([short] if short else [])
+        assert [b.stop - b.start for b in seen] == sizes
+        moduli = sample_moduli(f, radii, M)
+        assert moduli.shape == (len(radii), M)
+        assert_within_ring_max(moduli, np.abs(sample_rings(f, radii, M)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack_cases(), st.integers(1, 5), st.booleans())
+    def test_complex_stack_is_the_modulus_of_sample_rings(self, case, rows, mixed):
+        # a stack with a non-real coefficient takes the complex path, also
+        # when some of its series are real: the moduli are np.abs of the
+        # rings exactly, in blocks of the complex budget
+        fs, radii, M = case
+        if mixed:
+            fs = [PowerSeries(fs[0].coeffs.real), *fs]
+        k, width = len(fs), -(-(fs[0].order + 1) // M) * M
+        with mock.patch.object(series, "_BLOCK_BYTES", k * rows * 16 * width):
+            got = sample_moduli(fs, radii, M)
+            blocks = [block for block, _ in modulus_blocks(fs, radii, M)]
+            assert blocks == ring_blocks(len(radii), fs[0].order, M, k)
+        assert got.shape == (k, len(radii), M)
+        assert np.array_equal(got, np.abs(sample_rings(fs, radii, M)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_cases(), st.integers(0, 50), st.booleans())
+    def test_shift_turns_either_path(self, case, shift, real):
+        fs, radii, M = case
+        if real:
+            fs = [PowerSeries(g.coeffs.real) for g in fs]
+        got = np.empty((len(fs), len(radii), M))
+        for block, values in modulus_blocks(fs, radii, M, shift=shift):
+            got[:, block] = values
+        for g, rings in zip(fs, got):
+            want = [np.roll(np.abs(oracle_sample_circle(g, float(r), M)), shift) for r in radii]
+            assert_within_ring_max(rings, np.reshape(want, (-1, M)))
+
+    def test_default_grid_order_4096(self):
+        # 16 folds per ring of M = 256 on the default radii, in blocks of
+        # the real budget
+        f = PowerSeries(np.random.default_rng(7).normal(size=4097))
+        radii = QuadratureGrid().radii
+        want = np.abs([oracle_sample_circle(f, float(r), 256) for r in radii])
+        assert_within_ring_max(sample_moduli(f, radii, 256), want)
+
+    def test_arguments_are_checked_before_the_first_block(self):
+        with pytest.raises(ValueError, match="sampling radius"):
+            modulus_blocks(PowerSeries([1.0, 1.0]), [0.5, 1.5], 8)
+        with pytest.raises(ValueError, match="node"):
+            modulus_blocks(PowerSeries([1.0]), [0.5], 0)
+        with pytest.raises(ValueError, match="one order"):
+            sample_moduli([PowerSeries([1.0]), PowerSeries([1.0, 2.0])], [0.5], 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**16), st.integers(1, 4096), st.integers(1, 8))
+def test_real_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
+    # the real path's fold buffer and half spectrum together never exceed
+    # _BLOCK_BYTES unless a block holds a single ring
+    blocks = ring_blocks(rings, order, M, k, real=True)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rings))
+    width = -(-(order + 1) // M) * M
+    for b in blocks:
+        count = b.stop - b.start
+        assert count == 1 or k * count * (8 * width + 16 * (M // 2 + 1)) <= series._BLOCK_BYTES
+
+
+# entries at and around the flush threshold, subnormals included
+tiny = st.sampled_from([5e-324, -1e-310, 2.5e-308, 1e-301, 1e-300, -3e-300, 1e-299])
+
+
+class TestArrayStacks:
+    @settings(max_examples=80, deadline=None)
+    @given(stack_cases(), st.data(), tiny, st.booleans())
+    def test_array_stack_is_the_series_stack(self, case, data, small, real):
+        # a 2-D coefficient array samples as the stack of its rows wrapped
+        # in PowerSeries: the same flush, bit for bit, on either path
+        fs, radii, M = case
+        c = np.array([g.coeffs for g in fs])
+        if real:
+            c = c.real.copy()
+        i = data.draw(st.integers(0, c.shape[0] - 1))
+        j = data.draw(st.integers(0, c.shape[1] - 1))
+        c[i, j] = small if real else small * data.draw(st.sampled_from([1.0, 1j, 1 + 1j]))
+        wrapped = [PowerSeries(row) for row in c]
+        for sampler in (sample_rings, sample_moduli):
+            assert np.array_equal(sampler(c, radii, M), sampler(wrapped, radii, M))
+        for (b, got), (_, want) in zip(sample_blocks(c, radii, M), sample_blocks(wrapped, radii, M)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("sampler", [sample_blocks, sample_rings, modulus_blocks, sample_moduli])
+    def test_non_finite_entry_is_rejected(self, bad, sampler):
+        c = np.ones((3, 5), dtype=complex)
+        c[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sampler(c, [0.5], 4)
+
+    def test_empty_array_is_rejected(self):
+        with pytest.raises(ValueError, match="one or more"):
+            sample_rings(np.zeros((0, 3)), [0.5], 4)
 
 
 class TestComposeMoebius:

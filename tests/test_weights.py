@@ -1,8 +1,8 @@
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,11 +95,13 @@ def exact_tails(c, r):
     # int_r^1 log(s/r) s^(k+1) ds = -log(r)/(k+2) - (1 - r^(k+2))/(k+2)^2
     log_part = sum(Fraction(ck) / (k + 2) for k, ck in enumerate(c))
     rest = sum(Fraction(ck) * (1 - R ** (k + 2)) / (k + 2) ** 2 for k, ck in enumerate(c))
-    with mpmath.workdps(50):
-        def mp(q):
-            return mpmath.mpf(q.numerator) / q.denominator
+    with localcontext() as ctx:
+        ctx.prec = 50
 
-        wstar = float(-mpmath.log(mp(R)) * mp(log_part) - mp(rest)) if r > 0 else None
+        def dec(q):
+            return Decimal(q.numerator) / q.denominator
+
+        wstar = float(-dec(R).ln() * dec(log_part) - dec(rest)) if r > 0 else None
     return {"what": float(what), "wtilde": float(wtilde), "wstar": wstar}
 
 
