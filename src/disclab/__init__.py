@@ -83,7 +83,6 @@ from .series import (
     AccuracyWarning,
     PowerSeries,
     compose_moebius,
-    sample_circle,
     sample_moduli,
     sample_rings,
 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
-from .series import PowerSeries, reciprocal_series, ring_blocks, sample_blocks, sample_moduli
+from .series import PowerSeries, modulus_blocks, reciprocal_series, ring_blocks, sample_moduli
 from .weights import RadialWeight
 
 __all__ = [
@@ -242,14 +242,14 @@ def cauchy_bound(A: PowerSeries, r: float, z: complex, angular_count: int = 256)
 
 def _h1_inner_fields(A: PowerSeries, r: float, grid: QuadratureGrid, t_count: int):
     """Node matrix of ``(1/2pi) int_0^{2pi} |int_0^z A(r zeta)/(1 - e^{-it} zeta) dzeta| dt``;
-    the primitives of a block of ``t`` are sampled as one stack, and each
-    ring block of :func:`~disclab.series.sample_blocks` is summed over the
-    stack before the next."""
+    the primitives of a block of ``t`` are sampled as one 2-D stack, and
+    each ring block of :func:`~disclab.series.modulus_blocks` is summed
+    over the stack before the next."""
     acc = np.zeros((grid.radii.size, grid.angular))
     for prod in _cauchy_products(A, r, t_count):
-        prims = [PowerSeries(row).antiderivative(0.0) for row in prod]
-        for block, values in sample_blocks(prims, grid.radii, grid.angular):
-            acc[block] += np.abs(values, out=values).real.sum(axis=0)  # the block is ours until the next
+        prims = np.hstack([np.zeros((len(prod), 1)), prod / np.arange(1, A.order + 2)])
+        for block, values in modulus_blocks(prims, grid.radii, grid.angular):
+            acc[block] += values.sum(axis=0)
     return acc / t_count
 
 

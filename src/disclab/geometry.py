@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, sample_circle
+from .series import PowerSeries, sample_moduli
 
 __all__ = [
     "moebius",
@@ -216,8 +216,7 @@ def jensen_residual(
     if any(abs(abs(w) - r) < 1e-9 for w, _ in zeros if w != 0):
         raise ValueError("a known zero lies on the sampling circle")
     lhs = sum(m * math.log(r / abs(w)) for w, m in zeros if 0.0 < abs(w) < r)
-    vals = sample_circle(g, r, angular)
-    mags = np.abs(vals / (2.0 * c[2]))
+    mags = sample_moduli(g, [r], angular)[0] / abs(2.0 * c[2])
     if np.any(mags == 0.0):
         raise ValueError("g vanishes on the sampling circle")
     rhs = float(np.mean(np.log(mags))) + math.log(2.0 / r**2)

@@ -271,8 +271,9 @@ class QuadratureGrid:
 
     def sample_folded(self, f, power: float = 1.0) -> np.ndarray:
         """Node matrix of ``|f|**power`` for a series ``f`` with high-order
-        angular content folded in; a stack of ``k`` series of one order
-        gives shape ``(k, radii, angles)``.
+        angular content folded in; a stack of ``k`` series of one order (a
+        sequence of series or a 2-D array of ``k`` coefficient rows) gives
+        shape ``(k, radii, angles)``.
 
         A truncated series of order N has angular features down to scale
         1/N; when N exceeds the angular rule, ``|f|**power`` is sampled on
@@ -287,10 +288,12 @@ class QuadratureGrid:
         block is raised to ``power`` in place and reduced to the node cells
         before the next is sampled, one ``np.dot`` with ``(1/up, ...,
         1/up)`` per series (a scaled copy when ``up == 1``), so the radii x
-        upsampled-angles matrix is never built.
+        upsampled-angles matrix is never built.  The upsampling factor is
+        read from the stored order (an array's width minus one).
         """
-        fs = [f] if isinstance(f, PowerSeries) else list(f)
-        up = int(np.ceil((2 * fs[0].order + 2) / self.angular))
+        fs = [f] if isinstance(f, PowerSeries) else f
+        order = fs.shape[1] - 1 if isinstance(fs, np.ndarray) else fs[0].order
+        up = int(np.ceil((2 * order + 2) / self.angular))
         up = min(max(up, 1), 16)
         cell = np.full(up, 1.0 / up)
         out = np.empty((len(fs), self.radii.size, self.angular))

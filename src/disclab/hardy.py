@@ -33,7 +33,7 @@ from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, pow_series, sample_blocks, sample_circle, sample_moduli, sample_rings
+from .series import PowerSeries, exp_series, modulus_blocks, pow_series, sample_moduli
 
 __all__ = [
     "NontangentialParams",
@@ -79,33 +79,37 @@ def _ratio_ring_means(
 
     The stack ``[f, f^{(k)} for k in ks]`` (derivatives padded to f's
     order) is sampled once per angular size, one block of
-    :func:`~disclab.series.sample_blocks` at a time, and every p is reduced
-    from the same block.  For p < 2 the integrand is singular at zeros of
-    f: a ring on which f vanishes exactly at a sample moves half a radial
-    step outward (limiting value 0 when the derivative vanishes too), and
-    rings are upsampled angularly (factor 8, or ``upsample`` for every p
-    when given) when f comes close to vanishing near the boundary, where
-    near-zeros are narrower than the angular cells.  Otherwise rings stay
-    at the grid resolution, where the trapezoid rule is spectrally accurate.
+    :func:`~disclab.series.modulus_blocks` at a time, and every p is
+    reduced from the same block.  For p < 2 the integrand is singular at
+    zeros of f: a ring on which f vanishes exactly at a sample moves half a
+    radial step outward (limiting value 0 when the derivative vanishes
+    too), and rings are upsampled angularly (factor 8, or ``upsample`` for
+    every p when given) when f comes close to vanishing near the boundary,
+    where near-zeros are narrower than the angular cells: when ``min |f|``
+    on the ring ``r_max`` is at most ``2 (1 - r_max) max |c_n|``.  A zero
+    on the unit circle gives ``min |f| ~ (1 - r_max) |f'|`` there, so the
+    factor 2 keeps a degree-one zero such as ``0.5 (1 - z/zeta)`` clear of
+    the threshold.  Otherwise rings stay at the grid resolution, where the
+    trapezoid rule is spectrally accurate.
     """
     ps, low = [float(p) for p in ps], upsample or 1
     if upsample is None and min(ps) < 2:
-        outer = np.abs(sample_circle(f, grid.r_max, grid.angular))
+        outer = sample_moduli(f, [grid.r_max], grid.angular)
         scale = float(np.max(np.abs(f.coeffs))) + 1e-30
-        low = 1 if float(np.min(outer)) > 1e-3 * scale else 8
+        low = 1 if float(np.min(outer)) > 2.0 * (1.0 - grid.r_max) * scale else 8
     sizes = [(low if p < 2 or upsample else 1) * grid.angular for p in ps]
     stack = [f] + [f.derivative(k).pad(f.order) for k in ks]
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
     means = np.empty((len(ks), len(ps), grid.radii.size))
     for M in sorted(set(sizes)):
         cols = [j for j, m in enumerate(sizes) if m == M]
-        for block, values in sample_blocks(stack, grid.radii, M):
-            vals = moved = np.abs(values, out=values).real  # the block is ours until the next
+        for block, vals in modulus_blocks(stack, grid.radii, M):
+            moved = vals
             hit = np.any(vals[0] == 0.0, axis=1)
             if np.any(hit) and min(ps[j] for j in cols) < 2:
                 moved = vals.copy()
                 r = np.minimum(grid.radii[block][hit] + step, 1.0 - 1e-12)
-                moved[:, hit] = np.abs(sample_rings(stack, r, M))
+                moved[:, hit] = sample_moduli(stack, r, M)
             for j in cols:
                 v = moved if ps[j] < 2 else vals
                 ratio = np.where(v[0] > 0.0, v[0] ** (ps[j] - 2.0) * v[1:] ** 2, 0.0)
@@ -119,7 +123,7 @@ def _sides(f: PowerSeries, ks: list[int], p, grid: QuadratureGrid, weight):
     ps = [float(q) for q in np.ravel(p)]
     if min(ps) <= 0:
         raise ValueError("p must be positive")
-    vals = np.abs(sample_circle(f, 1.0, _BOUNDARY_M))
+    vals = sample_moduli(f, [1.0], _BOUNDARY_M)
     hp = [float(np.mean(vals**q)) for q in ps]
     means = _ratio_ring_means(f, ks, ps, grid)
     area = [[grid.integrate_rings(m * w) for m in row] for row, w in zip(means, map(weight, ks))]
@@ -214,11 +218,11 @@ def loc_univ_margin(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, dict[i
     at grid resolution.
     """
     df = f.derivative()
-    d = sample_rings([f.derivative(k).pad(df.order) for k in range(1, 5)], grid.radii, grid.angular)
-    if float(np.min(np.abs(d[0]))) == 0.0 or df.coeffs[0] == 0.0:
+    d = sample_moduli([f.derivative(k).pad(df.order) for k in range(1, 5)], grid.radii, grid.angular)
+    if float(np.min(d[0])) == 0.0 or df.coeffs[0] == 0.0:
         raise ValueError("f' vanishes on the grid: not locally univalent at resolution")
     weight = 1.0 - grid.radii**2
-    out = {k: float(np.max(np.abs(d[k] / d[0]) * weight[:, None] ** k)) for k in range(1, 4)}
+    out = {k: float(np.max(d[k] / d[0] * weight[:, None] ** k)) for k in range(1, 4)}
     return out[1], out
 
 
@@ -236,7 +240,7 @@ def _normalize_positive(f: PowerSeries) -> PowerSeries:
 
 def _check_zero_free(f: PowerSeries, grid: QuadratureGrid) -> None:
     vals = grid.sample(f)
-    if float(np.min(np.abs(vals))) == 0.0:
+    if np.any(vals == 0.0):
         raise ValueError("f vanishes on the grid")
     outer = vals[-1]
     winding = np.round(

@@ -16,10 +16,11 @@ order, or a 2-D array of ``k`` coefficient rows (checked and flushed as a
 :class:`PowerSeries` is), and sample rings of radii in (0, 1] at ``M``
 equally spaced nodes one ring block at a time: the rows are scaled by
 ``r**n`` and folded modulo ``M`` in one buffer per call, then transformed
-there.  :func:`sample_blocks` and :func:`sample_rings` give the complex
-values, one inverse FFT per ring.  :func:`modulus_blocks` and
-:func:`sample_moduli` give ``|f|`` alone: a stack whose coefficients are
-all real takes a real FFT of half the length, any other the complex path.
+there.  :func:`modulus_blocks` and :func:`sample_moduli` give ``|f|``,
+the one route to moduli: a stack whose coefficients are all real takes a
+real FFT of half the length, any other the complex path.
+:func:`sample_rings` gives the complex values, one inverse FFT per ring,
+for readers that need phases.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import numpy as np
 __all__ = [
     "AccuracyWarning",
     "PowerSeries",
-    "sample_circle",
     "sample_rings",
-    "sample_blocks",
     "sample_moduli",
     "modulus_blocks",
     "ring_blocks",
@@ -197,11 +196,11 @@ def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) 
     """Consecutive slices of ``range(rings)``, each as many rows of
     ``order + 1`` coefficients, rounded up to a multiple of ``M``, as fit
     ``_BLOCK_BYTES`` for a stack of ``k`` series (at least one row): the
-    ring blocks of :func:`sample_blocks`, and any other row blocks of
-    that budget.  A row costs 16 bytes per entry in a complex fold buffer;
-    on the real path of :func:`modulus_blocks` (``real``) it costs 8 bytes
-    per entry of the real fold buffer plus the ``M // 2 + 1`` complex
-    entries of its half spectrum."""
+    ring blocks of :func:`modulus_blocks` and :func:`sample_rings`, and
+    any other row blocks of that budget.  A row costs 16 bytes per entry
+    in a complex fold buffer; on the real path of :func:`modulus_blocks`
+    (``real``) it costs 8 bytes per entry of the real fold buffer plus the
+    ``M // 2 + 1`` complex entries of its half spectrum."""
     width = -(-(order + 1) // M) * M
     row = 8 * width + 16 * (M // 2 + 1) if real else 16 * width
     rows = max(1, _BLOCK_BYTES // (row * k))
@@ -252,14 +251,13 @@ def _folds(c: np.ndarray, r: np.ndarray, M: int, blocks, buffer: np.ndarray):
         yield block, folded
 
 
-def sample_blocks(f, radii, M: int):
-    """The rings of :func:`sample_rings` one block at a time: an iterator
-    of ``(block, values)``, where ``block`` is a slice of ``radii`` (see
-    :func:`ring_blocks`, the whole stack counted) and ``values`` are its
-    rows, shape ``(block rings, M)`` for one series and ``(k, block rings,
-    M)`` for a stack (a sequence of series or a 2-D coefficient array).
-    Callers reduce each block before the next, so the radii x M samples
-    are never held at once.
+def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
+    """The complex rings of the coefficient rows ``c`` of checked arguments
+    one block at a time: an iterator of ``(block, values)``, where
+    ``block`` is a slice of ``r`` (see :func:`ring_blocks`, the whole stack
+    counted) and ``values`` are its rows, shape ``(block rings, M)`` when
+    ``single`` and ``(k, block rings, M)`` for a stack.  Callers reduce each
+    block before the next, so the radii x M samples are never held at once.
 
     ``values`` is a view into the one zero-padded fold buffer of the call
     (series x rings x order rounded up to a multiple of ``M``); the next
@@ -277,19 +275,7 @@ def sample_blocks(f, radii, M: int):
     coefficients there and its FFT the padding columns.  Rows are
     bit-identical to ``M * ifft`` of the fully scaled, folded coefficients
     of each ring alone.
-
-    The arguments are checked when this is called, before any block:
-    ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
-    the closed disc, and the boundary circle is where Hardy-space means
-    live); every radius must lie in (0, 1], NaN is rejected.
     """
-    c, r, single = _checked(f, radii, M)
-    return _blocks(c, r, M, single)
-
-
-def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
-    """The generator behind :func:`sample_blocks`, for the coefficient rows
-    ``c`` of checked arguments; ``single`` drops the stack axis."""
     k, size = c.shape
     blocks = ring_blocks(r.size, size - 1, M, k)
     buffer = np.empty((k, blocks[0].stop if blocks else 0, -(-size // M) * M), dtype=complex)
@@ -301,10 +287,19 @@ def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
 
 def modulus_blocks(f, radii, M: int, shift: int = 0):
     """The moduli ``|f(r exp(2 pi i (j - shift) / M))|`` one ring block at
-    a time: an iterator of ``(block, values)`` shaped as in
-    :func:`sample_blocks`, with real ``values`` that are the caller's until
-    the next block (raising them to a power in place allocates nothing).
-    The arguments are checked when this is called.
+    a time: an iterator of ``(block, values)``, where ``block`` is a slice
+    of ``radii`` (see :func:`ring_blocks`, the whole stack counted) and
+    ``values`` are its rows, shape ``(block rings, M)`` for one series and
+    ``(k, block rings, M)`` for a stack (a sequence of series or a 2-D
+    coefficient array).  Callers reduce each block before the next, so the
+    radii x M moduli are never held at once.  ``values`` are real and the
+    caller's until the next block overwrites them (raising them to a power
+    in place allocates nothing).
+
+    The arguments are checked when this is called, before any block:
+    ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
+    the closed disc, and the boundary circle is where Hardy-space means
+    live); every radius must lie in (0, 1], NaN is rejected.
 
     When every coefficient of the stack has imaginary part 0, the rows are
     folded into a real buffer, and one ``np.fft.rfft`` per ring writes the
@@ -317,9 +312,9 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     values then agree with the complex path to FFT rounding, which is
     relative to the ring's norm (so relative to its maximum).  Any other
     stack takes the complex path: the coefficients are turned by
-    ``exp(-2 pi i (n shift mod M) / M)``, sampled by :func:`sample_blocks`'s
-    generator and their modulus taken in place, so its values are
-    ``np.abs`` of :func:`sample_rings` of the turned stack, exactly.
+    ``exp(-2 pi i (n shift mod M) / M)``, sampled in the complex blocks of
+    :func:`sample_rings` and their modulus taken in place, so its values
+    are ``np.abs`` of :func:`sample_rings` of the turned stack, exactly.
     """
     c, r, single = _checked(f, radii, M)
     return _moduli(c, r, M, shift, single)
@@ -366,13 +361,14 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
     ``f`` is one :class:`PowerSeries`, a sequence of ``k`` series of one
     order or a 2-D array of ``k`` coefficient rows; a stack gives shape
     ``(k, len(radii), M)``, each row bit-identical to sampling its series
-    alone.  The rows are those of :func:`sample_blocks` (one fold per ring,
-    the inverse FFT in place in the one fold buffer, zeroed from the
-    underflow cut on), each block copied into the output; the arguments
-    are checked before the output is allocated.  Every radius must lie in
-    (0, 1]; NaN is rejected.
+    alone.  The rings are sampled in blocks (one fold per ring, the
+    inverse FFT in place in the one fold buffer, zeroed from the underflow
+    cut on), each block copied into the output; the arguments are checked
+    before the output is allocated.  Every radius must lie in (0, 1]; NaN
+    is rejected.
     """
-    return _collect(sample_blocks(f, radii, M), f, radii, M, complex)
+    c, r, single = _checked(f, radii, M)
+    return _collect(_blocks(c, r, M, single), f, radii, M, complex)
 
 
 def sample_moduli(f, radii, M: int) -> np.ndarray:
@@ -382,12 +378,6 @@ def sample_moduli(f, radii, M: int) -> np.ndarray:
     non-real coefficient, and to FFT rounding (relative to each ring's
     maximum) for a real one, at about half the cost."""
     return _collect(modulus_blocks(f, radii, M), f, radii, M, float)
-
-
-def sample_circle(f: PowerSeries, r: float, M: int) -> np.ndarray:
-    """Values ``f(r * exp(2*pi*i*j/M))`` for ``j = 0..M-1``: one ring of
-    :func:`sample_rings`."""
-    return sample_rings(f, [r], M)[0]
 
 
 _COMPOSE_RHO = 0.95

@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, sample_blocks, sample_moduli, sample_rings
+from .series import AccuracyWarning, PowerSeries, modulus_blocks, sample_moduli, sample_rings
 from .specs import parse_spec
 
 __all__ = [
@@ -448,8 +448,8 @@ def bloch_kernel_quantity(
     ring_weights = u.weights * 2.0 * u.radii * radial
 
     acc = np.zeros(Q.shape[1])
-    for block, vals in sample_blocks(Q.T, u.radii, u.angular):
-        acc += np.abs(vals, out=vals).real.mean(axis=-1) @ ring_weights[block]
+    for block, vals in modulus_blocks(Q.T, u.radii, u.angular):
+        acc += vals.mean(axis=-1) @ ring_weights[block]
     radius = np.repeat(zr, z_angles)
     est = (1.0 - radius**2) * acc
     value = float(np.max(est))

@@ -43,7 +43,7 @@ from disclab.norms import (
     growth_norm,
     hp_norm,
 )
-from disclab.series import PowerSeries, dilate, ring_blocks, sample_circle, sample_rings
+from disclab.series import PowerSeries, dilate, ring_blocks, sample_moduli
 
 REL = 1e-12
 
@@ -289,21 +289,21 @@ def reference_ratio_ring_means(f, k, p, grid, upsample=None):
         if p >= 2:
             upsample = 1
         else:
-            outer = np.abs(sample_circle(f, grid.r_max, grid.angular))
+            outer = sample_moduli(f, [grid.r_max], grid.angular)
             scale = float(np.max(np.abs(f.coeffs))) + 1e-30
-            upsample = 1 if float(np.min(outer)) > 1e-3 * scale else 8
+            upsample = 1 if float(np.min(outer)) > 2.0 * (1.0 - grid.r_max) * scale else 8
     M = upsample * grid.angular
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
     means = np.empty(grid.radii.size)
     for block in ring_blocks(grid.radii.size, f.order, M):
         r = grid.radii[block].copy()
-        fv = np.abs(sample_rings(f, r, M))
+        fv = sample_moduli(f, r, M)
         if p < 2:
             hit = np.any(fv == 0.0, axis=1)
             if np.any(hit):
                 r[hit] = np.minimum(r[hit] + step, 1.0 - 1e-12)
-                fv[hit] = np.abs(sample_rings(f, r[hit], M))
-        dv = np.abs(sample_rings(df, r, M))
+                fv[hit] = sample_moduli(f, r[hit], M)
+        dv = sample_moduli(df, r, M)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(fv > 0.0, fv ** (p - 2.0) * dv**2, 0.0)
         means[block] = np.mean(vals, axis=1)
@@ -313,7 +313,7 @@ def reference_ratio_ring_means(f, k, p, grid, upsample=None):
 def reference_prop_main_sides(f, p, k, grid):
     """The per-call comparison the stacked one replaced; the Hardy power is
     the mean of ``|f|**p`` over 2048 boundary samples."""
-    hp = np.mean(np.abs(sample_circle(f, 1.0, 2048)) ** p)
+    hp = np.mean(sample_moduli(f, [1.0], 2048) ** p)
     means = reference_ratio_ring_means(f, k, p, grid)
     area = grid.integrate_rings(means * (1.0 - grid.radii**2) ** (2 * k - 1))
     inits = sum(abs(f.derivative(j).coeffs[0]) ** p if j else abs(f.coeffs[0]) ** p for j in range(k))
@@ -390,6 +390,23 @@ def test_stacked_sample_folded_matches_per_series_calls(case, k, power):
 
 def real_series(order, seed):
     return PowerSeries(np.random.default_rng(seed).normal(size=order + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampled_cases(), st.integers(1, 3), st.booleans(), st.sampled_from([1.0, 2.0]))
+def test_array_stack_sample_folded_is_the_series_stack(case, k, real, power):
+    # a 2-D coefficient array (float rows on the real path) gives the node
+    # matrix of its rows wrapped in PowerSeries, with the upsampling read
+    # from the stored order; the buffer holds `rows` rings of the stack
+    spec, order, rows, seed = case
+    grid = QuadratureGrid(**spec)
+    fs = [(real_series if real else random_series)(order, seed + i) for i in range(k)]
+    c = np.array([f.coeffs.real if real else f.coeffs for f in fs])
+    up = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16)
+    with blocks_of(rows, order, up * grid.angular, k):
+        got = grid.sample_folded(c, power=power)
+        assert np.array_equal(got, grid.sample_folded(fs, power=power))
+    assert got.shape == (k, grid.radii.size, grid.angular)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,8 +35,11 @@ class TestHardySteinSpencer:
         # ||z||^2 = 1, |f(0)|^2 = 0, 2 int log(1/|z|) dm = 1
         assert hss_residual(PowerSeries([0, 1]), 2.0, grid) < 1e-10
 
-    def test_boundary_zero_degree_one(self, grid):
-        assert hss_residual(PowerSeries([0.5, 0.5]), 1.0, grid) < 1e-6
+    @pytest.mark.parametrize("zeta", [1.0, 1j, -1.0, -1j], ids=["1", "i", "-1", "-i"])
+    def test_boundary_zero_degree_one(self, grid, zeta):
+        # 0.5 (1 - z/zeta): min |f| on the ring r_max is (1 - r_max) |f'|,
+        # clear of the upsampling threshold in every orientation
+        assert hss_residual(PowerSeries([0.5, -0.5 / zeta]), 1.0, grid) < 1e-6
 
     def test_zero_free_polynomials_all_exponents(self, grid):
         rng = np.random.default_rng(1)

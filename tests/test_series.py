@@ -20,8 +20,6 @@ from disclab.series import (
     pow_series,
     reciprocal_series,
     ring_blocks,
-    sample_blocks,
-    sample_circle,
     sample_moduli,
     sample_rings,
 )
@@ -123,11 +121,11 @@ class TestRingOps:
 
 class TestSampleCircle:
     def test_constant(self):
-        vals = sample_circle(PowerSeries([2 + 1j]), 0.5, 7)
+        vals = sample_rings(PowerSeries([2 + 1j]), [0.5], 7)[0]
         assert np.allclose(vals, 2 + 1j)
 
     def test_monomial(self):
-        vals = sample_circle(PowerSeries([0, 1]), 0.5, 4)
+        vals = sample_rings(PowerSeries([0, 1]), [0.5], 4)[0]
         assert np.allclose(vals, [0.5, 0.5j, -0.5, -0.5j])
 
     @settings(max_examples=20, deadline=None)
@@ -135,13 +133,13 @@ class TestSampleCircle:
     def test_discrete_parseval(self, coeffs, r):
         f = PowerSeries(coeffs)
         M = 2 * f.order + 1
-        vals = sample_circle(f, r, M)
+        vals = sample_rings(f, [r], M)[0]
         lhs = np.mean(np.abs(vals) ** 2)
         rhs = np.sum(np.abs(f.coeffs) ** 2 * r ** (2 * np.arange(f.order + 1)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_boundary_radius_allowed(self):
-        vals = sample_circle(PowerSeries([0, 1]), 1.0, 4)
+        vals = sample_rings(PowerSeries([0, 1]), [1.0], 4)[0]
         assert np.allclose(vals, [1, 1j, -1, -1j])
 
 
@@ -267,7 +265,7 @@ class TestSampleRings:
 
     def test_one_ring_is_sample_circle(self):
         f = PowerSeries([1.0, 2.0 - 1j, 0.5j])
-        assert np.array_equal(sample_rings(f, [0.7], 5)[0], sample_circle(f, 0.7, 5))
+        assert np.array_equal(sample_rings(f, [0.7], 5)[0], oracle_sample_circle(f, 0.7, 5))
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 1e-12, 2.0, math.nan, math.inf])
     @pytest.mark.parametrize("at", [0, 1, 3])
@@ -277,7 +275,7 @@ class TestSampleRings:
         with pytest.raises(ValueError, match="sampling radius"):
             sample_rings(PowerSeries([1.0, 1.0]), radii, 8)
         with pytest.raises(ValueError, match="sampling radius"):
-            sample_circle(PowerSeries([1.0, 1.0]), bad, 8)
+            sample_rings(PowerSeries([1.0, 1.0]), [bad], 8)
 
     def test_rejects_empty_node_set(self):
         # checked before the output is allocated, which fails otherwise at M < 0
@@ -290,6 +288,10 @@ class TestSampleRings:
 
 
 class TestSampleBlocks:
+    """The complex ring blocks, read through the complex path of
+    modulus_blocks (every series of ring_cases has a non-real coefficient):
+    the blocks that sample_rings gathers, their moduli taken in place."""
+
     @settings(max_examples=100, deadline=None)
     @example(case=UNDERFLOW_CASE, rows=4)
     @given(ring_cases(), st.integers(1, 5))
@@ -301,8 +303,8 @@ class TestSampleBlocks:
         width = -(-(f.order + 1) // M) * M
         seen = []
         with mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * width):
-            for block, values in sample_blocks(f, radii, M):
-                want = [oracle_sample_circle(f, float(r), M) for r in radii[block]]
+            for block, values in modulus_blocks(f, radii, M):
+                want = np.abs([oracle_sample_circle(f, float(r), M) for r in radii[block]])
                 assert values.shape == (len(want), M) and np.array_equal(values, want)
                 values[...] = np.nan
                 seen.append(block)
@@ -316,17 +318,17 @@ class TestSampleBlocks:
         f, radii, M = UNDERFLOW_CASE
         width = -(-(f.order + 1) // M) * M
         with mock.patch.object(series, "_BLOCK_BYTES", 3 * rows * 16 * width):
-            views = [values for _, values in sample_blocks([f, f, f], radii, M)]
+            views = [values for _, values in modulus_blocks([f, f, f], radii, M)]
         assert len(views) == -(-len(radii) // rows)
         assert all(np.shares_memory(a, b) for a, b in zip(views, views[1:]))
 
     def test_arguments_are_checked_before_the_first_block(self):
         with pytest.raises(ValueError, match="sampling radius"):
-            sample_blocks(PowerSeries([1.0, 1.0]), [0.5, 1.5], 8)
+            modulus_blocks(PowerSeries([1.0, 1.0j]), [0.5, 1.5], 8)
         with pytest.raises(ValueError, match="node"):
-            sample_blocks(PowerSeries([1.0]), [0.5], 0)
+            modulus_blocks(PowerSeries([1.0j]), [0.5], 0)
         with pytest.raises(ValueError, match="one order"):
-            sample_blocks([PowerSeries([1.0]), PowerSeries([1.0, 2.0])], [0.5], 4)
+            modulus_blocks([PowerSeries([1.0j]), PowerSeries([1.0, 2.0j])], [0.5], 4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,11 +478,9 @@ class TestArrayStacks:
         wrapped = [PowerSeries(row) for row in c]
         for sampler in (sample_rings, sample_moduli):
             assert np.array_equal(sampler(c, radii, M), sampler(wrapped, radii, M))
-        for (b, got), (_, want) in zip(sample_blocks(c, radii, M), sample_blocks(wrapped, radii, M)):
-            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
-    @pytest.mark.parametrize("sampler", [sample_blocks, sample_rings, modulus_blocks, sample_moduli])
+    @pytest.mark.parametrize("sampler", [sample_rings, modulus_blocks, sample_moduli])
     def test_non_finite_entry_is_rejected(self, bad, sampler):
         c = np.ones((3, 5), dtype=complex)
         c[1, 2] = bad
