@@ -29,6 +29,7 @@ whose smallness bounds the Bloch norm of every solution of f'' + A f = 0 by
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,9 +66,59 @@ class BoundNotApplicableError(ValueError):
 
 
 def _beta(a: float, b: float) -> float:
-    from scipy.special import betaln  # deferred: scipy is slow to import
+    """Euler's beta function ``B(a, b)`` for ``a, b > 0``.
 
-    return float(np.exp(betaln(a, b)))
+    While ``a + b < 171`` it is ``Gamma(a) Gamma(b) / Gamma(a + b)``, unless
+    the product overflows (``b`` near 0).  Otherwise, with ``b <= a`` and
+    ``c = a + b``, Stirling's series gives the ratio ``Gamma(a) / Gamma(c)``
+    as ``c**-b exp(b - (a - 1/2) log1p(b/a))`` times ``exp(d(a) - d(c))``,
+    ``d`` the series' tail, and for ``b >= 20`` ``Gamma(b)`` too; no factor
+    over- or underflows unless ``B`` does.  Against 40-digit values, for
+    ``a = (x + 1)/2`` with integer ``x < 8200``, it reads within 1e-15
+    relative for ``1/2 <= b <= 4`` and 3.3e-15 for ``b <= 11``; the error
+    grows like ``b`` ulps, and to 2.5e-14 as ``b -> 0`` (``b = 1e-3``).
+    """
+    a, b = max(a, b), min(a, b)
+    head = math.gamma(a) * math.gamma(b) if a + b < 171.0 else math.inf
+    if head < math.inf:
+        return head / math.gamma(a + b)
+    c = a + b
+    e = _stirling_tail(a) - _stirling_tail(c) - (a - 0.5) * math.log1p(b / a)
+    if b < 20.0:
+        return math.gamma(b) * math.exp(e + b) * c**-b
+    return math.sqrt(2.0 * math.pi / c) * (b / c) ** (b - 0.5) * math.exp(e + _stirling_tail(b))
+
+
+def _stirling_tail(z: float) -> float:
+    """``log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2`` by Stirling's
+    series (DLMF 5.11.1), five terms: below 1e-17 for ``z >= 20``."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+
+def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of the incomplete beta function (DLMF
+    8.17.22), ``B_x(a, b) = x**a (1 - x)**b / a`` times
+    ``1/(1 + d_1/(1 + d_2/(1 + ...)))``, by the modified Lentz method on an
+    array ``x``.  It converges fast for ``x <= (a + 1)/(a + b + 2)``; each
+    entry stops at the first factor within one ulp of 1."""
+    tiny, eps = 1e-300, np.finfo(float).eps
+    guard = lambda v: np.where(np.abs(v) < tiny, tiny, v)
+    c = np.ones_like(x)
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    h, done = d, np.zeros(x.shape, dtype=bool)
+    m = 0
+    while not done.all():
+        m += 1
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / guard(1.0 + num * d)
+            c = guard(1.0 + num / c)
+            h = np.where(done, h, h * (d * c))
+        done |= ~(np.abs(d * c - 1.0) > eps)  # a NaN entry stops at once
+    return h
 
 
 # The panel rule every weight shares on [0, 1]: dyadic panels from 2**-40 up
@@ -197,14 +248,23 @@ class StandardWeight(RadialWeight):
         return self.scale * 0.5 * _beta((x + 1.0) / 2.0, self.alpha + 1.0)
 
     def what(self, r):
-        """``(scale/2) int_{r^2}^1 u^{-1/2} (1-u)^alpha du``, from the
-        regularized incomplete beta function at ``1 - r^2``, which does not
-        cancel as r -> 1."""
-        from scipy.special import betainc  # deferred: scipy is slow to import
-
+        """``(scale/2) B_y(alpha + 1, 1/2)``, the incomplete beta function at
+        ``y = 1 - r^2``, which does not cancel as r -> 1.  With ``a = alpha +
+        1`` it is ``y**a |r| / a`` times the continued fraction of
+        :func:`_beta_fraction` when ``y <= (a + 1)/(a + 5/2)``, and
+        ``B(1/2, a) - 2 |r| y**a`` times the fraction at ``(1/2, a, r^2)``
+        otherwise.  Against 40-digit values, for alpha <= 10, it reads
+        within 1.6e-15 relative at r in {0, 0.27, 0.9, 0.99} and 1 - r in
+        {1e-4, 1e-6, 1e-8}, and within 7.5e-15 on 103 radii from 0 to
+        1 - 1e-8 (the most near y = (a + 1)/(a + 5/2), where the fraction
+        needs the most terms)."""
         r = np.asarray(r, dtype=float)
-        full = _beta(0.5, self.alpha + 1.0)
-        return (self.scale * 0.5 * full * betainc(self.alpha + 1.0, 0.5, (1.0 - r) * (1.0 + r)))[()]
+        a, y = self.alpha + 1.0, (1.0 - r) * (1.0 + r)
+        swap = y > (a + 1.0) / (a + 2.5)
+        front = y**a * np.abs(r)
+        direct = front * _beta_fraction(a, 0.5, np.where(swap, 0.0, y)) / a
+        flipped = _beta(0.5, a) - 2.0 * front * _beta_fraction(0.5, a, np.where(swap, r * r, 0.0))
+        return (self.scale * 0.5 * np.where(swap, flipped, direct))[()]
 
     def wtilde(self, r):
         r = np.asarray(r, dtype=float)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -454,17 +455,51 @@ def test_results_do_not_depend_on_the_padding_order(kind, tmp_path):
 
 
 class TestStartup:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy is imported only where it is called (the Hille zero walker
-        # and standard-weight tail integrals), so start-up skips its cost
+    def test_readme_commands_load_no_scipy(self):
+        # the README's zeros, kernels and identities commands refine roots
+        # and evaluate beta and incomplete beta functions; in a fresh process
+        # they load no scipy module
         src = str(Path(disclab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
-            "import disclab.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))"
+            "import contextlib, io, sys\n"
+            "from disclab.cli import run\n"
+            "commands = [\n"
+            "    ['--order', '256', 'zeros', '--example', 'hille:gamma=1.0', '--count', '20'],\n"
+            "    ['kernels', '--weight', 'standard:alpha=1', '--zeta', '0.5', '--at', '0.5'],\n"
+            "    ['identities', '--suite', 'green', '--weight', 'standard:alpha=0'],\n"
+            "]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [run(c) for c in commands]\n"
+            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip() == "[0, 0, 0] []"
+
+
+class TestDependencies:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_no_module_imports_scipy(self):
+        offenders = []
+        for path in sorted((self.ROOT / "src" / "disclab").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}" for n in names if n == "scipy" or n.startswith("scipy.")]
+        assert offenders == []
+
+    def test_project_does_not_depend_on_scipy(self):
+        # a text check: tomllib needs Python 3.11, and the project supports 3.10
+        text = (self.ROOT / "pyproject.toml").read_text()
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        dependencies = project.split("dependencies = [", 1)[1].split("]", 1)[0]
+        assert "numpy" in dependencies
+        assert "scipy" not in dependencies
 
 
 class TestFunctionSpecs:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from numpy.polynomial import polynomial as P
+
 from disclab.ode import (
     ODEProblem,
+    _bracketed_roots,
     hille_zero_table,
     named_example,
     residual,
@@ -257,3 +260,31 @@ class TestHilleZeroTable:
     def test_first_zero_position_is_hyperbolically_exact(self):
         (x1, s1), *_ = hille_zero_table(1.0, 1, order=256)
         assert s1 == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+class TestBracketedRoots:
+    """The array refiner behind the Hille zero walker: a sign scan, then
+    safeguarded Newton steps on every bracket at once."""
+
+    @staticmethod
+    def roots_of(roots, nodes):
+        c = P.polyfromroots(roots)
+        return _bracketed_roots(np.stack([c, np.append(P.polyder(c), 0.0)], axis=1), nodes)
+
+    def test_known_simple_roots(self):
+        roots = [-0.61, -0.05, 0.3, 0.77]
+        found = self.roots_of(roots, np.linspace(-0.9, 0.9, 37))
+        np.testing.assert_allclose(found, roots, rtol=0.0, atol=1e-15)
+
+    def test_root_on_a_scan_node(self):
+        # 0.25 is a node, and the polynomial vanishes there exactly: the root
+        # is the node itself, once, and the brackets either side are not used
+        nodes = np.linspace(0.0, 1.0, 5)
+        found = self.roots_of([0.25, 0.8], nodes)
+        assert found[0] == 0.25
+        np.testing.assert_allclose(found, [0.25, 0.8], rtol=0.0, atol=1e-15)
+
+    def test_two_roots_in_adjacent_brackets(self):
+        nodes = np.linspace(0.0, 0.4, 11)  # ... 0.28, 0.32, 0.36 ...
+        found = self.roots_of([0.3, 0.34], nodes)
+        np.testing.assert_allclose(found, [0.3, 0.34], rtol=0.0, atol=1e-15)

@@ -159,6 +159,83 @@ class TestPanelRule:
             assert_rel(got[i], float(exact), 1e-12)
 
 
+# 40-digit values of the standard weights' moments and tail integrals, from
+# the closed forms (the script is in TestAgainstHighPrecisionValues' docstring)
+MOMENT_XS = (0, 1, 7, 129, 341, 513)
+MOMENTS = {
+    -0.5: ["0.7853981633974483096156608458198757210493", "0.5", "0.2285714285714285714285714285714285714286",
+           "0.05506725650979166656784243105830589979478", "0.03391051270640929918136365594969149350057",
+           "0.02765410553862384141308216533627277051541"],
+    0.0: ["1.0", "0.5", "0.125", "0.007692307692307692307692307692307692307692",
+          "0.002923976608187134502923976608187134502924", "0.001945525291828793774319066147859922178988"],
+    0.5: ["1.178097245096172464423491268729813581574", "0.5", "0.07619047619047619047619047619047619047619",
+          "0.00126108221014790076109562819217494427011", "0.0002965934055954166109157171074317040247864",
+          "0.0001610918769240223771635854291433365272742"],
+    1.0: ["1.333333333333333333333333333333333333333", "0.5", "0.05",
+          "0.0002331002331002331002331002331002331002331", "0.0000339997280021759825921392628858969128247",
+          "0.00001508159140952553313425632672759629596115"],
+    2.0: ["1.6", "0.5", "0.025", "0.00001043732387015969105521344327314476568208",
+          "0.0000005895906589972713744301606280791372166132", "0.0000001746902479867822370763281088138567099747"],
+    7.5: ["2.622028567042964411328284247694864029058", "0.5", "0.002615233736515201046093494606080418437398",
+          "0.00000000001449059577505140379891350926693424821185", "5.192731589198743136966189655887973477477e-15",
+          "1.72916927278873959900605893645125265496e-16"],
+}
+WHAT_RS = (0.0, 0.27, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8)
+WHATS = {
+    0.0: ["1.0", "0.7299999999999999822364316059974953532219", "0.09999999999999997779553950749686919152737",
+          "0.01000000000000000888178419700125232338905", "0.00009999999999998898658759571844711899757385",
+          "0.000001000000000028755664516211254522204399109", "0.00000001000000005024759275329415686428546905518"],
+    1.0: ["1.333333333333333333333333333333333333333", "0.8064553333333333003961248171738893876713",
+          "0.01933333333333332489563834618214451358225", "0.0001993333333333336868283443739833319986769",
+          "0.00000001999933333332892818863986904037823650593",
+          "0.000000000001999999333448355933888503093829403183892", "2.000000013432370384652221617513080233945e-16"],
+    4.0: ["2.031746031746031746031746031746031746032", "0.8046513183373558939876597152325121177785",
+          "0.0001349981746031744584892283824282099700922", "0.000000001573504262460324424698536597307896334831",
+          "1.599733350474809584955072229975854259471e-19", "1.599997333565092474600252126624520699728e-29",
+          "1.600000013531407307407036061057869778886e-39"],
+    10.0: ["2.972862019301647784619920842831059549326", "0.6004189818286197407974330110797824614001",
+           "0.000000006410072947971548537782499717631744053009", "9.780294653337851027236451068638110480483e-20",
+           "1.023530764130282227068359997657333716435e-41", "1.023995307000316532547589422295367246594e-63",
+           "1.024000009665554710780955942449971968279e-85"],
+}
+
+
+class TestAgainstHighPrecisionValues:
+    """Moments and tail integrals of ``RadialWeight.standard(alpha)`` against
+    40-digit values of their closed forms, ``w_x = (alpha + 1)/2 B((x + 1)/2,
+    alpha + 1)`` and ``what(r) = (alpha + 1)/2 B_{1 - r^2}(alpha + 1, 1/2)``,
+    at the float radii themselves::
+
+        import mpmath as mp
+        mp.mp.dps = 50
+        for alpha in (-0.5, 0, 0.5, 1, 2, 7.5):
+            print(alpha, [mp.nstr((alpha + 1) / mp.mpf(2) * mp.beta(mp.mpf(x + 1) / 2, alpha + 1), 40)
+                          for x in (0, 1, 7, 129, 341, 513)])
+        for alpha in (0, 1, 4, 10):
+            print(alpha, [mp.nstr((alpha + 1) / mp.mpf(2) * mp.betainc(alpha + 1, mp.mpf(1) / 2, 0, 1 - mp.mpf(r) ** 2), 40)
+                          for r in (0.0, 0.27, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8)])
+
+    ``x >= 341`` puts the moments' beta function past ``a + b = 171``, where
+    ``Gamma(a + b)`` overflows.  The bounds are the accuracy of the in-repo
+    beta and incomplete beta functions (at most 1.3e-15 and 1.6e-15 here);
+    scipy's ``exp(betaln)`` and ``betainc`` read up to 2.4e-13 and 1.9e-15
+    on the same values."""
+
+    @pytest.mark.parametrize("alpha", sorted(MOMENTS))
+    def test_moments(self, alpha):
+        w = RadialWeight.standard(alpha)
+        for x, exact in zip(MOMENT_XS, MOMENTS[alpha]):
+            assert_rel(w.moment(x), float(exact), 2e-15)
+
+    @pytest.mark.parametrize("alpha", sorted(WHATS))
+    def test_tail_integrals(self, alpha):
+        w = RadialWeight.standard(alpha)
+        exact = np.array([float(v) for v in WHATS[alpha]])
+        np.testing.assert_allclose(w.what(np.array(WHAT_RS)), exact, rtol=2e-15, atol=0.0)
+        for r, want in zip(WHAT_RS, exact):
+            assert_rel(w.what(r), want, 2e-15)
+
+
 class TestRegularity:
     def test_alpha0_exact_power_law(self):
         a, b, c = regularity_constants(RadialWeight.standard(0.0))
