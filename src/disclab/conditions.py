@@ -294,17 +294,22 @@ def decay_conditions(
     ``sup_{|z|=rho} |A(z)| (1-|z|^2)^2 log(e/(1-|z|))``.
 
     Vanishing profiles as rho -> 1 are the hypotheses for vanishing mean
-    oscillation and little-Bloch membership of solutions.
+    oscillation and little-Bloch membership of solutions.  All profile
+    radii take one centre sweep (a radius ``rho <= 0`` reads the centre 0)
+    and one sampling of the rings ``|z| = rho > 0``.
     """
+    rhos = [float(rho) for rho in radii]
+    a_radii = [rho if rho > 0 else 0.0 for rho in rhos]
+    ring_radii = [rho for rho in rhos if rho > 0]
     field = sample_moduli(A, grid.radii, grid.angular) ** 2 * (1 - grid.radii**2)[:, None] ** 2
-    wq = grid.weights * 2.0 * grid.radii
+    means = grid.moebius_ring_means(field, a_radii=a_radii) @ (grid.weights * 2.0 * grid.radii)
+    # the rows of the sweep: the centre 0 first (if asked for), then a_angles per ring radius
+    head = 1 if 0.0 in a_radii else 0
+    phases = iter(means[head:].reshape(len(ring_radii), grid.a_angles))
+    maxima = iter(np.max(sample_moduli(A, ring_radii, grid.angular), axis=1))
     out = []
-    for rho in radii:
-        rho = float(rho)
-        pref = float(_log_weight(rho)) ** 2
-        rings = grid.moebius_ring_means(field, a_radii=(rho if rho > 0 else 0.0,))
-        best = max(0.0, float(np.max(pref * (rings @ wq))))
-        ring = float(np.max(sample_moduli(A, [rho], grid.angular))) if rho > 0 else abs(A.coeffs[0])
-        logsup = ring * (1 - rho * rho) ** 2 * float(_log_weight(rho))
-        out.append((rho, best, logsup))
+    for rho in rhos:
+        rows, ring = (next(phases), float(next(maxima))) if rho > 0 else (means[:1], abs(A.coeffs[0]))
+        best = max(0.0, float(np.max(float(_log_weight(rho)) ** 2 * rows)))
+        out.append((rho, best, ring * (1 - rho * rho) ** 2 * float(_log_weight(rho))))
     return out

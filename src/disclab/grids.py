@@ -18,11 +18,9 @@ sweeps; how an estimate is probed and reported lives in :mod:`disclab.norms`.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
 from .series import PowerSeries, modulus_blocks, sample_rings
@@ -133,6 +131,8 @@ class QuadratureGrid:
         return self._sibling("fine", 2 * self.nodes_per_panel, 2 * self.angular)
 
     def fingerprint(self) -> str:
+        import hashlib  # loads OpenSSL: a few ms that a grid alone does not need
+
         key = (
             f"rmax={self.r_max!r};k={self.nodes_per_panel};M={self.angular};"
             f"in={self.inner_depth};out={self.outer_depth};"
@@ -201,11 +201,18 @@ class QuadratureGrid:
 
             mean_k base[i, k] K_f[i, (k - m) mod M],   base = field (1 - rho^2).
 
-        There are ``P / gcd(M, P)`` offsets, and the ``gcd(M, P)`` phases of
-        one offset have shifts spaced ``M / gcd(M, P)`` apart: ``K_f``
-        wrapped to ``2M`` columns holds them all in one strided view, and
-        one ``einsum`` contracts every phase of the offset with every
-        field.  Rings go in blocks of ``_SWEEP_RINGS``.
+        There are ``stride = P / g`` offsets, ``g = gcd(M, P)``, and the
+        ``g`` phases ``j + stride u`` of offset ``j`` have shifts
+        ``m_j + u step``, ``step = M / g``.  Splitting ``k = q step + t``
+        turns each into a length-``g`` circular correlation: with
+        ``R_j[p, t] = K_f[(p step + t - m_j) mod M]`` (the kernel rolled by
+        ``m_j``), phase ``u`` reads ``sum_q sum_t base[q, t] R_j[(q - u) mod
+        g, t]``.  Per ring block and centre radius, the kernel of every
+        offset is built in one broadcast into a buffer of shape (rings,
+        stride g, step), and one batched product ``base @ kernel^T`` of
+        shape (rings, fields g, stride g) holds every ``sum_t``; a gather
+        of the entries ``(q, (q - u) mod g)`` and a product with ones sum
+        over ``q``.  Rings go in blocks of ``_SWEEP_RINGS``.
         """
         stacked = field.ndim == 3
         fields = field if stacked else field[None]
@@ -213,33 +220,37 @@ class QuadratureGrid:
         M, P = self.angular, self.a_angles
         head = 1 if 0.0 in radii else 0
         ring_radii = [s for s in radii if s > 0.0]
-        shape = (fields.shape[0], head + P * len(ring_radii), self.radii.size)
-        out = np.empty(shape, dtype=np.result_type(fields, 1.0))
+        x = fields.shape[0]
+        out = np.empty((x, head + P * len(ring_radii), self.radii.size), dtype=np.result_type(fields, 1.0))
         g = math.gcd(M, P)
         step, stride, k = M // g, P // g, np.arange(M)
-        # phases j, j + stride, ... share one offset f_j and so one sin^2 row
+        # the sin^2 row of each offset rolled by its shift m, split as (p, t)
         offsets = [divmod(j * M, P) for j in range(stride)]
-        sin2 = [np.sin(np.pi * (k * P - f) / (M * P)) ** 2 for _, f in offsets]
+        sin2 = np.stack([np.roll(np.sin(np.pi * (k * P - f) / (M * P)) ** 2, m) for m, f in offsets])
+        sin2 = sin2.reshape(stride * g, step)
+        # entry (q, j, (q - u) mod g) of a field's product, at [u, j, q]: phase row u stride + j
+        q = np.arange(g)
+        gather = q * P + np.arange(stride)[:, None] * g + (q - np.arange(g)[:, None, None]) % g
+        ones = np.ones(g)
+        rows = min(_SWEEP_RINGS, self.radii.size)
+        bases = np.empty((rows, x, M), dtype=out.dtype)
+        kernels = np.empty((rows, stride * g, step))
         for lo in range(0, self.radii.size, _SWEEP_RINGS):
             block = slice(lo, lo + _SWEEP_RINGS)
             rho = self.radii[block]
-            base = fields[:, block] * (1.0 - rho**2)[:, None]
+            base, kernel = bases[: rho.size], kernels[: rho.size]
+            np.multiply(fields[:, block].transpose(1, 0, 2), (1.0 - rho**2)[:, None, None], out=base)
             if head:
-                out[:, 0, block] = base.mean(axis=-1)
-            wrapped = np.empty((rho.size, 2 * M))
-            kernel = wrapped[:, :M]
+                out[:, 0, block] = base.mean(axis=-1).T
             for b, s in enumerate(ring_radii):
-                sr = s * rho
-                for j, (m, _) in enumerate(offsets):
-                    np.multiply((4.0 * sr)[:, None], sin2[j][None, :], out=kernel)
-                    kernel += ((1.0 - sr) ** 2)[:, None]
-                    np.divide(1.0 - s * s, kernel, out=kernel)
-                    wrapped[:, M:] = kernel
-                    # shifted[i, u] = K_f[i, (. - m_u) mod M], m_u = m + (g - 1 - u) M / g
-                    strides = (wrapped.strides[0], step * wrapped.strides[1], wrapped.strides[1])
-                    shifted = as_strided(wrapped[:, step - m :], (rho.size, g, M), strides, writeable=False)
-                    rows = head + b * P + j + stride * np.arange(g - 1, -1, -1)
-                    out[:, rows, block] = np.einsum("xik,iuk->xui", base, shifted) / M
+                sr = (s * rho)[:, None, None]
+                np.multiply(4.0 * sr, sin2, out=kernel)
+                kernel += (1.0 - sr) ** 2
+                np.divide((1.0 - s * s) / M, kernel, out=kernel)
+                sums = np.matmul(base.reshape(rho.size, x * g, step), kernel.transpose(0, 2, 1))
+                # the sum over q as a product with ones, faster than .sum over the short last axis
+                sums = np.take(sums.reshape(-1, g * P), gather.reshape(P, g), axis=1) @ ones
+                out[:, head + b * P : head + (b + 1) * P, block] = sums.reshape(rho.size, x, P).transpose(1, 2, 0)
         return out if stacked else out[0]
 
     def square_ring_means(self, field: np.ndarray) -> np.ndarray:

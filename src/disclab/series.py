@@ -191,6 +191,9 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # serves every block of a call.
 _BLOCK_BYTES = 8 * 2**20
 
+# Powers per row of the two-level r**n table of the real path of _folds.
+_TABLE_STEP = 64
+
 
 def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) -> list[slice]:
     """Consecutive slices of ``range(rings)``, each as many rows of
@@ -237,13 +240,32 @@ def _folds(c: np.ndarray, r: np.ndarray, M: int, blocks, buffer: np.ndarray):
     """Per block of ``blocks``: the rows ``c`` scaled by ``r**n`` in
     ``buffer`` (of ``c``'s dtype) and folded modulo ``M`` into its first
     ``M`` columns; yields ``(block, folded)``, a view of shape ``(k, block
-    rings, M)``."""
-    size = c.shape[1]
+    rings, M)``.
+
+    Powers are formed only below the block's underflow cut ``n < 1075 /
+    -log2(max r) + 2``, beyond which ``r**n`` is exactly 0.  Complex rows
+    take ``r[:, None] ** n``, one ``pow`` per entry.  Real rows take the
+    two-level table ``r**(64 a + b) = r**(64 a) * r**b``, both factors by
+    ``pow`` (within a few ulp of it, at about an eighth of its cost): the
+    table is written into the first series' rows of the buffer, and each
+    coefficient row scales it from there, the first one last and in
+    place, so no array the size of the table is allocated."""
+    k, size = c.shape
     for block in blocks:
         rb = r[block]
         scaled = buffer[:, : rb.size]
         live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
-        np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
+        if np.iscomplexobj(c):
+            np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
+        else:
+            step, table = _TABLE_STEP, scaled[0, :, :live]
+            whole = live // step  # whole rows of the table; the rest is a short one
+            high = rb[:, None] ** (step * np.arange(-(-live // step)))
+            low = rb[:, None] ** np.arange(step)
+            np.multiply(high[:, :whole, None], low[:, None], out=table[:, : whole * step].reshape(rb.size, whole, step))
+            np.multiply(high[:, whole:], low[:, : live - whole * step], out=table[:, whole * step :])
+            for x in range(k - 1, -1, -1):
+                np.multiply(table, c[x, :live], out=scaled[x, :, :live])
         scaled[:, :, live:] = 0.0
         folded = scaled[:, :, :M]
         for j in range(M, size, M):
@@ -264,17 +286,15 @@ def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
     block overwrites it, so consume it first.  Until then it is the
     caller's: taking ``np.abs(values, out=values)`` in place spares an
     allocation the size of the block.  A short last block uses the buffer's
-    leading rings.  Per block, one ``r[:, None] ** n`` table is
-    shared by the stack; the scaled coefficients ``c_n r**n`` are folded
-    modulo ``M`` into the first ``M`` columns (``sum_k c_{j+kM}
-    r**(j+kM)``, added in increasing ``k``), and the inverse FFT runs in
-    place there and is scaled by ``M`` to give the unnormalised sum.
-    Powers are formed only below a block's underflow cut ``n < 1075 /
-    -log2(max r) + 2``, beyond which ``r**n`` is exactly 0; the buffer is
-    zeroed from the cut to its end, as the block before may have filled
-    coefficients there and its FFT the padding columns.  Rows are
-    bit-identical to ``M * ifft`` of the fully scaled, folded coefficients
-    of each ring alone.
+    leading rings.  Per block, :func:`_folds` scales the coefficients by
+    one ``r[:, None] ** n`` table (one ``pow`` per entry, shared by the
+    stack) and folds ``c_n r**n`` modulo ``M`` into the first ``M``
+    columns (``sum_k c_{j+kM} r**(j+kM)``, added in increasing ``k``);
+    the inverse FFT runs in place there and is scaled by ``M`` to give the
+    unnormalised sum.  The buffer is zeroed from the block's underflow cut
+    to its end, as the block before may have filled coefficients there and
+    its FFT the padding columns.  Rows are bit-identical to ``M * ifft``
+    of the fully scaled, folded coefficients of each ring alone.
     """
     k, size = c.shape
     blocks = ring_blocks(r.size, size - 1, M, k)
@@ -302,9 +322,11 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     live); every radius must lie in (0, 1], NaN is rejected.
 
     When every coefficient of the stack has imaginary part 0, the rows are
-    folded into a real buffer, and one ``np.fft.rfft`` per ring writes the
-    half spectrum ``F_m``, ``m = 0..M//2``, into a second buffer reused by
-    every block (the two within ``_BLOCK_BYTES``, see :func:`ring_blocks`).
+    scaled by the two-level power table of :func:`_folds` (within a few
+    ulp of ``pow``) and folded into a real buffer, and one ``np.fft.rfft``
+    per ring writes the half spectrum ``F_m``, ``m = 0..M//2``, into a
+    second buffer reused by every block (the two within ``_BLOCK_BYTES``,
+    see :func:`ring_blocks`).
     Real coefficients give ``f(r exp(2 pi i m / M)) = conj(F_m)`` and
     ``|f|`` at ``M - m`` equal to ``|f|`` at ``m``, so the modulus is
     taken in place and one ``np.take`` over ``min(m, M - m)``, ``m = (j -

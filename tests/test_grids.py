@@ -228,6 +228,26 @@ def test_stacked_sweeps_match_per_field_calls(spec, seed):
         assert_rel(got_s, oracle_square_ring_means(grid, field))
 
 
+@pytest.mark.parametrize(
+    "angular, a_angles",
+    [
+        (544, 16),  # the default grid's layout: g = 16 phases per offset, step = 34
+        (1088, 16),  # the refined grid's: step = 68
+        (544, 7),  # seven offsets of one phase each (7 does not divide 544)
+    ],
+)
+def test_moebius_ring_means_at_production_layouts(angular, a_angles):
+    # the default centre radii on 74 radii (a block of 64 rings and a
+    # short one of 10), a stack of two fields and one alone
+    grid = QuadratureGrid(nodes_per_panel=2, angular=angular, inner_depth=2, outer_depth=36, a_angles=a_angles)
+    assert grid.radii.size == 74 and grid.a_grid.size == 1 + 7 * a_angles
+    fields = np.stack([field_for(grid, seed) for seed in (1, 2)])
+    stacked = grid.moebius_ring_means(fields)
+    for field, got in zip(fields, stacked):
+        assert_rel(got, oracle_moebius_ring_means(grid, field))
+    assert_rel(grid.moebius_ring_means(fields[1]), stacked[1])
+
+
 def test_centre_radii_subset_matches_grid_rows():
     # asking for some of the grid's centre radii returns their rows of the full sweep
     grid = QuadratureGrid(nodes_per_panel=2, angular=40, inner_depth=2, outer_depth=6,

@@ -462,6 +462,35 @@ def test_real_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
 tiny = st.sampled_from([5e-324, -1e-310, 2.5e-308, 1e-301, 1e-300, -3e-300, 1e-299])
 
 
+class TestPowerTable:
+    """The real path's two-level table ``r**(64 a + b) = r**(64 a) * r**b``
+    against one ``pow`` per entry, the table of the complex path.  Each
+    factor is within an ulp of its exact value and the product adds half
+    an ulp, so an entry can stray from ``pow`` by a few ulp (2 at most on
+    these cases)."""
+
+    @pytest.mark.parametrize(
+        "radii, size",
+        [
+            ([1.0, 1.0 - 2.0**-44], 1000),  # no cut; 1000 = 15 * 64 + 40
+            ([0.999, 1.0], 1024),  # no cut; 16 whole rows of 64
+            ([0.5, 0.3], 1500),  # cut at 1077 = 16 * 64 + 53: subnormal powers up to it
+            ([0.75], 2700),  # cut at 2592 = 40 * 64 + 32
+            ([INNERMOST], 200),  # cut at 41, below one row of 64
+            (list(QuadratureGrid().radii), 1025),  # the default grid at order 1024
+        ],
+    )
+    def test_within_a_few_ulp_of_pow(self, radii, size):
+        # a stack of three: exact multiples of the table, the first row scaled last and in place
+        r = np.array(radii)
+        c = np.array([[-2.0], [1.0], [4.0]]) * np.ones(size)
+        buffer = np.full((3, r.size, size), np.nan)
+        [(block, folded)] = list(series._folds(c, r, size, [slice(0, r.size)], buffer))
+        assert block == slice(0, r.size) and folded.shape == (3, r.size, size)
+        want = c[:, None, :] * r[:, None] ** np.arange(size)
+        assert np.max(np.abs(folded - want) / np.spacing(np.abs(want))) <= 4.0
+
+
 class TestArrayStacks:
     @settings(max_examples=80, deadline=None)
     @given(stack_cases(), st.data(), tiny, st.booleans())
