@@ -23,7 +23,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .series import PowerSeries, modulus_blocks, sample_rings
+from .series import PowerSeries, modulus_shares, ring_shares, sample_rings
 
 __all__ = ["QuadratureGrid"]
 
@@ -212,7 +212,13 @@ class QuadratureGrid:
         stride g, step), and one batched product ``base @ kernel^T`` of
         shape (rings, fields g, stride g) holds every ``sum_t``; a gather
         of the entries ``(q, (q - u) mod g)`` and a product with ones sum
-        over ``q``.  Rings go in blocks of ``_SWEEP_RINGS``.
+        over ``q``.  Rings go in blocks of ``_SWEEP_RINGS``, run side by side
+        on the CPUs the process may use (:func:`~disclab.series.ring_shares`):
+        ``n`` shares take blocks of ``_SWEEP_RINGS / n`` rings (rounded up),
+        so their buffers for every one of these arrays, allocated before the
+        blocks start, together stay the size of one serial block's.  Each
+        share writes its rings' columns of the output, which does not
+        depend on the number of shares.
         """
         stacked = field.ndim == 3
         fields = field if stacked else field[None]
@@ -231,14 +237,25 @@ class QuadratureGrid:
         # entry (q, j, (q - u) mod g) of a field's product, at [u, j, q]: phase row u stride + j
         q = np.arange(g)
         gather = q * P + np.arange(stride)[:, None] * g + (q - np.arange(g)[:, None, None]) % g
+        gather = gather.reshape(P, g)
         ones = np.ones(g)
-        rows = min(_SWEEP_RINGS, self.radii.size)
-        bases = np.empty((rows, x, M), dtype=out.dtype)
-        kernels = np.empty((rows, stride * g, step))
-        for lo in range(0, self.radii.size, _SWEEP_RINGS):
-            block = slice(lo, lo + _SWEEP_RINGS)
+
+        def allocate(rows):
+            # the ring fields, the kernel, every sum over t, its gathered
+            # entries and the per-phase means of one block
+            return (
+                np.empty((rows, x, M), dtype=out.dtype),
+                np.empty((rows, stride * g, step)),
+                np.empty((rows, x * g, P), dtype=out.dtype),
+                np.empty((rows * x, P, g), dtype=out.dtype),
+                np.empty((rows * x, P), dtype=out.dtype),
+            )
+
+        def sweep(block, buffers):
             rho = self.radii[block]
-            base, kernel = bases[: rho.size], kernels[: rho.size]
+            n = rho.size
+            base, kernel, sums = (buf[:n] for buf in buffers[:3])
+            gathered, means = (buf[: n * x] for buf in buffers[3:])
             np.multiply(fields[:, block].transpose(1, 0, 2), (1.0 - rho**2)[:, None, None], out=base)
             if head:
                 out[:, 0, block] = base.mean(axis=-1).T
@@ -247,10 +264,13 @@ class QuadratureGrid:
                 np.multiply(4.0 * sr, sin2, out=kernel)
                 kernel += (1.0 - sr) ** 2
                 np.divide((1.0 - s * s) / M, kernel, out=kernel)
-                sums = np.matmul(base.reshape(rho.size, x * g, step), kernel.transpose(0, 2, 1))
+                np.matmul(base.reshape(n, x * g, step), kernel.transpose(0, 2, 1), out=sums)
                 # the sum over q as a product with ones, faster than .sum over the short last axis
-                sums = np.take(sums.reshape(-1, g * P), gather.reshape(P, g), axis=1) @ ones
-                out[:, head + b * P : head + (b + 1) * P, block] = sums.reshape(rho.size, x, P).transpose(1, 2, 0)
+                np.take(sums.reshape(-1, g * P), gather, axis=1, out=gathered, mode="clip")
+                np.matmul(gathered, ones, out=means)
+                out[:, head + b * P : head + (b + 1) * P, block] = means.reshape(n, x, P).transpose(1, 2, 0)
+
+        ring_shares(self.radii.size, lambda shares: -(-_SWEEP_RINGS // shares), allocate, sweep)
         return out if stacked else out[0]
 
     def square_ring_means(self, field: np.ndarray) -> np.ndarray:
@@ -292,15 +312,17 @@ class QuadratureGrid:
         cell around each node.  The cell mass is exact, so boundary peaks of
         high-order singular coefficients are neither missed nor
         double-counted by coarser sweeps.  The moduli come from
-        :func:`~disclab.series.modulus_blocks` shifted by ``up//2``
+        :func:`~disclab.series.modulus_shares` shifted by ``up//2``
         samples, which centres the cells on the nodes (a real FFT of half
         the length for real coefficients, a phase turn of the coefficients
         otherwise; exact also when the rings fold modulo ``M``).  Each
-        block is raised to ``power`` in place and reduced to the node cells
-        before the next is sampled, one ``np.dot`` with ``(1/up, ...,
-        1/up)`` per series (a scaled copy when ``up == 1``), so the radii x
-        upsampled-angles matrix is never built.  The upsampling factor is
-        read from the stored order (an array's width minus one).
+        block is raised to ``power`` in place and reduced to its rings of
+        the node matrix, one ``np.dot`` with ``(1/up, ..., 1/up)`` per
+        series (a copy when ``up == 1``, where the cell is the node), so
+        the radii x upsampled-angles matrix is never built; the blocks run
+        side by side on the CPUs the process may use, with the same values.
+        The upsampling factor is read from the stored order (an array's
+        width minus one).
         """
         fs = [f] if isinstance(f, PowerSeries) else f
         order = fs.shape[1] - 1 if isinstance(fs, np.ndarray) else fs[0].order
@@ -308,8 +330,14 @@ class QuadratureGrid:
         up = min(max(up, 1), 16)
         cell = np.full(up, 1.0 / up)
         out = np.empty((len(fs), self.radii.size, self.angular))
-        for block, values in modulus_blocks(fs, self.radii, up * self.angular, shift=up // 2):
+
+        def reduce(block, values):
             values **= power  # the block is ours until the next
+            if up == 1:
+                out[:, block] = values
+                return
             for g, rows in zip(out[:, block], values.reshape(len(fs), -1, up)):
                 np.dot(rows, cell, out=g.reshape(-1))
+
+        modulus_shares(fs, self.radii, up * self.angular, reduce, shift=up // 2)
         return out[0] if isinstance(f, PowerSeries) else out

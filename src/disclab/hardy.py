@@ -104,15 +104,18 @@ def _ratio_ring_means(
     for M in sorted(set(sizes)):
         cols = [j for j, m in enumerate(sizes) if m == M]
         for block, vals in modulus_blocks(stack, grid.radii, M):
-            moved = vals
+            # |f|, |f^(k)|^2 and where |f| > 0, shared by every p
+            kept = moved = (vals[0], vals[1:] ** 2, vals[0] > 0.0)
             hit = np.any(vals[0] == 0.0, axis=1)
             if np.any(hit) and min(ps[j] for j in cols) < 2:
-                moved = vals.copy()
                 r = np.minimum(grid.radii[block][hit] + step, 1.0 - 1e-12)
-                moved[:, hit] = sample_moduli(stack, r, M)
+                again = sample_moduli(stack, r, M)
+                f_abs, squares = vals[0].copy(), moved[1].copy()
+                f_abs[hit], squares[:, hit] = again[0], again[1:] ** 2
+                moved = (f_abs, squares, f_abs > 0.0)
             for j in cols:
-                v = moved if ps[j] < 2 else vals
-                ratio = np.where(v[0] > 0.0, v[0] ** (ps[j] - 2.0) * v[1:] ** 2, 0.0)
+                f_abs, squares, live = moved if ps[j] < 2 else kept
+                ratio = np.where(live, f_abs ** (ps[j] - 2.0) * squares, 0.0)
                 means[:, j, block] = np.mean(ratio, axis=-1)
     return means
 

@@ -15,16 +15,22 @@ The circle samplers take one series, a sequence of ``k`` series of one
 order, or a 2-D array of ``k`` coefficient rows (checked and flushed as a
 :class:`PowerSeries` is), and sample rings of radii in (0, 1] at ``M``
 equally spaced nodes one ring block at a time: the rows are scaled by
-``r**n`` and folded modulo ``M`` in one buffer per call, then transformed
-there.  :func:`modulus_blocks` and :func:`sample_moduli` give ``|f|``,
-the one route to moduli: a stack whose coefficients are all real takes a
-real FFT of half the length, any other the complex path.
-:func:`sample_rings` gives the complex values, one inverse FFT per ring,
-for readers that need phases.
+``r**n`` and folded modulo ``M`` in a buffer, then transformed there.
+:func:`modulus_blocks` and :func:`sample_moduli` give ``|f|``, the one
+route to moduli: a stack whose coefficients are all real takes a real FFT
+of half the length, any other the complex path.  :func:`sample_rings`
+gives the complex values, one inverse FFT per ring, for readers that need
+phases.  :func:`modulus_blocks` runs its blocks in order on the calling
+thread, one buffer per call; :func:`sample_rings`, :func:`sample_moduli`
+and :func:`modulus_shares` run them on :func:`ring_shares`, side by side
+on the CPUs the process may use, one buffer per share, with the same
+values.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -35,7 +41,9 @@ __all__ = [
     "sample_rings",
     "sample_moduli",
     "modulus_blocks",
+    "modulus_shares",
     "ring_blocks",
+    "ring_shares",
     "compose_moebius",
     "exp_series",
     "log_series",
@@ -186,28 +194,108 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-# Bound on the fold buffer of a sampling call (with the half spectrum of
-# the real path): it decides how many rings go in a block, and one buffer
-# serves every block of a call.
+# Bound on the fold buffers of a sampling call (with the half spectra of
+# the real path): it decides how many rings go in a block, and the ring
+# shares of a call split it, one buffer each (see ring_shares).
 _BLOCK_BYTES = 8 * 2**20
 
-# Powers per row of the two-level r**n table of the real path of _folds.
+# Powers per row of the two-level r**n table of the real path of _fold.
 _TABLE_STEP = 64
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, or every CPU
+    where the platform keeps none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _cut(rings: int, rows: int) -> list[slice]:
+    return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
+
+
+def _block_rings(order: int, M: int, k: int, real: bool, shares: int = 1) -> int:
+    """Rings per block when ``shares`` buffers split ``_BLOCK_BYTES``."""
+    width = -(-(order + 1) // M) * M
+    row = 8 * width + 16 * (M // 2 + 1) if real else 16 * width
+    return max(1, _BLOCK_BYTES // (row * k * shares))
 
 
 def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) -> list[slice]:
     """Consecutive slices of ``range(rings)``, each as many rows of
     ``order + 1`` coefficients, rounded up to a multiple of ``M``, as fit
     ``_BLOCK_BYTES`` for a stack of ``k`` series (at least one row): the
-    ring blocks of :func:`modulus_blocks` and :func:`sample_rings`, and
-    any other row blocks of that budget.  A row costs 16 bytes per entry
-    in a complex fold buffer; on the real path of :func:`modulus_blocks`
-    (``real``) it costs 8 bytes per entry of the real fold buffer plus the
-    ``M // 2 + 1`` complex entries of its half spectrum."""
-    width = -(-(order + 1) // M) * M
-    row = 8 * width + 16 * (M // 2 + 1) if real else 16 * width
-    rows = max(1, _BLOCK_BYTES // (row * k))
-    return [slice(s, min(s + rows, rings)) for s in range(0, rings, rows)]
+    ring blocks of :func:`modulus_blocks`, and any other row blocks of that
+    budget.  A row costs 16 bytes per entry in a complex fold buffer; on
+    the real path of :func:`modulus_blocks` (``real``) it costs 8 bytes per
+    entry of the real fold buffer plus the ``M // 2 + 1`` complex entries
+    of its half spectrum.  These are the blocks of one serial pass: the
+    sampling calls that run on :func:`ring_shares` cut the same budget
+    among their shares."""
+    return _cut(rings, _block_rings(order, M, k, real))
+
+
+def ring_shares(rings: int, rows, allocate, work) -> None:
+    """Run ``work(block, buffers)`` on consecutive blocks of
+    ``range(rings)``, side by side on the CPUs the process may use.
+
+    ``rows(shares)`` is the number of rings in a block when ``shares``
+    shares split the call's memory budget, and ``allocate(rows)`` makes the
+    buffers of one share for blocks of that many rings.  The serial blocks
+    (``rows(1)`` rings each) decide the number of shares: the smaller of the
+    CPUs in the process's affinity mask and those blocks.  With one share
+    (one block, or one CPU) every block runs on the calling thread in
+    order.  With more, the blocks are cut again at ``rows(shares)`` rings,
+    the calling thread allocates every share's buffers, and each share (the
+    calling thread and one ``threading.Thread`` per other share, joined
+    before this returns) pulls the next block in order from a lock-guarded
+    iterator and runs ``work`` on it with its own buffers, so a share held
+    up by other work on its CPU simply takes fewer blocks.
+
+    ``work`` writes only its block's slice of the call's output and
+    allocates nothing sizable (memory a thread allocates stays in that
+    thread's malloc arena).  Its time goes to numpy's FFT, ufuncs,
+    ``take`` and BLAS, which release the GIL; as no value of a ring depends
+    on which share computes it, the output is bit-identical for any number
+    of shares.  The first exception raised in a share stops every share at
+    its next block and is raised again here once all have stopped.
+    """
+    blocks = _cut(rings, rows(1))
+    shares = min(_cpu_count(), len(blocks))
+    if shares > 1:
+        blocks = _cut(rings, rows(shares))
+    buffers = [allocate(blocks[0].stop) for _ in range(shares)]
+    if shares < 2:
+        for block in blocks:
+            work(block, buffers[0])
+        return
+    pending, lock, failures = iter(blocks), threading.Lock(), []
+
+    def claim():
+        with lock:
+            return None if failures else next(pending, None)
+
+    def share(buffer):
+        try:
+            for block in iter(claim, None):
+                work(block, buffer)
+        except BaseException as exc:  # raised again on the calling thread
+            failures.append(exc)
+
+    threads = []
+    try:
+        for buffer in buffers[1:]:
+            thread = threading.Thread(target=share, args=(buffer,))
+            thread.start()
+            threads.append(thread)
+        share(buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _checked(f, radii, M: int):
@@ -236,73 +324,102 @@ def _checked(f, radii, M: int):
     return np.stack([g.coeffs for g in fs]), r, False
 
 
-def _folds(c: np.ndarray, r: np.ndarray, M: int, blocks, buffer: np.ndarray):
-    """Per block of ``blocks``: the rows ``c`` scaled by ``r**n`` in
-    ``buffer`` (of ``c``'s dtype) and folded modulo ``M`` into its first
-    ``M`` columns; yields ``(block, folded)``, a view of shape ``(k, block
-    rings, M)``.
+def _fold(c: np.ndarray, rb: np.ndarray, M: int, buffer: np.ndarray, powers) -> np.ndarray:
+    """The rows ``c`` scaled by ``rb**n`` in ``buffer`` (of ``c``'s dtype)
+    and folded modulo ``M`` into its first ``M`` columns: a view of shape
+    ``(k, rb.size, M)``.
 
     Powers are formed only below the block's underflow cut ``n < 1075 /
-    -log2(max r) + 2``, beyond which ``r**n`` is exactly 0.  Complex rows
-    take ``r[:, None] ** n``, one ``pow`` per entry.  Real rows take the
-    two-level table ``r**(64 a + b) = r**(64 a) * r**b``, both factors by
-    ``pow`` (within a few ulp of it, at about an eighth of its cost): the
-    table is written into the first series' rows of the buffer, and each
-    coefficient row scales it from there, the first one last and in
-    place, so no array the size of the table is allocated."""
+    -log2(max rb) + 2``, beyond which ``r**n`` is exactly 0.  Complex rows
+    take ``rb[:, None] ** n``, one ``pow`` per entry, in the float buffer
+    ``powers`` (``rb.size`` rows of the fold buffer's width at least; real
+    rows leave it alone).
+    Real rows take the two-level table ``r**(64 a + b) = r**(64 a) *
+    r**b``, both factors by ``pow`` (within a few ulp of it, at about an
+    eighth of its cost): the table is written into the first series' rows
+    of the buffer, and each coefficient row scales it from there, the first
+    one last and in place, so no array the size of the table is allocated.
+    The buffer is zeroed from the cut to its end, as the block before may
+    have filled coefficients there and its FFT the padding columns."""
     k, size = c.shape
-    for block in blocks:
-        rb = r[block]
-        scaled = buffer[:, : rb.size]
-        live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
-        if np.iscomplexobj(c):
-            np.multiply(c[:, None, :live], rb[:, None] ** np.arange(live), out=scaled[:, :, :live])
-        else:
-            step, table = _TABLE_STEP, scaled[0, :, :live]
-            whole = live // step  # whole rows of the table; the rest is a short one
-            high = rb[:, None] ** (step * np.arange(-(-live // step)))
-            low = rb[:, None] ** np.arange(step)
-            np.multiply(high[:, :whole, None], low[:, None], out=table[:, : whole * step].reshape(rb.size, whole, step))
-            np.multiply(high[:, whole:], low[:, : live - whole * step], out=table[:, whole * step :])
-            for x in range(k - 1, -1, -1):
-                np.multiply(table, c[x, :live], out=scaled[x, :, :live])
-        scaled[:, :, live:] = 0.0
-        folded = scaled[:, :, :M]
-        for j in range(M, size, M):
-            folded += scaled[:, :, j : j + M]
-        yield block, folded
+    scaled = buffer[:, : rb.size]
+    live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
+    if np.iscomplexobj(c):
+        table = powers[: rb.size, :live]
+        np.power(rb[:, None], np.arange(live), out=table)
+        np.multiply(c[:, None, :live], table, out=scaled[:, :, :live])
+    else:
+        step, table = _TABLE_STEP, scaled[0, :, :live]
+        whole = live // step  # whole rows of the table; the rest is a short one
+        high = rb[:, None] ** (step * np.arange(-(-live // step)))
+        low = rb[:, None] ** np.arange(step)
+        np.multiply(high[:, :whole, None], low[:, None], out=table[:, : whole * step].reshape(rb.size, whole, step))
+        np.multiply(high[:, whole:], low[:, : live - whole * step], out=table[:, whole * step :])
+        for x in range(k - 1, -1, -1):
+            np.multiply(table, c[x, :live], out=scaled[x, :, :live])
+    scaled[:, :, live:] = 0.0
+    folded = scaled[:, :, :M]
+    for j in range(M, size, M):
+        folded += scaled[:, :, j : j + M]
+    return folded
 
 
-def _blocks(c: np.ndarray, r: np.ndarray, M: int, single: bool):
-    """The complex rings of the coefficient rows ``c`` of checked arguments
-    one block at a time: an iterator of ``(block, values)``, where
-    ``block`` is a slice of ``r`` (see :func:`ring_blocks`, the whole stack
-    counted) and ``values`` are its rows, shape ``(block rings, M)`` when
-    ``single`` and ``(k, block rings, M)`` for a stack.  Callers reduce each
-    block before the next, so the radii x M samples are never held at once.
+class _Rings:
+    """The ring sampler of one checked call: the coefficient rows ``c`` on
+    the radii ``r`` at ``M`` nodes, as complex values, or (``modulus``) as
+    moduli turned by ``shift`` nodes, one block of rings at a time in the
+    buffers of one share.
 
-    ``values`` is a view into the one zero-padded fold buffer of the call
-    (series x rings x order rounded up to a multiple of ``M``); the next
-    block overwrites it, so consume it first.  Until then it is the
-    caller's: taking ``np.abs(values, out=values)`` in place spares an
-    allocation the size of the block.  A short last block uses the buffer's
-    leading rings.  Per block, :func:`_folds` scales the coefficients by
-    one ``r[:, None] ** n`` table (one ``pow`` per entry, shared by the
-    stack) and folds ``c_n r**n`` modulo ``M`` into the first ``M``
-    columns (``sum_k c_{j+kM} r**(j+kM)``, added in increasing ``k``);
-    the inverse FFT runs in place there and is scaled by ``M`` to give the
-    unnormalised sum.  The buffer is zeroed from the block's underflow cut
-    to its end, as the block before may have filled coefficients there and
-    its FFT the padding columns.  Rows are bit-identical to ``M * ifft``
-    of the fully scaled, folded coefficients of each ring alone.
-    """
-    k, size = c.shape
-    blocks = ring_blocks(r.size, size - 1, M, k)
-    buffer = np.empty((k, blocks[0].stop if blocks else 0, -(-size // M) * M), dtype=complex)
-    for block, folded in _folds(c, r, M, blocks, buffer):
-        np.fft.ifft(folded, axis=-1, out=folded)
-        folded *= M
-        yield block, folded[0] if single else folded
+    Complex values, and the moduli of a stack with a non-real coefficient,
+    fold each ring into a complex buffer (one ``pow`` per power, see
+    :func:`_fold`) and take the inverse FFT there in place, scaled by ``M``
+    to give the unnormalised sum; the moduli are its ``np.abs`` in place,
+    after the coefficients are turned by ``exp(-2 pi i (n shift mod M) /
+    M)``.  Rows are bit-identical to ``M * ifft`` of the fully scaled,
+    folded coefficients of each ring alone.  The moduli of a real stack
+    take the real path of :func:`modulus_blocks`."""
+
+    def __init__(self, c: np.ndarray, r: np.ndarray, M: int, modulus: bool = False, shift: int = 0):
+        size = c.shape[1]
+        self.real = modulus and not np.any(c.imag)
+        if self.real:
+            c = np.ascontiguousarray(c.real)  # unit-stride rows scale faster
+            m = (np.arange(M) - shift) % M
+            self.mirror = 2 * np.minimum(m, M - m)  # the real parts in the float view of a spectrum
+        elif shift:  # the phase n * shift reduced modulo M exactly, so it stays below one turn
+            c = c * np.exp(-2j * np.pi * (np.arange(size) * shift % M) / M)
+        self.c, self.r, self.M, self.modulus = c, r, M, modulus
+        self.width = -(-size // M) * M
+
+    def rows(self, shares: int = 1) -> int:
+        k, size = self.c.shape
+        return _block_rings(size - 1, self.M, k, self.real, shares)
+
+    def allocate(self, rows: int):
+        """One share's buffers for blocks of ``rows`` rings: the fold buffer,
+        and the half spectra (real path) or the power table (complex)."""
+        k = self.c.shape[0]
+        if self.real:
+            return np.empty((k, rows, self.width)), np.empty(k * rows * (self.M // 2 + 1), dtype=complex)
+        return np.empty((k, rows, self.width), dtype=complex), np.empty((rows, self.width))
+
+    def __call__(self, block: slice, buffers) -> np.ndarray:
+        """The rings of ``block``, shape ``(k, block rings, M)``: a view into
+        the fold buffer, the caller's until the next block."""
+        buffer, spare = buffers
+        rb, M = self.r[block], self.M
+        folded = _fold(self.c, rb, M, buffer, spare)
+        if not self.real:
+            np.fft.ifft(folded, axis=-1, out=folded)
+            folded *= M
+            return np.abs(folded, out=folded).real if self.modulus else folded
+        n = folded.shape[0] * rb.size
+        spectrum = spare[: n * (M // 2 + 1)].reshape(*folded.shape[:2], -1)
+        np.fft.rfft(folded, axis=-1, out=spectrum)
+        np.abs(spectrum, out=spectrum)
+        values = buffer.reshape(-1)[: n * M].reshape(folded.shape)
+        np.take(spectrum.view(float), self.mirror, axis=-1, out=values, mode="clip")
+        return values
 
 
 def modulus_blocks(f, radii, M: int, shift: int = 0):
@@ -312,9 +429,14 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     ``values`` are its rows, shape ``(block rings, M)`` for one series and
     ``(k, block rings, M)`` for a stack (a sequence of series or a 2-D
     coefficient array).  Callers reduce each block before the next, so the
-    radii x M moduli are never held at once.  ``values`` are real and the
+    radii x M moduli are never held at once; the blocks run in order on
+    the calling thread, as callers may reduce across them (a reduction
+    that writes each block's own slice can run on the CPUs the process may
+    use through :func:`modulus_shares`).  ``values`` are real and the
     caller's until the next block overwrites them (raising them to a power
-    in place allocates nothing).
+    in place allocates nothing).  One fold buffer (zero-padded, series x
+    rings x order rounded up to a multiple of ``M``) serves every block; a
+    short last block uses its leading rings.
 
     The arguments are checked when this is called, before any block:
     ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
@@ -322,7 +444,7 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     live); every radius must lie in (0, 1], NaN is rejected.
 
     When every coefficient of the stack has imaginary part 0, the rows are
-    scaled by the two-level power table of :func:`_folds` (within a few
+    scaled by the two-level power table of :func:`_fold` (within a few
     ulp of ``pow``) and folded into a real buffer, and one ``np.fft.rfft``
     per ring writes the half spectrum ``F_m``, ``m = 0..M//2``, into a
     second buffer reused by every block (the two within ``_BLOCK_BYTES``,
@@ -339,41 +461,45 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     are ``np.abs`` of :func:`sample_rings` of the turned stack, exactly.
     """
     c, r, single = _checked(f, radii, M)
-    return _moduli(c, r, M, shift, single)
+    return _serial(_Rings(c, r, M, modulus=True, shift=shift), single)
 
 
-def _moduli(c: np.ndarray, r: np.ndarray, M: int, shift: int, single: bool):
+def _serial(rings: _Rings, single: bool):
     """The generator behind :func:`modulus_blocks`."""
-    k, size = c.shape
-    if np.any(c.imag):
-        if shift:  # the phase n * shift reduced modulo M exactly, so it stays below one turn
-            c = c * np.exp(-2j * np.pi * (np.arange(size) * shift % M) / M)
-        for block, values in _blocks(c, r, M, single):
-            yield block, np.abs(values, out=values).real
-        return
-    blocks = ring_blocks(r.size, size - 1, M, k, real=True)
-    rows, half = (blocks[0].stop if blocks else 0), M // 2 + 1
-    buffer = np.empty((k, rows, -(-size // M) * M))
-    spectra = np.empty(k * rows * half, dtype=complex)
-    m = (np.arange(M) - shift) % M
-    mirror = 2 * np.minimum(m, M - m)  # the real parts in the float view of a spectrum
-    real = np.ascontiguousarray(c.real)  # unit-stride rows scale faster
-    for block, folded in _folds(real, r, M, blocks, buffer):
-        n = k * (block.stop - block.start)
-        spectrum = spectra[: n * half].reshape(k, -1, half)
-        np.fft.rfft(folded, axis=-1, out=spectrum)
-        np.abs(spectrum, out=spectrum)
-        values = buffer.reshape(-1)[: n * M].reshape(k, -1, M)
-        np.take(spectrum.view(float), mirror, axis=-1, out=values, mode="clip")
+    blocks = _cut(rings.r.size, rings.rows())
+    buffers = rings.allocate(blocks[0].stop if blocks else 0)
+    for block in blocks:
+        values = rings(block, buffers)
         yield block, values[0] if single else values
 
 
-def _collect(blocks, f, radii, M: int, dtype) -> np.ndarray:
-    """The rows of a block iterator of ``f`` gathered into one array."""
-    out = np.empty((len(radii), M) if isinstance(f, PowerSeries) else (len(f), len(radii), M), dtype=dtype)
-    for block, values in blocks:
-        out[..., block, :] = values
-    return out
+def modulus_shares(f, radii, M: int, reduce, shift: int = 0) -> None:
+    """Call ``reduce(block, values)`` on every ring block of the moduli of
+    :func:`modulus_blocks` (same arguments, blocks and values), the blocks
+    run on :func:`ring_shares`: ``reduce`` may run on another thread and
+    in any order, so it writes only the block's slice of its output and
+    allocates nothing sizable.  The arguments are checked before any block.
+    """
+    c, r, single = _checked(f, radii, M)
+    rings = _Rings(c, r, M, modulus=True, shift=shift)
+
+    def work(block, buffers):
+        values = rings(block, buffers)
+        reduce(block, values[0] if single else values)
+
+    ring_shares(r.size, rings.rows, rings.allocate, work)
+
+
+def _gather(rings: _Rings, single: bool) -> np.ndarray:
+    """Every ring of a sampler, its blocks run on :func:`ring_shares` and
+    copied into one output."""
+    out = np.empty((rings.c.shape[0], rings.r.size, rings.M), dtype=float if rings.modulus else complex)
+
+    def put(block, buffers):
+        out[:, block] = rings(block, buffers)
+
+    ring_shares(rings.r.size, rings.rows, rings.allocate, put)
+    return out[0] if single else out
 
 
 def sample_rings(f, radii, M: int) -> np.ndarray:
@@ -384,22 +510,26 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
     order or a 2-D array of ``k`` coefficient rows; a stack gives shape
     ``(k, len(radii), M)``, each row bit-identical to sampling its series
     alone.  The rings are sampled in blocks (one fold per ring, the
-    inverse FFT in place in the one fold buffer, zeroed from the underflow
-    cut on), each block copied into the output; the arguments are checked
-    before the output is allocated.  Every radius must lie in (0, 1]; NaN
-    is rejected.
+    inverse FFT in place in the fold buffer, zeroed from the underflow cut
+    on) on the CPUs the process may use (:func:`ring_shares`, the complex
+    budget of :func:`ring_blocks` split among the shares), each block
+    copied into the output; the arguments are checked before the output
+    is allocated.  Every radius must lie in (0, 1]; NaN is rejected.
     """
     c, r, single = _checked(f, radii, M)
-    return _collect(_blocks(c, r, M, single), f, radii, M, complex)
+    return _gather(_Rings(c, r, M), single)
 
 
 def sample_moduli(f, radii, M: int) -> np.ndarray:
     """Moduli ``|f(r * exp(2*pi*i*j/M))|`` in the layout of
-    :func:`sample_rings`, gathered from :func:`modulus_blocks`: equal to
-    ``np.abs(sample_rings(f, radii, M))`` exactly for a stack with a
-    non-real coefficient, and to FFT rounding (relative to each ring's
-    maximum) for a real one, at about half the cost."""
-    return _collect(modulus_blocks(f, radii, M), f, radii, M, float)
+    :func:`sample_rings`, gathered from the blocks of
+    :func:`modulus_blocks` run on the CPUs the process may use
+    (:func:`ring_shares`): equal to ``np.abs(sample_rings(f, radii, M))``
+    exactly for a stack with a non-real coefficient, and to FFT rounding
+    (relative to each ring's maximum) for a real one, at about half the
+    cost."""
+    c, r, single = _checked(f, radii, M)
+    return _gather(_Rings(c, r, M, modulus=True), single)
 
 
 _COMPOSE_RHO = 0.95

@@ -478,20 +478,24 @@ class TestStartup:
 
     def test_package_import_loads_only_what_a_grid_needs(self):
         # in a fresh process, `import disclab` and the default grid's nodes
-        # load the grid and series modules only; every public name resolves
+        # load the grid and series modules only; every public name resolves.
+        # The ring shares start their threads per call: set-up loads no
+        # executor (concurrent.futures imports logging) and leaves the
+        # process on its one thread
         src = str(Path(disclab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
-            "import sys\n"
+            "import sys, threading\n"
             "import disclab\n"
             "disclab.QuadratureGrid().nodes()\n"
             "heavy = ['cli', 'hardy', 'weights', 'ode', 'conditions', 'norms', 'geometry']\n"
             "print(sorted(m for m in heavy if f'disclab.{m}' in sys.modules))\n"
             "print(all(getattr(disclab, name) is not None for name in disclab.__all__))\n"
             "print(set(disclab.__all__) <= set(dir(disclab)))\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split("\n")[:3] == ["[]", "True", "True"]
+        assert out.stdout.split("\n")[:4] == ["[]", "True", "True", "False 1"]
 
 
 class TestDependencies:

@@ -10,6 +10,7 @@ f^(k) per (p, k) call, and five single-dilation runs per estimate.  They
 live here only, as the slow paths the fast ones are checked against.
 """
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -450,6 +451,60 @@ def test_real_sample_folded_matches_per_ring_loop(case, k, power):
     for f, field in zip(fs, got):
         want = oracle_sample_folded(grid, f, power)
         assert np.all(np.abs(field - want) <= 1e-12 * np.max(want, axis=1, keepdims=True))
+
+
+# ---------------------------------------------------------------------------
+# ring shares: the sweep and the folded sampling side by side on the CPUs
+# ---------------------------------------------------------------------------
+
+def shares(n):
+    """Ring work on ``n`` shares, whatever CPUs the process may use."""
+    return mock.patch.object(series, "_cpu_count", lambda: n)
+
+
+def counted_threads():
+    return mock.patch.object(threading, "Thread", wraps=threading.Thread)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a_angles", [16, 7])
+def test_moebius_shares_are_bit_identical_to_one(a_angles, n):
+    # the 74 radii of the production layouts, four serial blocks of 20
+    # rings cut at ceil(20 / n) rings for n shares (a short last block); a
+    # stack of two fields and one alone
+    grid = QuadratureGrid(nodes_per_panel=2, angular=544, inner_depth=2, outer_depth=36, a_angles=a_angles)
+    fields = np.stack([field_for(grid, seed) for seed in (1, 2)])
+    before = threading.active_count()
+    with mock.patch.object(grids, "_SWEEP_RINGS", 20):
+        with shares(1):
+            want = [grid.moebius_ring_means(fields), grid.moebius_ring_means(fields[0])]
+        with shares(n), counted_threads() as made:
+            got = [grid.moebius_ring_means(fields), grid.moebius_ring_means(fields[0])]
+    assert made.call_count == 2 * (n - 1)
+    assert threading.active_count() == before
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("up", [1, 4, 16])
+def test_sample_folded_shares_are_bit_identical_to_one(up, real, n):
+    # 14 radii in serial blocks of two or three rings of a stack of two, on
+    # the real path (a half spectrum) or the complex one (a phase turn)
+    grid = QuadratureGrid(**dict(SMALL, angular=40, a_radii=(0.5,), a_angles=3))
+    order = up * grid.angular // 2 - 1
+    fs = [(real_series if real else random_series)(order, seed) for seed in (1, 2)]
+    before = threading.active_count()
+    with blocks_of(3, order, up * grid.angular, 2):
+        with shares(1):
+            want = [grid.sample_folded(fs, power=2.0), grid.sample_folded(fs[0], power=0.5)]
+        with shares(n), counted_threads() as made:
+            got = [grid.sample_folded(fs, power=2.0), grid.sample_folded(fs[0], power=0.5)]
+    assert made.call_count == 2 * (n - 1)
+    assert threading.active_count() == before
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 exponents = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from disclab.series import (
     pow_series,
     reciprocal_series,
     ring_blocks,
+    ring_shares,
     sample_moduli,
     sample_rings,
 )
@@ -458,6 +461,114 @@ def test_real_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
         assert count == 1 or k * count * (8 * width + 16 * (M // 2 + 1)) <= series._BLOCK_BYTES
 
 
+# ---------------------------------------------------------------------------
+# ring shares: the blocks of a sampling call side by side on the CPUs
+# ---------------------------------------------------------------------------
+
+def shares(n):
+    """Ring work on ``n`` shares, whatever CPUs the process may use."""
+    return mock.patch.object(series, "_cpu_count", lambda: n)
+
+
+def counted_threads():
+    """``threading.Thread`` with a count of the threads made."""
+    return mock.patch.object(threading, "Thread", wraps=threading.Thread)
+
+
+class TestRingShares:
+    @settings(max_examples=60, deadline=None)
+    @example(case=([UNDERFLOW_CASE[0]], *UNDERFLOW_CASE[1:]), rows=1, n=3, real=False)  # 6 blocks of 1 ring, 3 shares
+    @example(case=([UNDERFLOW_CASE[0]], *UNDERFLOW_CASE[1:]), rows=4, n=2, real=True)  # a short last block
+    @given(stack_cases(), st.integers(1, 5), st.sampled_from([2, 3]), st.booleans())
+    def test_shares_are_bit_identical_to_one(self, case, rows, n, real):
+        # the budget holds `rows` rings of the stack, so the ring count is
+        # rarely a multiple of the blocks or the shares; every output of
+        # two or three shares equals the one-share pass bit for bit
+        fs, radii, M = case
+        if real:
+            fs = [PowerSeries(g.coeffs.real) for g in fs]
+        width = -(-(fs[0].order + 1) // M) * M
+        on_real = not any(np.any(g.coeffs.imag) for g in fs)
+        before = threading.active_count()
+        with mock.patch.object(series, "_BLOCK_BYTES", len(fs) * rows * 16 * width):
+            with shares(1), counted_threads() as made:
+                want = [sample_rings(fs, radii, M), sample_moduli(fs, radii, M), sample_moduli(fs[0], radii, M)]
+            assert made.call_count == 0
+            with shares(n), counted_threads() as made:
+                got = [sample_rings(fs, radii, M), sample_moduli(fs, radii, M), sample_moduli(fs[0], radii, M)]
+            # one thread per share but the calling one, as many shares as serial blocks at most
+            serial = [(len(fs), False), (len(fs), on_real), (1, on_real)]
+            counts = [len(ring_blocks(len(radii), fs[0].order, M, k, path)) for k, path in serial]
+        assert made.call_count == sum(max(0, min(n, c) - 1) for c in counts)
+        assert threading.active_count() == before
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_a_call_in_one_block_starts_no_thread(self):
+        f, radii, M = UNDERFLOW_CASE
+        with shares(4), counted_threads() as made:
+            sample_rings([f, f], radii, M)
+            sample_moduli(PowerSeries(f.coeffs.real), radii, M)
+            QuadratureGrid().sample_folded(PowerSeries(f.coeffs[:100]))
+        assert made.call_count == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_are_cut_for_the_shares_and_run_once(self, n):
+        # ten serial blocks of four rings: n shares cut them at 4 // n rings,
+        # and the calling thread allocates the buffers of every share
+        caller, ran, allocated = threading.current_thread(), [], []
+
+        def allocate(rows):
+            allocated.append((rows, threading.current_thread()))
+            return object()
+
+        def work(block, buffer):
+            ran.append((block, buffer, threading.current_thread()))
+
+        with shares(n):
+            ring_shares(39, lambda k: 4 // k, allocate, work)
+        assert allocated == [(4 // n, caller)] * n
+        assert sorted((b.start, b.stop) for b, _, _ in ran) == [(s, min(s + 4 // n, 39)) for s in range(0, 39, 4 // n)]
+        buffers = {}  # each share, on its own thread, keeps one buffer
+        for _, buffer, thread in ran:
+            buffers.setdefault(thread, set()).add(id(buffer))
+        assert len(buffers) <= n and all(len(ids) == 1 for ids in buffers.values())
+
+    def test_every_block_runs_once_under_contention(self):
+        # more shares than CPUs and a switch interval of a microsecond: a
+        # block claimed twice or lost would leave a count other than one
+        counts = np.zeros(400, dtype=int)
+
+        def work(block, buffer):
+            counts[block] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with shares(8):
+                ring_shares(400, lambda k: 1, lambda rows: None, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(counts == 1)
+
+    @pytest.mark.parametrize("where", ["calling", "other"])
+    def test_an_exception_in_a_share_is_raised_on_the_calling_thread(self, where):
+        # two blocks on two shares, each held at a barrier until both have
+        # taken one; then the share named by `where` raises, and no thread
+        # is left running
+        caller, before = threading.current_thread(), threading.active_count()
+        both = threading.Barrier(2, timeout=10)
+
+        def work(block, buffer):
+            both.wait()
+            if (threading.current_thread() is caller) == (where == "calling"):
+                raise KeyError(block.start)
+
+        with shares(2), pytest.raises(KeyError):
+            ring_shares(2, lambda k: 1, lambda rows: None, work)
+        assert threading.active_count() == before
+
+
 # entries at and around the flush threshold, subnormals included
 tiny = st.sampled_from([5e-324, -1e-310, 2.5e-308, 1e-301, 1e-300, -3e-300, 1e-299])
 
@@ -485,8 +596,8 @@ class TestPowerTable:
         r = np.array(radii)
         c = np.array([[-2.0], [1.0], [4.0]]) * np.ones(size)
         buffer = np.full((3, r.size, size), np.nan)
-        [(block, folded)] = list(series._folds(c, r, size, [slice(0, r.size)], buffer))
-        assert block == slice(0, r.size) and folded.shape == (3, r.size, size)
+        folded = series._fold(c, r, size, buffer, None)
+        assert folded.shape == (3, r.size, size)
         want = c[:, None, :] * r[:, None] ** np.arange(size)
         assert np.max(np.abs(folded - want) / np.spacing(np.abs(want))) <= 4.0
 
