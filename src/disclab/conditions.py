@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
-from .series import PowerSeries, modulus_blocks, reciprocal_series, ring_blocks, sample_moduli
+from .series import PowerSeries, modulus_shares, reciprocal_series, ring_blocks, sample_moduli
 from .weights import RadialWeight
 
 __all__ = [
@@ -213,11 +213,12 @@ def _cauchy_products(A: PowerSeries, r: float, t_count: int):
     """Coefficients of ``A(r w) / (1 - e^{-it} w)`` truncated at ``A``'s
     order, one row per ``t = 2 pi j / t_count``, in blocks of rows
     (:func:`~disclab.series.ring_blocks`).  With ``c = e^{-it}``, coefficient
-    ``m`` is ``c^m sum_{j<=m} a_j r^j c^{-j}`` (every ``|c| = 1``)."""
+    ``m`` is ``c^m sum_{j<=m} a_j r^j c^{-j}`` (every ``|c| = 1``); ``c^m``
+    is ``exp(-2 pi i (j m mod t_count) / t_count)``, its phase index
+    reduced exactly, so every power is as accurate as ``c`` itself."""
     m = np.arange(A.order + 1)
-    ts = 2 * np.pi * np.arange(t_count) / t_count
     for block in ring_blocks(t_count, A.order + 1, 1):
-        c = np.exp(-1j * ts[block])[:, None] ** m
+        c = np.exp(-2j * np.pi * (np.arange(t_count)[block, None] * m % t_count) / t_count)
         yield c * np.cumsum(A.coeffs * r**m / c, axis=1)
 
 
@@ -243,13 +244,16 @@ def cauchy_bound(A: PowerSeries, r: float, z: complex, angular_count: int = 256)
 def _h1_inner_fields(A: PowerSeries, r: float, grid: QuadratureGrid, t_count: int):
     """Node matrix of ``(1/2pi) int_0^{2pi} |int_0^z A(r zeta)/(1 - e^{-it} zeta) dzeta| dt``;
     the primitives of a block of ``t`` are sampled as one 2-D stack, and
-    each ring block of :func:`~disclab.series.modulus_blocks` is summed
-    over the stack before the next."""
+    each ring block of :func:`~disclab.series.modulus_shares` adds its sum
+    over the stack to its own rings."""
     acc = np.zeros((grid.radii.size, grid.angular))
+
+    def reduce(block, values):
+        acc[block] += values.sum(axis=0)
+
     for prod in _cauchy_products(A, r, t_count):
         prims = np.hstack([np.zeros((len(prod), 1)), prod / np.arange(1, A.order + 2)])
-        for block, values in modulus_blocks(prims, grid.radii, grid.angular):
-            acc[block] += values.sum(axis=0)
+        modulus_shares(prims, grid.radii, grid.angular, reduce)
     return acc / t_count
 
 

@@ -33,7 +33,7 @@ from .conditions import ConditionReport, bmoa_dd
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, modulus_blocks, pow_series, sample_moduli
+from .series import PowerSeries, exp_series, modulus_shares, pow_series, sample_moduli
 
 __all__ = [
     "NontangentialParams",
@@ -70,7 +70,6 @@ class NontangentialParams:
             raise ValueError("aperture must exceed 1")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _ratio_ring_means(
     f: PowerSeries, ks, ps, grid: QuadratureGrid, upsample: int | None = None
 ) -> np.ndarray:
@@ -78,19 +77,22 @@ def _ratio_ring_means(
     ``(len(ks), len(ps), radii)``: one sampling serves every ``(p, k)``.
 
     The stack ``[f, f^{(k)} for k in ks]`` (derivatives padded to f's
-    order) is sampled once per angular size, one block of
-    :func:`~disclab.series.modulus_blocks` at a time, and every p is
-    reduced from the same block.  For p < 2 the integrand is singular at
-    zeros of f: a ring on which f vanishes exactly at a sample moves half a
-    radial step outward (limiting value 0 when the derivative vanishes
-    too), and rings are upsampled angularly (factor 8, or ``upsample`` for
-    every p when given) when f comes close to vanishing near the boundary,
-    where near-zeros are narrower than the angular cells: when ``min |f|``
-    on the ring ``r_max`` is at most ``2 (1 - r_max) max |c_n|``.  A zero
-    on the unit circle gives ``min |f| ~ (1 - r_max) |f'|`` there, so the
-    factor 2 keeps a degree-one zero such as ``0.5 (1 - z/zeta)`` clear of
-    the threshold.  Otherwise rings stay at the grid resolution, where the
-    trapezoid rule is spectrally accurate.
+    order) is sampled once per angular size through
+    :func:`~disclab.series.modulus_shares`, and every p is reduced from
+    the same block into that block's rings.  For p < 2 the integrand is
+    singular at zeros of f: a ring on which f vanishes exactly at a sample
+    moves half a radial step outward (limiting value 0 when the derivative
+    vanishes too).  The blocks mark such rings, and once every block is
+    done the moved rings of an angular size are sampled again in one call
+    and overwrite their p < 2 means.  Rings are upsampled angularly
+    (factor 8, or ``upsample`` for every p when given) when f comes close
+    to vanishing near the boundary, where near-zeros are narrower than the
+    angular cells: when ``min |f|`` on the ring ``r_max`` is at most ``2
+    (1 - r_max) max |c_n|``.  A zero on the unit circle gives ``min |f| ~
+    (1 - r_max) |f'|`` there, so the factor 2 keeps a degree-one zero such
+    as ``0.5 (1 - z/zeta)`` clear of the threshold.  Otherwise rings stay
+    at the grid resolution, where the trapezoid rule is spectrally
+    accurate.
     """
     ps, low = [float(p) for p in ps], upsample or 1
     if upsample is None and min(ps) < 2:
@@ -101,23 +103,32 @@ def _ratio_ring_means(
     stack = [f] + [f.derivative(k).pad(f.order) for k in ks]
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
     means = np.empty((len(ks), len(ps), grid.radii.size))
+    hit = np.empty(grid.radii.size, dtype=bool)  # rings where |f| = 0 at a node
     for M in sorted(set(sizes)):
         cols = [j for j, m in enumerate(sizes) if m == M]
-        for block, vals in modulus_blocks(stack, grid.radii, M):
-            # |f|, |f^(k)|^2 and where |f| > 0, shared by every p
-            kept = moved = (vals[0], vals[1:] ** 2, vals[0] > 0.0)
-            hit = np.any(vals[0] == 0.0, axis=1)
-            if np.any(hit) and min(ps[j] for j in cols) < 2:
-                r = np.minimum(grid.radii[block][hit] + step, 1.0 - 1e-12)
-                again = sample_moduli(stack, r, M)
-                f_abs, squares = vals[0].copy(), moved[1].copy()
-                f_abs[hit], squares[:, hit] = again[0], again[1:] ** 2
-                moved = (f_abs, squares, f_abs > 0.0)
+
+        def reduce(block, vals):
+            hit[block] = np.any(vals[0] == 0.0, axis=1)
+            np.square(vals[1:], out=vals[1:])  # |f^(k)|^2, shared by every p
             for j in cols:
-                f_abs, squares, live = moved if ps[j] < 2 else kept
-                ratio = np.where(live, f_abs ** (ps[j] - 2.0) * squares, 0.0)
-                means[:, j, block] = np.mean(ratio, axis=-1)
+                means[:, j, block] = _ratio_means(vals, ps[j])
+
+        modulus_shares(stack, grid.radii, M, reduce)
+        moved = [j for j in cols if ps[j] < 2]
+        if moved and np.any(hit):
+            vals = sample_moduli(stack, np.minimum(grid.radii[hit] + step, 1.0 - 1e-12), M)
+            np.square(vals[1:], out=vals[1:])
+            for j in moved:
+                means[:, j, hit] = _ratio_means(vals, ps[j])
     return means
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _ratio_means(vals: np.ndarray, p: float) -> np.ndarray:
+    """Angular means of ``|f|^{p-2} |f^{(k)}|^2`` from ``vals = [|f|,
+    |f^{(k)}|^2 ...]``, 0 where ``|f| = 0``.  The error state is entered
+    on the thread that calls this, as numpy keeps one per thread."""
+    return np.mean(np.where(vals[0] > 0.0, vals[0] ** (p - 2.0) * vals[1:], 0.0), axis=-1)
 
 
 def _sides(f: PowerSeries, ks: list[int], p, grid: QuadratureGrid, weight):

@@ -16,15 +16,13 @@ order, or a 2-D array of ``k`` coefficient rows (checked and flushed as a
 :class:`PowerSeries` is), and sample rings of radii in (0, 1] at ``M``
 equally spaced nodes one ring block at a time: the rows are scaled by
 ``r**n`` and folded modulo ``M`` in a buffer, then transformed there.
-:func:`modulus_blocks` and :func:`sample_moduli` give ``|f|``, the one
-route to moduli: a stack whose coefficients are all real takes a real FFT
-of half the length, any other the complex path.  :func:`sample_rings`
-gives the complex values, one inverse FFT per ring, for readers that need
-phases.  :func:`modulus_blocks` runs its blocks in order on the calling
-thread, one buffer per call; :func:`sample_rings`, :func:`sample_moduli`
-and :func:`modulus_shares` run them on :func:`ring_shares`, side by side
-on the CPUs the process may use, one buffer per share, with the same
-values.
+:func:`modulus_shares` (a reduction per block) and :func:`sample_moduli`
+(one array) give ``|f|``, the one route to moduli: a stack whose
+coefficients are all real takes a real FFT of half the length, any other
+the complex path.  :func:`sample_rings` gives the complex values, one
+inverse FFT per ring, for readers that need phases.  All three run their
+blocks on :func:`ring_shares`, side by side on the CPUs the process may
+use, one buffer per share, with the same values for any number of shares.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "PowerSeries",
     "sample_rings",
     "sample_moduli",
-    "modulus_blocks",
     "modulus_shares",
     "ring_blocks",
     "ring_shares",
@@ -227,13 +224,12 @@ def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) 
     """Consecutive slices of ``range(rings)``, each as many rows of
     ``order + 1`` coefficients, rounded up to a multiple of ``M``, as fit
     ``_BLOCK_BYTES`` for a stack of ``k`` series (at least one row): the
-    ring blocks of :func:`modulus_blocks`, and any other row blocks of that
-    budget.  A row costs 16 bytes per entry in a complex fold buffer; on
-    the real path of :func:`modulus_blocks` (``real``) it costs 8 bytes per
-    entry of the real fold buffer plus the ``M // 2 + 1`` complex entries
-    of its half spectrum.  These are the blocks of one serial pass: the
-    sampling calls that run on :func:`ring_shares` cut the same budget
-    among their shares."""
+    ring blocks of a sampling call on one share, and any other row blocks
+    of that budget.  A row costs 16 bytes per entry in a complex fold
+    buffer; on the real path of :func:`modulus_shares` (``real``) it costs
+    8 bytes per entry of the real fold buffer plus the ``M // 2 + 1``
+    complex entries of its half spectrum.  With more shares,
+    :func:`ring_shares` cuts the same budget among them."""
     return _cut(rings, _block_rings(order, M, k, real))
 
 
@@ -377,7 +373,7 @@ class _Rings:
     after the coefficients are turned by ``exp(-2 pi i (n shift mod M) /
     M)``.  Rows are bit-identical to ``M * ifft`` of the fully scaled,
     folded coefficients of each ring alone.  The moduli of a real stack
-    take the real path of :func:`modulus_blocks`."""
+    take the real path of :func:`modulus_shares`."""
 
     def __init__(self, c: np.ndarray, r: np.ndarray, M: int, modulus: bool = False, shift: int = 0):
         size = c.shape[1]
@@ -422,21 +418,22 @@ class _Rings:
         return values
 
 
-def modulus_blocks(f, radii, M: int, shift: int = 0):
-    """The moduli ``|f(r exp(2 pi i (j - shift) / M))|`` one ring block at
-    a time: an iterator of ``(block, values)``, where ``block`` is a slice
-    of ``radii`` (see :func:`ring_blocks`, the whole stack counted) and
-    ``values`` are its rows, shape ``(block rings, M)`` for one series and
-    ``(k, block rings, M)`` for a stack (a sequence of series or a 2-D
-    coefficient array).  Callers reduce each block before the next, so the
-    radii x M moduli are never held at once; the blocks run in order on
-    the calling thread, as callers may reduce across them (a reduction
-    that writes each block's own slice can run on the CPUs the process may
-    use through :func:`modulus_shares`).  ``values`` are real and the
-    caller's until the next block overwrites them (raising them to a power
-    in place allocates nothing).  One fold buffer (zero-padded, series x
-    rings x order rounded up to a multiple of ``M``) serves every block; a
-    short last block uses its leading rings.
+def modulus_shares(f, radii, M: int, reduce, shift: int = 0) -> None:
+    """Call ``reduce(block, values)`` on every ring block of the moduli
+    ``|f(r exp(2 pi i (j - shift) / M))|``, the blocks run on
+    :func:`ring_shares`.  ``block`` is a slice of ``radii`` (see
+    :func:`ring_blocks`, the whole stack counted) and ``values`` are its
+    rows, shape ``(block rings, M)`` for one series and ``(k, block rings,
+    M)`` for a stack (a sequence of series or a 2-D coefficient array).
+    Callers reduce each block as it comes, so the radii x M moduli are
+    never held at once.  ``reduce`` may run on another thread and in any
+    order, so it writes only the block's slice of its output and allocates
+    nothing sizable; the output is then bit-identical for any number of
+    shares.  ``values`` are real and ``reduce``'s until it returns (raising
+    them to a power in place allocates nothing): one fold buffer per share
+    (zero-padded, series x rings x order rounded up to a multiple of
+    ``M``) serves each of its blocks, and a short block uses its leading
+    rings.
 
     The arguments are checked when this is called, before any block:
     ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
@@ -447,8 +444,8 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     scaled by the two-level power table of :func:`_fold` (within a few
     ulp of ``pow``) and folded into a real buffer, and one ``np.fft.rfft``
     per ring writes the half spectrum ``F_m``, ``m = 0..M//2``, into a
-    second buffer reused by every block (the two within ``_BLOCK_BYTES``,
-    see :func:`ring_blocks`).
+    second buffer of the share (the two within the share's part of
+    ``_BLOCK_BYTES``, see :func:`ring_blocks`).
     Real coefficients give ``f(r exp(2 pi i m / M)) = conj(F_m)`` and
     ``|f|`` at ``M - m`` equal to ``|f|`` at ``m``, so the modulus is
     taken in place and one ``np.take`` over ``min(m, M - m)``, ``m = (j -
@@ -459,26 +456,6 @@ def modulus_blocks(f, radii, M: int, shift: int = 0):
     ``exp(-2 pi i (n shift mod M) / M)``, sampled in the complex blocks of
     :func:`sample_rings` and their modulus taken in place, so its values
     are ``np.abs`` of :func:`sample_rings` of the turned stack, exactly.
-    """
-    c, r, single = _checked(f, radii, M)
-    return _serial(_Rings(c, r, M, modulus=True, shift=shift), single)
-
-
-def _serial(rings: _Rings, single: bool):
-    """The generator behind :func:`modulus_blocks`."""
-    blocks = _cut(rings.r.size, rings.rows())
-    buffers = rings.allocate(blocks[0].stop if blocks else 0)
-    for block in blocks:
-        values = rings(block, buffers)
-        yield block, values[0] if single else values
-
-
-def modulus_shares(f, radii, M: int, reduce, shift: int = 0) -> None:
-    """Call ``reduce(block, values)`` on every ring block of the moduli of
-    :func:`modulus_blocks` (same arguments, blocks and values), the blocks
-    run on :func:`ring_shares`: ``reduce`` may run on another thread and
-    in any order, so it writes only the block's slice of its output and
-    allocates nothing sizable.  The arguments are checked before any block.
     """
     c, r, single = _checked(f, radii, M)
     rings = _Rings(c, r, M, modulus=True, shift=shift)
@@ -523,7 +500,7 @@ def sample_rings(f, radii, M: int) -> np.ndarray:
 def sample_moduli(f, radii, M: int) -> np.ndarray:
     """Moduli ``|f(r * exp(2*pi*i*j/M))|`` in the layout of
     :func:`sample_rings`, gathered from the blocks of
-    :func:`modulus_blocks` run on the CPUs the process may use
+    :func:`modulus_shares` (unshifted) run on the CPUs the process may use
     (:func:`ring_shares`): equal to ``np.abs(sample_rings(f, radii, M))``
     exactly for a stack with a non-real coefficient, and to FFT rounding
     (relative to each ring's maximum) for a real one, at about half the

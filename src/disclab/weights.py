@@ -40,7 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from .grids import QuadratureGrid
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, modulus_blocks, sample_moduli, sample_rings
+from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_moduli, sample_rings
 from .specs import parse_spec
 
 __all__ = [
@@ -473,8 +473,10 @@ def bloch_kernel_quantity(
     z-rings (0.3, 0.6 and ``max(z_radii - 2, 4)`` radii refined
     geometrically toward ``grid.r_max``, each with ``z_angles`` equal
     angles); the u-polynomial of every z node is then sampled on the rings
-    of a polar rule with 96 angles, one ring block at a time, and reduced
-    to angular means of its modulus.
+    of a polar rule with 96 angles, each ring block of
+    :func:`~disclab.series.modulus_shares` reduced to the angular means of
+    its modulus on its own rings, and the means are weighted over the
+    u-rings in one product.
 
     ``value`` is the maximum of ``(1-|z|^2)`` times the u-integral over the
     z nodes, ``value_coarse`` the maximum over every other z node, and the
@@ -507,11 +509,14 @@ def bloch_kernel_quantity(
         radial = np.asarray(_radial_weight(u.radii), dtype=float)
     ring_weights = u.weights * 2.0 * u.radii * radial
 
-    acc = np.zeros(Q.shape[1])
-    for block, vals in modulus_blocks(Q.T, u.radii, u.angular):
-        acc += vals.mean(axis=-1) @ ring_weights[block]
+    means = np.empty((u.radii.size, Q.shape[1]))  # per u-ring and z node
+
+    def reduce(block, vals):
+        means[block] = vals.mean(axis=-1).T
+
+    modulus_shares(Q.T, u.radii, u.angular, reduce)
     radius = np.repeat(zr, z_angles)
-    est = (1.0 - radius**2) * acc
+    est = (1.0 - radius**2) * (ring_weights @ means)
     value = float(np.max(est))
 
     # geometric tail extrapolation from the last terms

@@ -11,6 +11,7 @@ live here only, as the slow paths the fast ones are checked against.
 """
 
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,7 @@ from disclab.norms import (
     hp_norm,
 )
 from disclab.series import PowerSeries, dilate, ring_blocks, sample_moduli
+from disclab.weights import RadialWeight, bloch_kernel_quantity
 
 REL = 1e-12
 
@@ -505,6 +507,58 @@ def test_sample_folded_shares_are_bit_identical_to_one(up, real, n):
     assert threading.active_count() == before
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("upsample", [None, 8])
+def test_ratio_ring_means_shares_are_bit_identical_to_one(upsample, n):
+    # f = z - r_i vanishes on the node r_i of angle 0, so that ring moves
+    # for p < 2; with one ring per block, the ring with the zero falls to
+    # some share, and a share that divides by |f| = 0 outside numpy's
+    # error state (which is per thread) raises here
+    grid = QuadratureGrid(**dict(SMALL, angular=24))
+    ks, ps = [1, 2], [0.5, 1.5, 2.0, 3.0]
+    for i in range(0, grid.radii.size, 3):
+        f = PowerSeries([-grid.radii[i], 1.0]).pad(30)
+        assert oracle_ratio_ring_means(f, 1, 0.5, grid, upsample or 1)[1] >= 1
+        with blocks_of(1, f.order, (upsample or 1) * grid.angular, 1 + len(ks)):
+            with shares(1):
+                want = _ratio_ring_means(f, ks, ps, grid, upsample)
+            with shares(n), counted_threads() as made, warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _ratio_ring_means(f, ks, ps, grid, upsample)
+        assert made.call_count >= n - 1
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h1_inner_fields_shares_are_bit_identical_to_one(n):
+    # blocks of three rings of a stack of five primitives: two t-blocks of
+    # five and a short one of two, each summed over its stack by its rings
+    grid = QuadratureGrid(**dict(SMALL, angular=24))
+    A = random_series(30, 4)
+    with blocks_of(3, A.order + 1, grid.angular, 5):
+        with shares(1):
+            want = _h1_inner_fields(A, 0.9, grid, 12)
+        with shares(n):
+            got = _h1_inner_fields(A, 0.9, grid, 12)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bloch_kernel_quantity_shares_are_bit_identical_to_one(n):
+    # the kernel polynomials of 48 z nodes in blocks of five u-rings
+    grid = QuadratureGrid(**SMALL)
+    A = random_series(24, 9)
+    w = RadialWeight.standard(1.0)
+    with blocks_of(5, 31, 96, 48):
+        with shares(1):
+            want = bloch_kernel_quantity(A, w, grid, kernel_order=32, z_radii=6, z_angles=8)
+        with shares(n):
+            got = bloch_kernel_quantity(A, w, grid, kernel_order=32, z_radii=6, z_angles=8)
+    assert np.array_equal(
+        [got.value, got.value_coarse, got.divergence_flag], [want.value, want.value_coarse, want.divergence_flag]
+    )
 
 
 exponents = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4)

@@ -18,7 +18,7 @@ from disclab.series import (
     exp_series,
     geometric_series,
     log_series,
-    modulus_blocks,
+    modulus_shares,
     pow_series,
     reciprocal_series,
     ring_blocks,
@@ -203,6 +203,11 @@ UNDERFLOW_CASE = (
 )
 
 
+def shares(n):
+    """Ring work on ``n`` shares, whatever CPUs the process may use."""
+    return mock.patch.object(series, "_cpu_count", lambda: n)
+
+
 class TestSampleRings:
     @settings(max_examples=150, deadline=None)
     @example(case=UNDERFLOW_CASE, rows=1)
@@ -290,9 +295,20 @@ class TestSampleRings:
         assert sample_rings(PowerSeries([1.0, 2.0]), [], 6).shape == (0, 6)
 
 
+def blocks_in_order(f, radii, M, reduce, shift=0):
+    """modulus_shares on one share: every block on the calling thread, in
+    order, so ``reduce`` may assert and keep what it was given."""
+    with shares(1):
+        modulus_shares(f, radii, M, reduce, shift=shift)
+
+
+def never(block, values):
+    raise AssertionError("reduce called before the arguments were checked")
+
+
 class TestSampleBlocks:
     """The complex ring blocks, read through the complex path of
-    modulus_blocks (every series of ring_cases has a non-real coefficient):
+    modulus_shares (every series of ring_cases has a non-real coefficient):
     the blocks that sample_rings gathers, their moduli taken in place."""
 
     @settings(max_examples=100, deadline=None)
@@ -305,33 +321,37 @@ class TestSampleBlocks:
         f, radii, M = case
         width = -(-(f.order + 1) // M) * M
         seen = []
+
+        def reduce(block, values):
+            want = np.abs([oracle_sample_circle(f, float(r), M) for r in radii[block]])
+            assert values.shape == (len(want), M) and np.array_equal(values, want)
+            values[...] = np.nan
+            seen.append(block)
+
         with mock.patch.object(series, "_BLOCK_BYTES", rows * 16 * width):
-            for block, values in modulus_blocks(f, radii, M):
-                want = np.abs([oracle_sample_circle(f, float(r), M) for r in radii[block]])
-                assert values.shape == (len(want), M) and np.array_equal(values, want)
-                values[...] = np.nan
-                seen.append(block)
+            blocks_in_order(f, radii, M, reduce)
         short = len(radii) % rows
         assert [b.stop - b.start for b in seen] == [rows] * (len(radii) // rows) + ([short] if short else [])
         assert [i for b in seen for i in range(b.start, b.stop)] == list(range(len(radii)))
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_blocks_share_one_buffer(self, rows):
-        # the values of a block are overwritten by the next: consume first
+        # the values of a block are overwritten by the next: reduce first
         f, radii, M = UNDERFLOW_CASE
         width = -(-(f.order + 1) // M) * M
+        views = []
         with mock.patch.object(series, "_BLOCK_BYTES", 3 * rows * 16 * width):
-            views = [values for _, values in modulus_blocks([f, f, f], radii, M)]
+            blocks_in_order([f, f, f], radii, M, lambda block, values: views.append(values))
         assert len(views) == -(-len(radii) // rows)
         assert all(np.shares_memory(a, b) for a, b in zip(views, views[1:]))
 
     def test_arguments_are_checked_before_the_first_block(self):
         with pytest.raises(ValueError, match="sampling radius"):
-            modulus_blocks(PowerSeries([1.0, 1.0j]), [0.5, 1.5], 8)
+            modulus_shares(PowerSeries([1.0, 1.0j]), [0.5, 1.5], 8, never)
         with pytest.raises(ValueError, match="node"):
-            modulus_blocks(PowerSeries([1.0j]), [0.5], 0)
+            modulus_shares(PowerSeries([1.0j]), [0.5], 0, never)
         with pytest.raises(ValueError, match="one order"):
-            modulus_blocks([PowerSeries([1.0j]), PowerSeries([1.0, 2.0j])], [0.5], 4)
+            modulus_shares([PowerSeries([1.0j]), PowerSeries([1.0, 2.0j])], [0.5], 4, never)
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,15 +405,18 @@ class TestModulusBlocks:
         f, radii, M = case
         fs = [f, PowerSeries(f.coeffs[::-1] - 0.25)]
         seen = []
+
+        def reduce(block, values):
+            assert values.shape == (2, block.stop - block.start, M) and values.dtype == float
+            for g, rows_of_g in zip(fs, values):
+                want = [np.roll(np.abs(oracle_sample_circle(g, float(r), M)), shift) for r in radii[block]]
+                assert_within_ring_max(rows_of_g, np.reshape(want, (-1, M)))
+            values[...] = np.nan
+            seen.append(block)
+
         with real_budget(rows, f.order, M, 2):
             sizes = [b.stop - b.start for b in ring_blocks(len(radii), f.order, M, 2, real=True)]
-            for block, values in modulus_blocks(fs, radii, M, shift=shift):
-                assert values.shape == (2, block.stop - block.start, M) and values.dtype == float
-                for g, rows_of_g in zip(fs, values):
-                    want = [np.roll(np.abs(oracle_sample_circle(g, float(r), M)), shift) for r in radii[block]]
-                    assert_within_ring_max(rows_of_g, np.reshape(want, (-1, M)))
-                values[...] = np.nan
-                seen.append(block)
+            blocks_in_order(fs, radii, M, reduce, shift=shift)
         short = len(radii) % rows
         assert sizes == [rows] * (len(radii) // rows) + ([short] if short else [])
         assert [b.stop - b.start for b in seen] == sizes
@@ -411,9 +434,10 @@ class TestModulusBlocks:
         if mixed:
             fs = [PowerSeries(fs[0].coeffs.real), *fs]
         k, width = len(fs), -(-(fs[0].order + 1) // M) * M
+        blocks = []
         with mock.patch.object(series, "_BLOCK_BYTES", k * rows * 16 * width):
             got = sample_moduli(fs, radii, M)
-            blocks = [block for block, _ in modulus_blocks(fs, radii, M)]
+            blocks_in_order(fs, radii, M, lambda block, values: blocks.append(block))
             assert blocks == ring_blocks(len(radii), fs[0].order, M, k)
         assert got.shape == (k, len(radii), M)
         assert np.array_equal(got, np.abs(sample_rings(fs, radii, M)))
@@ -425,8 +449,11 @@ class TestModulusBlocks:
         if real:
             fs = [PowerSeries(g.coeffs.real) for g in fs]
         got = np.empty((len(fs), len(radii), M))
-        for block, values in modulus_blocks(fs, radii, M, shift=shift):
+
+        def reduce(block, values):
             got[:, block] = values
+
+        blocks_in_order(fs, radii, M, reduce, shift=shift)
         for g, rings in zip(fs, got):
             want = [np.roll(np.abs(oracle_sample_circle(g, float(r), M)), shift) for r in radii]
             assert_within_ring_max(rings, np.reshape(want, (-1, M)))
@@ -441,9 +468,9 @@ class TestModulusBlocks:
 
     def test_arguments_are_checked_before_the_first_block(self):
         with pytest.raises(ValueError, match="sampling radius"):
-            modulus_blocks(PowerSeries([1.0, 1.0]), [0.5, 1.5], 8)
+            modulus_shares(PowerSeries([1.0, 1.0]), [0.5, 1.5], 8, never)
         with pytest.raises(ValueError, match="node"):
-            modulus_blocks(PowerSeries([1.0]), [0.5], 0)
+            modulus_shares(PowerSeries([1.0]), [0.5], 0, never)
         with pytest.raises(ValueError, match="one order"):
             sample_moduli([PowerSeries([1.0]), PowerSeries([1.0, 2.0])], [0.5], 4)
 
@@ -464,11 +491,6 @@ def test_real_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
 # ---------------------------------------------------------------------------
 # ring shares: the blocks of a sampling call side by side on the CPUs
 # ---------------------------------------------------------------------------
-
-def shares(n):
-    """Ring work on ``n`` shares, whatever CPUs the process may use."""
-    return mock.patch.object(series, "_cpu_count", lambda: n)
-
 
 def counted_threads():
     """``threading.Thread`` with a count of the threads made."""
@@ -620,7 +642,11 @@ class TestArrayStacks:
             assert np.array_equal(sampler(c, radii, M), sampler(wrapped, radii, M))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
-    @pytest.mark.parametrize("sampler", [sample_rings, modulus_blocks, sample_moduli])
+    @pytest.mark.parametrize(
+        "sampler",
+        [sample_rings, lambda c, radii, M: modulus_shares(c, radii, M, never), sample_moduli],
+        ids=["sample_rings", "modulus_shares", "sample_moduli"],
+    )
     def test_non_finite_entry_is_rejected(self, bad, sampler):
         c = np.ones((3, 5), dtype=complex)
         c[1, 2] = bad
