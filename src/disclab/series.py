@@ -14,15 +14,17 @@ freely between threads.
 The circle samplers take one series, a sequence of ``k`` series of one
 order, or a 2-D array of ``k`` coefficient rows (checked and flushed as a
 :class:`PowerSeries` is), and sample rings of radii in (0, 1] at ``M``
-equally spaced nodes one ring block at a time: the rows are scaled by
-``r**n`` and folded modulo ``M`` in a buffer, then transformed there.
+equally spaced nodes one ring block at a time: the rows are scaled by one
+two-level table of ``r**n`` and folded modulo ``M`` in a buffer, then
+transformed there.
 :func:`modulus_shares` (a reduction per block) and :func:`sample_moduli`
 (one array) give ``|f|``, the one route to moduli: a stack whose
 coefficients are all real takes a real FFT of half the length, any other
 the complex path.  :func:`sample_rings` gives the complex values, one
 inverse FFT per ring, for readers that need phases.  All three run their
 blocks on :func:`ring_shares`, side by side on the CPUs the process may
-use, one buffer per share, with the same values for any number of shares.
+use, each share's buffers within its part of one memory budget, with the
+same values for any number of shares.
 """
 
 from __future__ import annotations
@@ -191,12 +193,12 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 # circle sampling and Fourier coefficient recovery
 # ---------------------------------------------------------------------------
 
-# Bound on the fold buffers of a sampling call (with the half spectra of
-# the real path): it decides how many rings go in a block, and the ring
-# shares of a call split it, one buffer each (see ring_shares).
+# Bound on every buffer of a sampling call, the fold buffers and the half
+# spectra of the real path: it decides how many rings go in a block, and
+# the ring shares of a call split it (see ring_shares).
 _BLOCK_BYTES = 8 * 2**20
 
-# Powers per row of the two-level r**n table of the real path of _fold.
+# Powers per row of the two-level r**n table of _fold.
 _TABLE_STEP = 64
 
 
@@ -228,8 +230,10 @@ def ring_blocks(rings: int, order: int, M: int, k: int = 1, real: bool = False) 
     of that budget.  A row costs 16 bytes per entry in a complex fold
     buffer; on the real path of :func:`modulus_shares` (``real``) it costs
     8 bytes per entry of the real fold buffer plus the ``M // 2 + 1``
-    complex entries of its half spectrum.  With more shares,
-    :func:`ring_shares` cuts the same budget among them."""
+    complex entries of its half spectrum.  These are all the buffers of a
+    share (the power table of :func:`_fold` lives in the fold buffer).
+    With more shares, :func:`ring_shares` cuts the same budget among
+    them."""
     return _cut(rings, _block_rings(order, M, k, real))
 
 
@@ -320,39 +324,32 @@ def _checked(f, radii, M: int):
     return np.stack([g.coeffs for g in fs]), r, False
 
 
-def _fold(c: np.ndarray, rb: np.ndarray, M: int, buffer: np.ndarray, powers) -> np.ndarray:
+def _fold(c: np.ndarray, rb: np.ndarray, M: int, buffer: np.ndarray) -> np.ndarray:
     """The rows ``c`` scaled by ``rb**n`` in ``buffer`` (of ``c``'s dtype)
     and folded modulo ``M`` into its first ``M`` columns: a view of shape
     ``(k, rb.size, M)``.
 
     Powers are formed only below the block's underflow cut ``n < 1075 /
-    -log2(max rb) + 2``, beyond which ``r**n`` is exactly 0.  Complex rows
-    take ``rb[:, None] ** n``, one ``pow`` per entry, in the float buffer
-    ``powers`` (``rb.size`` rows of the fold buffer's width at least; real
-    rows leave it alone).
-    Real rows take the two-level table ``r**(64 a + b) = r**(64 a) *
-    r**b``, both factors by ``pow`` (within a few ulp of it, at about an
-    eighth of its cost): the table is written into the first series' rows
-    of the buffer, and each coefficient row scales it from there, the first
-    one last and in place, so no array the size of the table is allocated.
-    The buffer is zeroed from the cut to its end, as the block before may
-    have filled coefficients there and its FFT the padding columns."""
+    -log2(max rb) + 2``, beyond which ``r**n`` is exactly 0, by the
+    two-level table ``r**(64 a + b) = r**(64 a) * r**b``, both factors by
+    ``pow`` (within a few ulp of it, at about an eighth of its cost).  The
+    table is written into the first series' rows of the buffer (with
+    imaginary part 0 in a complex one), and each coefficient row scales it
+    from there, the first one last and in place, so no array the size of
+    the table is allocated.  The buffer is zeroed from the cut to its end,
+    as the block before may have filled coefficients there and its FFT the
+    padding columns."""
     k, size = c.shape
     scaled = buffer[:, : rb.size]
     live = size if rb.max() == 1.0 else min(size, int(1075 / -np.log2(rb.max())) + 2)
-    if np.iscomplexobj(c):
-        table = powers[: rb.size, :live]
-        np.power(rb[:, None], np.arange(live), out=table)
-        np.multiply(c[:, None, :live], table, out=scaled[:, :, :live])
-    else:
-        step, table = _TABLE_STEP, scaled[0, :, :live]
-        whole = live // step  # whole rows of the table; the rest is a short one
-        high = rb[:, None] ** (step * np.arange(-(-live // step)))
-        low = rb[:, None] ** np.arange(step)
-        np.multiply(high[:, :whole, None], low[:, None], out=table[:, : whole * step].reshape(rb.size, whole, step))
-        np.multiply(high[:, whole:], low[:, : live - whole * step], out=table[:, whole * step :])
-        for x in range(k - 1, -1, -1):
-            np.multiply(table, c[x, :live], out=scaled[x, :, :live])
+    step, table = _TABLE_STEP, scaled[0, :, :live]
+    whole = live // step  # whole rows of the table; the rest is a short one
+    high = rb[:, None] ** (step * np.arange(-(-live // step)))
+    low = rb[:, None] ** np.arange(step)
+    np.multiply(high[:, :whole, None], low[:, None], out=table[:, : whole * step].reshape(rb.size, whole, step))
+    np.multiply(high[:, whole:], low[:, : live - whole * step], out=table[:, whole * step :])
+    for x in range(k - 1, -1, -1):
+        np.multiply(table, c[x, :live], out=scaled[x, :, :live])
     scaled[:, :, live:] = 0.0
     folded = scaled[:, :, :M]
     for j in range(M, size, M):
@@ -367,13 +364,13 @@ class _Rings:
     buffers of one share.
 
     Complex values, and the moduli of a stack with a non-real coefficient,
-    fold each ring into a complex buffer (one ``pow`` per power, see
-    :func:`_fold`) and take the inverse FFT there in place, scaled by ``M``
-    to give the unnormalised sum; the moduli are its ``np.abs`` in place,
-    after the coefficients are turned by ``exp(-2 pi i (n shift mod M) /
-    M)``.  Rows are bit-identical to ``M * ifft`` of the fully scaled,
-    folded coefficients of each ring alone.  The moduli of a real stack
-    take the real path of :func:`modulus_shares`."""
+    fold each ring into a complex buffer (see :func:`_fold`) and take the
+    inverse FFT there in place, scaled by ``M`` to give the unnormalised
+    sum; the moduli are its ``np.abs`` in place, after the coefficients
+    are turned by ``exp(-2 pi i (n shift mod M) / M)``.  Rows are
+    bit-identical to ``M * ifft`` of the fully scaled, folded coefficients
+    of each ring alone.  The moduli of a real stack take the real path of
+    :func:`modulus_shares`."""
 
     def __init__(self, c: np.ndarray, r: np.ndarray, M: int, modulus: bool = False, shift: int = 0):
         size = c.shape[1]
@@ -392,25 +389,25 @@ class _Rings:
         return _block_rings(size - 1, self.M, k, self.real, shares)
 
     def allocate(self, rows: int):
-        """One share's buffers for blocks of ``rows`` rings: the fold buffer,
-        and the half spectra (real path) or the power table (complex)."""
+        """One share's buffers for blocks of ``rows`` rings, all of them
+        within its part of ``_BLOCK_BYTES``: the fold buffer, and on the real
+        path the half spectra."""
         k = self.c.shape[0]
         if self.real:
             return np.empty((k, rows, self.width)), np.empty(k * rows * (self.M // 2 + 1), dtype=complex)
-        return np.empty((k, rows, self.width), dtype=complex), np.empty((rows, self.width))
+        return (np.empty((k, rows, self.width), dtype=complex),)
 
     def __call__(self, block: slice, buffers) -> np.ndarray:
         """The rings of ``block``, shape ``(k, block rings, M)``: a view into
         the fold buffer, the caller's until the next block."""
-        buffer, spare = buffers
-        rb, M = self.r[block], self.M
-        folded = _fold(self.c, rb, M, buffer, spare)
+        buffer, rb, M = buffers[0], self.r[block], self.M
+        folded = _fold(self.c, rb, M, buffer)
         if not self.real:
             np.fft.ifft(folded, axis=-1, out=folded)
             folded *= M
             return np.abs(folded, out=folded).real if self.modulus else folded
         n = folded.shape[0] * rb.size
-        spectrum = spare[: n * (M // 2 + 1)].reshape(*folded.shape[:2], -1)
+        spectrum = buffers[1][: n * (M // 2 + 1)].reshape(*folded.shape[:2], -1)
         np.fft.rfft(folded, axis=-1, out=spectrum)
         np.abs(spectrum, out=spectrum)
         values = buffer.reshape(-1)[: n * M].reshape(folded.shape)
@@ -433,7 +430,9 @@ def modulus_shares(f, radii, M: int, reduce, shift: int = 0) -> None:
     them to a power in place allocates nothing): one fold buffer per share
     (zero-padded, series x rings x order rounded up to a multiple of
     ``M``) serves each of its blocks, and a short block uses its leading
-    rings.
+    rings.  Either path scales the rows by the two-level power table of
+    :func:`_fold` (within a few ulp of ``pow``), written into the fold
+    buffer itself.
 
     The arguments are checked when this is called, before any block:
     ``r = 1`` is allowed (a truncated series is a polynomial, continuous on
@@ -441,11 +440,10 @@ def modulus_shares(f, radii, M: int, reduce, shift: int = 0) -> None:
     live); every radius must lie in (0, 1], NaN is rejected.
 
     When every coefficient of the stack has imaginary part 0, the rows are
-    scaled by the two-level power table of :func:`_fold` (within a few
-    ulp of ``pow``) and folded into a real buffer, and one ``np.fft.rfft``
-    per ring writes the half spectrum ``F_m``, ``m = 0..M//2``, into a
-    second buffer of the share (the two within the share's part of
-    ``_BLOCK_BYTES``, see :func:`ring_blocks`).
+    folded into a real buffer, and one ``np.fft.rfft`` per ring writes the
+    half spectrum ``F_m``, ``m = 0..M//2``, into a second buffer of the
+    share (the two within the share's part of ``_BLOCK_BYTES``, see
+    :func:`ring_blocks`).
     Real coefficients give ``f(r exp(2 pi i m / M)) = conj(F_m)`` and
     ``|f|`` at ``M - m`` equal to ``|f|`` at ``m``, so the modulus is
     taken in place and one ``np.take`` over ``min(m, M - m)``, ``m = (j -

@@ -1,12 +1,19 @@
-"""Same-numbers check: every README command line against its recorded report.
+"""Same-numbers check: command lines against their recorded reports.
 
 ``golden/readme_reports.json`` maps each command of the README's "Command
-line" block to the report it printed when recorded.  A rerun must give the
-same ``config``, ``grid`` and ``results`` within 1e-12 relative; strings and
-booleans must match exactly.  Round-off fields are not compared: they are
-held to the pinned bounds of ``test_acceptance.py`` instead.  To re-record
-after an intended change of numbers, rewrite the JSON file from the new
-reports and say why in CHANGES.md.
+line" block to the report it printed when recorded.  ``golden/kinds.json``
+does the same for ``KIND_COMMANDS``: one report per condition kind, norm
+kind (on a real and on a complex input), experiment and identity suite,
+on a small grid but for the suites.  A rerun must give the same
+``command``, ``config``, ``grid`` and ``results`` within 1e-12 relative;
+strings and booleans must match exactly.  Round-off fields are not
+compared: they are held to the pinned bounds of ``test_acceptance.py``
+instead.
+
+To re-record after an intended change of numbers, rewrite the JSON file
+from the new reports (``PYTHONPATH=src python tests/test_golden.py``
+rewrites ``kinds.json``) and say in CHANGES.md why, and which reports
+moved by how much.
 """
 
 import contextlib
@@ -17,10 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from disclab.cli import run
+from disclab.cli import CONDITIONS, NORMS, run
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_reports.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "readme_reports.json").read_text())
+KINDS = json.loads((GOLDEN_DIR / "kinds.json").read_text())
 REL_TOL = 1e-12
 
 # Round-off fields and the acceptance-suite bound each is held to.
@@ -33,6 +42,21 @@ ROUND_OFF_BOUNDS = {
     "moment_identity_gap": 1e-10,
     "max_residual": 1e-8,
 }
+
+
+SMALL_GRID = "--order 128 --angular 64 --nodes-per-panel 4"
+KIND_COMMANDS = [
+    *(f"{SMALL_GRID} condition --kind {kind} --coeff log-reciprocal" for kind in CONDITIONS),
+    *(f"{SMALL_GRID} norm --kind {kind} --f {f}" for f in ("log-reciprocal", "exp:eps=0.4+0.3j") for kind in NORMS),
+    f"{SMALL_GRID} experiment --kind hp-membership --coeff log-reciprocal",
+    f"{SMALL_GRID} experiment --kind zero-free-cp --f log-reciprocal",
+    f"{SMALL_GRID} experiment --kind zero-free-cp --f exp:eps=0.4+0.3j",
+    f"{SMALL_GRID} experiment --kind lacunary",
+    # on the default grid: the small one leaves discretisation error in the
+    # suites' residuals, which are held to round-off bounds
+    *(f"--order 128 identities --suite {suite}" for suite in ("green", "kernel", "hss", "moment")),
+    f"{SMALL_GRID} hardy --p 0.5 --k 2",
+]
 
 
 def readme_commands() -> list[str]:
@@ -71,14 +95,33 @@ def test_every_readme_command_has_a_golden_report():
     assert sorted(readme_commands()) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_readme_report_matches_golden(command, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the hardy example writes sides.csv
+def report(command: str) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(command.split()) == 0
-    got, want = json.loads(out.getvalue()), GOLDEN[command]
-    problems = []
-    for part in ("command", "config", "grid", "results"):
-        problems += differences(got[part], want[part], part)
-    assert problems == []
+    return json.loads(out.getvalue())
+
+
+def mismatches(command: str, want: dict) -> list[str]:
+    got = report(command)
+    return [d for part in ("command", "config", "grid", "results") for d in differences(got[part], want[part], part)]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_readme_report_matches_golden(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the hardy example writes sides.csv
+    assert mismatches(command, GOLDEN[command]) == []
+
+
+def test_every_kind_has_a_golden_report():
+    assert sorted(KIND_COMMANDS) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("command", sorted(KINDS))
+def test_kind_report_matches_golden(command):
+    assert mismatches(command, KINDS[command]) == []
+
+
+if __name__ == "__main__":
+    reports = {command: report(command) for command in KIND_COMMANDS}
+    (GOLDEN_DIR / "kinds.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")

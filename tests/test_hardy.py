@@ -36,10 +36,16 @@ class TestHardySteinSpencer:
         # ||z||^2 = 1, |f(0)|^2 = 0, 2 int log(1/|z|) dm = 1
         assert hss_residual(PowerSeries([0, 1]), 2.0, grid) < 1e-10
 
-    @pytest.mark.parametrize("zeta", [1.0, 1j, -1.0, -1j], ids=["1", "i", "-1", "-i"])
+    @pytest.mark.parametrize(
+        "zeta",
+        [1.0, 1j, -1.0, -1j, np.exp(0.3j * np.pi), np.exp(1j * np.pi / 544), np.exp(0.77j * np.pi)],
+        ids=["1", "i", "-1", "-i", "e^0.3pi_i", "half_a_cell", "e^0.77pi_i"],
+    )
     def test_boundary_zero_degree_one(self, grid, zeta):
         # 0.5 (1 - z/zeta): min |f| on the ring r_max is (1 - r_max) |f'|,
-        # clear of the upsampling threshold in every orientation
+        # clear of the upsampling threshold in every orientation; the last
+        # three zeros lie between the default grid's 544 nodes (half a cell
+        # off the node 1 for e^{i pi/544})
         assert hss_residual(PowerSeries([0.5, -0.5 / zeta]), 1.0, grid) < 1e-6
 
     def test_zero_free_polynomials_all_exponents(self, grid):

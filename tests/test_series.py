@@ -147,11 +147,13 @@ class TestSampleCircle:
 
 
 def oracle_sample_circle(f, r, M):
-    """The one-ring sampler that sample_rings replaced: scale, fold by
+    """The one-ring sampler that sample_rings replaced: scale by the
+    samplers' two-level table ``r**n = r**(64 a) * r**b``, fold by
     ``np.add.at``, one 1-d inverse FFT."""
-    scaled = f.coeffs * r ** np.arange(f.order + 1)
+    n = np.arange(f.order + 1)
+    scaled = f.coeffs * (r ** (64 * (n // 64)) * r ** (n % 64))
     folded = np.zeros(M, dtype=complex)
-    np.add.at(folded, np.arange(f.order + 1) % M, scaled)
+    np.add.at(folded, n % M, scaled)
     return M * np.fft.ifft(folded)
 
 
@@ -488,6 +490,18 @@ def test_real_ring_blocks_stay_within_the_buffer_budget(rings, order, M, k):
         assert count == 1 or k * count * (8 * width + 16 * (M // 2 + 1)) <= series._BLOCK_BYTES
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**17), st.integers(1, 4096), st.integers(1, 8), st.booleans())
+def test_share_buffers_stay_within_the_buffer_budget(order, M, k, real):
+    # everything one share holds, on either path, is counted by the budget:
+    # within _BLOCK_BYTES unless a block holds a single ring
+    c = np.ones((k, order + 1)) + (0.0 if real else 1j)
+    rings = series._Rings(c, np.array([0.5]), M, modulus=True)
+    assert rings.real == real
+    rows = rings.rows(1)
+    assert rows == 1 or sum(b.nbytes for b in rings.allocate(rows)) <= series._BLOCK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # ring shares: the blocks of a sampling call side by side on the CPUs
 # ---------------------------------------------------------------------------
@@ -595,33 +609,48 @@ class TestRingShares:
 tiny = st.sampled_from([5e-324, -1e-310, 2.5e-308, 1e-301, 1e-300, -3e-300, 1e-299])
 
 
+# radii and a row width for the power table
+TABLE_CASES = pytest.mark.parametrize(
+    "radii, size",
+    [
+        ([1.0, 1.0 - 2.0**-44], 1000),  # no cut; 1000 = 15 * 64 + 40
+        ([0.999, 1.0], 1024),  # no cut; 16 whole rows of 64
+        ([0.5, 0.3], 1500),  # cut at 1077 = 16 * 64 + 53: subnormal powers up to it
+        ([0.75], 2700),  # cut at 2592 = 40 * 64 + 32
+        ([INNERMOST], 200),  # cut at 41, below one row of 64
+        (list(QuadratureGrid().radii), 1025),  # the default grid at order 1024
+    ],
+)
+
+
 class TestPowerTable:
-    """The real path's two-level table ``r**(64 a + b) = r**(64 a) * r**b``
-    against one ``pow`` per entry, the table of the complex path.  Each
+    """The two-level table ``r**(64 a + b) = r**(64 a) * r**b`` that scales
+    every fold, real rows and complex, against one ``pow`` per entry.  Each
     factor is within an ulp of its exact value and the product adds half
     an ulp, so an entry can stray from ``pow`` by a few ulp (2 at most on
-    these cases)."""
+    these cases; a subnormal one scaled by 4 strays by 4 of its ulp).  A
+    complex table has imaginary part 0, so each part of a complex row
+    scales as a real row does."""
 
-    @pytest.mark.parametrize(
-        "radii, size",
-        [
-            ([1.0, 1.0 - 2.0**-44], 1000),  # no cut; 1000 = 15 * 64 + 40
-            ([0.999, 1.0], 1024),  # no cut; 16 whole rows of 64
-            ([0.5, 0.3], 1500),  # cut at 1077 = 16 * 64 + 53: subnormal powers up to it
-            ([0.75], 2700),  # cut at 2592 = 40 * 64 + 32
-            ([INNERMOST], 200),  # cut at 41, below one row of 64
-            (list(QuadratureGrid().radii), 1025),  # the default grid at order 1024
-        ],
-    )
-    def test_within_a_few_ulp_of_pow(self, radii, size):
-        # a stack of three: exact multiples of the table, the first row scaled last and in place
+    @staticmethod
+    def ulp_from_pow(radii, size, scale):
+        # a stack of three: exact multiples of the table, the first row
+        # scaled last and in place
         r = np.array(radii)
-        c = np.array([[-2.0], [1.0], [4.0]]) * np.ones(size)
-        buffer = np.full((3, r.size, size), np.nan)
-        folded = series._fold(c, r, size, buffer, None)
+        c = np.array([[-2.0], [1.0], [4.0]]) * np.full(size, scale)
+        buffer = np.full((3, r.size, size), np.nan, dtype=c.dtype)
+        folded = series._fold(c, r, size, buffer)
         assert folded.shape == (3, r.size, size)
         want = c[:, None, :] * r[:, None] ** np.arange(size)
-        assert np.max(np.abs(folded - want) / np.spacing(np.abs(want))) <= 4.0
+        return max(np.max(np.abs(part(folded) - part(want)) / np.spacing(np.abs(part(want)))) for part in (np.real, np.imag))
+
+    @TABLE_CASES
+    def test_within_a_few_ulp_of_pow(self, radii, size):
+        assert self.ulp_from_pow(radii, size, 1.0) <= 4.0
+
+    @TABLE_CASES
+    def test_complex_rows_within_a_few_ulp_of_pow(self, radii, size):
+        assert self.ulp_from_pow(radii, size, 1.0 - 0.5j) <= 4.0
 
 
 class TestArrayStacks:
