@@ -217,7 +217,7 @@ def _cauchy_products(A: PowerSeries, r: float, t_count: int):
     is ``exp(-2 pi i (j m mod t_count) / t_count)``, its phase index
     reduced exactly, so every power is as accurate as ``c`` itself."""
     m = np.arange(A.order + 1)
-    for block in ring_blocks(t_count, A.order + 1, 1):
+    for block in ring_blocks(t_count, A.order, 1):
         c = np.exp(-2j * np.pi * (np.arange(t_count)[block, None] * m % t_count) / t_count)
         yield c * np.cumsum(A.coeffs * r**m / c, axis=1)
 
@@ -306,7 +306,7 @@ def decay_conditions(
     a_radii = [rho if rho > 0 else 0.0 for rho in rhos]
     ring_radii = [rho for rho in rhos if rho > 0]
     field = sample_moduli(A, grid.radii, grid.angular) ** 2 * (1 - grid.radii**2)[:, None] ** 2
-    means = grid.moebius_ring_means(field, a_radii=a_radii) @ (grid.weights * 2.0 * grid.radii)
+    means = grid.moebius_ring_means(field, a_radii=a_radii) @ grid.ring_weights
     # the rows of the sweep: the centre 0 first (if asked for), then a_angles per ring radius
     head = 1 if 0.0 in a_radii else 0
     phases = iter(means[head:].reshape(len(ring_radii), grid.a_angles))

@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .series import PowerSeries, modulus_shares, ring_shares, sample_rings
 
-__all__ = ["QuadratureGrid"]
+__all__ = ["QuadratureGrid", "panel_rule"]
 
 # Most nodes (radii x angles) of a grid; the refined default has about 1.2e6.
 MAX_GRID_NODES = 2**24
@@ -35,13 +35,13 @@ MAX_GRID_NODES = 2**24
 _SWEEP_RINGS = 64
 
 
-def _panels(inner_depth: int, outer_depth: int) -> list[tuple[float, float]]:
-    out = []
-    for m in range(inner_depth, 0, -1):
-        out.append((2.0 ** -(m + 1), 2.0 ** -m))
-    for j in range(1, outer_depth):
-        out.append((1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)))
-    return out
+def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with ``n`` nodes on each panel between
+    consecutive ``edges``: nodes and weights, shape (panels, n)."""
+    x, w = leggauss(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) / 2
+    return half * x + (lo + hi) / 2, half * w
 
 
 class QuadratureGrid:
@@ -77,7 +77,7 @@ class QuadratureGrid:
     ):
         if not (0.0 < r_max < 1.0):
             raise ValueError("r_max must lie strictly inside (0, 1)")
-        if nodes_per_panel < 2 or angular < 8:
+        if nodes_per_panel < 2 or angular < 8 or inner_depth < 0 or outer_depth < 1 or inner_depth + outer_depth < 2:
             raise ValueError("grid resolution too small")
         if nodes_per_panel * (inner_depth + outer_depth - 1) * angular > MAX_GRID_NODES:
             raise ValueError("grid resolution too large: more than 2**24 nodes")
@@ -89,13 +89,13 @@ class QuadratureGrid:
         self.a_radii = tuple(float(r) for r in a_radii)
         self.a_angles = int(a_angles)
 
-        x, w = leggauss(self.nodes_per_panel)
-        radii, weights = [], []
-        for lo, hi in _panels(self.inner_depth, self.outer_depth):
-            radii.append((hi - lo) / 2 * x + (hi + lo) / 2)
-            weights.append((hi - lo) / 2 * w)
-        self.radii = np.concatenate(radii)
-        self.weights = np.concatenate(weights)
+        # dyadic panels [2**-(m + 1), 2**-m] up to 1/2, then [1 - 2**-j, 1 - 2**-(j + 1)]
+        inner = np.ldexp(1.0, -np.arange(self.inner_depth + 1, 0, -1))
+        outer = 1.0 - np.ldexp(1.0, -np.arange(2, self.outer_depth + 1))
+        radii, weights = panel_rule(np.concatenate([inner, outer]), self.nodes_per_panel)
+        self.radii, self.weights = radii.ravel(), weights.ravel()
+        # the area weight of each ring: int g dm = ring_weights @ (ring means of g)
+        self.ring_weights = self.weights * 2.0 * self.radii
         self.thetas = 2 * np.pi * np.arange(self.angular) / self.angular
 
         sup = [r for r in self.radii if r <= self.r_max]
@@ -158,7 +158,7 @@ class QuadratureGrid:
 
     def integrate_rings(self, ring_means: np.ndarray) -> float:
         """``int mean(r) 2 r dr`` over the radial rule."""
-        return float(np.real(np.sum(self.weights * 2 * self.radii * ring_means)))
+        return float(np.real(np.sum(self.ring_weights * ring_means)))
 
     def integrate(self, values: np.ndarray) -> float:
         """Normalized-area integral of node values (radii x angles)."""
@@ -213,12 +213,12 @@ class QuadratureGrid:
         shape (rings, fields g, stride g) holds every ``sum_t``; a gather
         of the entries ``(q, (q - u) mod g)`` and a product with ones sum
         over ``q``.  Rings go in blocks of ``_SWEEP_RINGS``, run side by side
-        on the CPUs the process may use (:func:`~disclab.series.ring_shares`):
-        ``n`` shares take blocks of ``_SWEEP_RINGS / n`` rings (rounded up),
-        so their buffers for every one of these arrays, allocated before the
-        blocks start, together stay the size of one serial block's.  Each
-        share writes its rings' columns of the output, which does not
-        depend on the number of shares.
+        on the CPUs the process may use (:func:`~disclab.series.ring_shares`);
+        every share takes blocks of ``_SWEEP_RINGS`` rings whatever their
+        number, with its own buffers for every one of these arrays,
+        allocated before the blocks start.  Each share writes its rings'
+        columns of the output, which does not depend on the number of
+        shares.
         """
         stacked = field.ndim == 3
         fields = field if stacked else field[None]
@@ -270,7 +270,7 @@ class QuadratureGrid:
                 np.matmul(gathered, ones, out=means)
                 out[:, head + b * P : head + (b + 1) * P, block] = means.reshape(n, x, P).transpose(1, 2, 0)
 
-        ring_shares(self.radii.size, lambda shares: -(-_SWEEP_RINGS // shares), allocate, sweep)
+        ring_shares(self.radii.size, lambda shares: _SWEEP_RINGS, allocate, sweep)
         return out if stacked else out[0]
 
     def square_ring_means(self, field: np.ndarray) -> np.ndarray:
@@ -317,10 +317,10 @@ class QuadratureGrid:
         the length for real coefficients, a phase turn of the coefficients
         otherwise; exact also when the rings fold modulo ``M``).  Each
         block is raised to ``power`` in place and reduced to its rings of
-        the node matrix, one ``np.dot`` with ``(1/up, ..., 1/up)`` per
-        series (a copy when ``up == 1``, where the cell is the node), so
-        the radii x upsampled-angles matrix is never built; the blocks run
-        side by side on the CPUs the process may use, with the same values.
+        the node matrix by one mean over each node's ``up`` samples (the
+        node itself when ``up == 1``), written into the output, so the
+        radii x upsampled-angles matrix is never built; the blocks run side
+        by side on the CPUs the process may use, with the same values.
         The upsampling factor is read from the stored order (an array's
         width minus one).
         """
@@ -328,16 +328,14 @@ class QuadratureGrid:
         order = fs.shape[1] - 1 if isinstance(fs, np.ndarray) else fs[0].order
         up = int(np.ceil((2 * order + 2) / self.angular))
         up = min(max(up, 1), 16)
-        cell = np.full(up, 1.0 / up)
         out = np.empty((len(fs), self.radii.size, self.angular))
 
         def reduce(block, values):
             values **= power  # the block is ours until the next
-            if up == 1:
-                out[:, block] = values
-                return
-            for g, rows in zip(out[:, block], values.reshape(len(fs), -1, up)):
-                np.dot(rows, cell, out=g.reshape(-1))
+            # einsum sums the cells: .sum or .mean over the short last axis is several times slower
+            cells = out[:, block]
+            np.einsum("kimu->kim", values.reshape(len(fs), -1, self.angular, up), out=cells)
+            cells /= up
 
         modulus_shares(fs, self.radii, up * self.angular, reduce, shift=up // 2)
         return out[0] if isinstance(f, PowerSeries) else out

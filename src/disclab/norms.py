@@ -124,8 +124,7 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
         raise ValueError("p must be positive")
 
     def run(g: QuadratureGrid, fs):
-        radii = g.sup_radii[g.sup_radii > 0]
-        means = np.mean(sample_moduli(fs, radii, g.angular) ** p, axis=-1) ** (1.0 / p)
+        means = np.mean(sample_moduli(fs, g.sup_radii, g.angular) ** p, axis=-1) ** (1.0 / p)
         drops = means[0, :-1] - means[0, 1:]  # the undilated input
         rel = float(np.max(drops / np.maximum(means[0, :-1], 1e-30))) if drops.size else 0.0
         if rel > 1e-6:
@@ -141,9 +140,8 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
 def _weighted_sup(fs, weight, grid: QuadratureGrid) -> list[float]:
     """``max over grid circles (and the origin) of |f| * weight(r)``, one
     value per series of the same-order stack ``fs``."""
-    radii = grid.sup_radii[grid.sup_radii > 0]
-    w = np.array([float(weight(float(r))) for r in radii])
-    rings = np.max(sample_moduli(fs, radii, grid.angular), axis=-1)
+    w = np.array([float(weight(float(r))) for r in grid.sup_radii])
+    rings = np.max(sample_moduli(fs, grid.sup_radii, grid.angular), axis=-1)
     origin = float(weight(0.0))
     return [max(abs(f.coeffs[0]) * origin, float(np.max(ring * w))) for f, ring in zip(fs, rings)]
 
@@ -190,7 +188,7 @@ def sweep_estimate(
     ``S_a``)."""
 
     def run(g: QuadratureGrid, fs):
-        vals = means(g, make_field(g, fs)) @ (g.weights * 2.0 * g.radii)
+        vals = means(g, make_field(g, fs)) @ g.ring_weights
         if prefactor is not None:
             vals = vals * np.array([prefactor(a) for a in g.a_grid])
         return np.max(vals, axis=-1)
@@ -246,7 +244,7 @@ def carleson_norm(density: np.ndarray, grid: QuadratureGrid) -> NormEstimate:
         raise ValueError("density must be nonnegative")
     rings = grid.square_ring_means(np.real(density))
     a = np.abs(grid.a_grid)
-    pref, wq = 1.0 / (1.0 - a), grid.weights * 2.0 * grid.radii
+    pref, wq = 1.0 / (1.0 - a), grid.ring_weights
 
     def sup(rcap: float) -> float:
         keep, mask = a <= rcap, grid.radii <= rcap

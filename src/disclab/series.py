@@ -245,14 +245,15 @@ def ring_shares(rings: int, rows, allocate, work) -> None:
     shares split the call's memory budget, and ``allocate(rows)`` makes the
     buffers of one share for blocks of that many rings.  The serial blocks
     (``rows(1)`` rings each) decide the number of shares: the smaller of the
-    CPUs in the process's affinity mask and those blocks.  With one share
-    (one block, or one CPU) every block runs on the calling thread in
-    order.  With more, the blocks are cut again at ``rows(shares)`` rings,
-    the calling thread allocates every share's buffers, and each share (the
-    calling thread and one ``threading.Thread`` per other share, joined
-    before this returns) pulls the next block in order from a lock-guarded
-    iterator and runs ``work`` on it with its own buffers, so a share held
-    up by other work on its CPU simply takes fewer blocks.
+    CPUs in the process's affinity mask and those blocks (none, and this
+    returns before it allocates anything).  The blocks are cut at
+    ``rows(shares)`` rings, the calling thread allocates every share's
+    buffers, and each share (the calling thread and one
+    ``threading.Thread`` per other share, joined before this returns) pulls
+    the next block in order from a lock-guarded iterator and runs ``work``
+    on it with its own buffers, so a share held up by other work on its CPU
+    simply takes fewer blocks.  One share (one block, or one CPU) runs every
+    block in order on the calling thread and starts no thread.
 
     ``work`` writes only its block's slice of the call's output and
     allocates nothing sizable (memory a thread allocates stays in that
@@ -262,15 +263,11 @@ def ring_shares(rings: int, rows, allocate, work) -> None:
     of shares.  The first exception raised in a share stops every share at
     its next block and is raised again here once all have stopped.
     """
-    blocks = _cut(rings, rows(1))
-    shares = min(_cpu_count(), len(blocks))
-    if shares > 1:
-        blocks = _cut(rings, rows(shares))
-    buffers = [allocate(blocks[0].stop) for _ in range(shares)]
-    if shares < 2:
-        for block in blocks:
-            work(block, buffers[0])
+    shares = min(_cpu_count(), len(_cut(rings, rows(1))))
+    if not shares:
         return
+    blocks = _cut(rings, rows(shares))
+    buffers = [allocate(blocks[0].stop) for _ in range(shares)]
     pending, lock, failures = iter(blocks), threading.Lock(), []
 
     def claim():

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grids import QuadratureGrid
+from .grids import QuadratureGrid, panel_rule
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
 from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_moduli, sample_rings
@@ -128,9 +128,7 @@ def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
 # behaviour near 1; Gauss nodes touch neither endpoint.
 _EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-40, 0), 1.0 - 2.0 ** -np.arange(2, 41), [1.0]])
 _GX, _GW = leggauss(32)
-_HALF = np.diff(_EDGES)[:, None] / 2
-_NODES = _HALF * _GX + (_EDGES[:-1] + _EDGES[1:])[:, None] / 2
-_NODE_WEIGHTS = _HALF * _GW
+_NODES, _NODE_WEIGHTS = panel_rule(_EDGES, 32)
 
 
 class RadialWeight:
@@ -388,7 +386,7 @@ def _derivative_pairing(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid, ra
     pair = df.coeffs[: n + 1] * np.conj(dg.coeffs[: n + 1])
     r = grid.radii
     ring = (r[:, None] ** (2 * np.arange(n + 1))[None, :]) @ pair
-    return np.sum(grid.weights * 2.0 * r * radial * ring)
+    return np.sum(grid.ring_weights * radial * ring)
 
 
 def bergman_inner(f: PowerSeries, g: PowerSeries, w: RadialWeight) -> complex:
@@ -443,7 +441,7 @@ def pointwise_growth_margin(
     else:
         dens = sample_moduli(f, grid.radii, grid.angular) ** p * w(grid.radii)[:, None]
         norm = grid.integrate(dens) ** (1.0 / p)
-    radii = grid.sup_radii[(grid.sup_radii >= 0.5) & (grid.sup_radii <= grid.r_max)]
+    radii = grid.sup_radii[grid.sup_radii >= 0.5]
     rings = np.max(sample_moduli(f, radii, grid.angular), axis=1)
     bound = C * norm / (w.what(radii) * (1.0 - radii)) ** (1.0 / p)
     return float(np.min(bound - rings, initial=np.inf))
@@ -507,7 +505,7 @@ def bloch_kernel_quantity(
         radial = w.wstar(u.radii) / (1.0 - u.radii**2)
     else:
         radial = np.asarray(_radial_weight(u.radii), dtype=float)
-    ring_weights = u.weights * 2.0 * u.radii * radial
+    ring_weights = u.ring_weights * radial
 
     means = np.empty((u.radii.size, Q.shape[1]))  # per u-ring and z node
 

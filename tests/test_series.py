@@ -548,6 +548,19 @@ class TestRingShares:
             QuadratureGrid().sample_folded(PowerSeries(f.coeffs[:100]))
         assert made.call_count == 0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_no_radii_allocate_and_reduce_nothing(self, n, real):
+        f = UNDERFLOW_CASE[0]
+        f = PowerSeries(f.coeffs.real) if real else f
+        blocks, allocated = [], []
+        with shares(n), counted_threads() as made:
+            modulus_shares(f, [], 64, lambda block, values: blocks.append(block))
+            one, stack = sample_moduli(f, [], 64), sample_moduli([f, f], [], 64)
+            ring_shares(0, lambda k: 1, allocated.append, lambda block, buffers: blocks.append(block))
+        assert blocks == allocated == [] and made.call_count == 0
+        assert one.shape == (0, 64) and stack.shape == (2, 0, 64)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocks_are_cut_for_the_shares_and_run_once(self, n):
         # ten serial blocks of four rings: n shares cut them at 4 // n rings,
