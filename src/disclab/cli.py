@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import sys
@@ -24,47 +23,12 @@ import warnings
 
 import numpy as np
 
-from . import __version__
-from .conditions import (
-    bmoa_dd,
-    bmoa_h1_cond,
-    cauchy_bound,
-    decay_conditions,
-    lacunary_lmoa,
-    lacunary_series,
-    lalpha_norm,
-    lmoa_quantity,
-    lmoa_square,
-    log_reciprocal_coefficient,
-    nehari_sup,
-    order3_area,
-    order3_growth,
-)
-from .geometry import ZeroSequence, greedy_partition, separation_constants
+import disclab  # each estimator module loads when a command first reaches it
+
 from .grids import QuadratureGrid
-from .hardy import (
-    corpus_from_manifest,
-    default_corpus,
-    fit_cp_exponent,
-    hp_membership_experiment,
-    hss_residual,
-    prop_main_sides,
-    zero_free_polynomial,
-)
-from .norms import QuadratureError, bloch_norm, bmoa_garsia, bmoa_h2_def, growth_norm, hp_norm
-from .ode import (
-    EXAMPLE_SPECS, hille_zero_table, named_example, residual, solve_series, symmetric_power_problem
-)
+from .ode import EXAMPLE_SPECS, hille_zero_table, named_example, residual, solve_series, symmetric_power_problem
 from .series import AccuracyWarning, PowerSeries, exp_series
 from .specs import checked, parse_spec
-from .weights import (
-    StandardWeight,
-    green_identity_residual,
-    kernel_derivative_residual,
-    kernel_eval,
-    moment_identity_gap,
-    weight_from_spec,
-)
 
 # ---------------------------------------------------------------------------
 # spec families (the grammar is disclab.specs.parse_spec)
@@ -105,15 +69,15 @@ def _lacunary_frequencies(q: int, terms: int) -> list[int]:
 
 def _lacunary(order: int, q: int, terms: int) -> PowerSeries:
     freqs = _lacunary_frequencies(q, terms)  # checks the size before anything is built
-    return lacunary_series(np.ones(terms), freqs, order=max(order, freqs[-1]))
+    return disclab.conditions.lacunary_series(np.ones(terms), freqs, order=max(order, freqs[-1]))
 
 
 _FUNCTION_CONSTRUCTORS = {
     "poly": lambda order, payload: PowerSeries(payload).pad(max(order, len(payload) - 1)),
-    "log-reciprocal": log_reciprocal_coefficient,
+    "log-reciprocal": lambda order: disclab.conditions.log_reciprocal_coefficient(order),
     "lacunary": _lacunary,
     "exp": lambda order, eps: exp_series(PowerSeries([0.0, eps]).pad(order)),
-    "zn": lambda order, n: lacunary_series([1.0], [n], order=max(order, n)),  # z^n
+    "zn": lambda order, n: disclab.conditions.lacunary_series([1.0], [n], order=max(order, n)),  # z^n
 }
 
 
@@ -158,7 +122,7 @@ def render_report(command: str, config: dict, results, grid: QuadratureGrid | No
         "config": config,
         "results": results,
         "versions": {
-            "disclab": __version__,
+            "disclab": disclab.__version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
@@ -179,6 +143,8 @@ def render_report(command: str, config: dict, results, grid: QuadratureGrid | No
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
@@ -234,13 +200,15 @@ def _cmd_zeros(args, grid):
 
 
 def _cmd_separation(args, grid):
+    from . import geometry
+
     gamma = _example_gamma(args.example)
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     xs = [math.tanh(k * math.pi / (2 * gamma)) for k in range(1, args.count + 1)]
     xs = [x for x in xs if x < 1.0]
-    seq = ZeroSequence(tuple((x, args.multiplicity) for x in xs))
-    rep = greedy_partition(seq, args.delta) if args.delta else separation_constants(seq)
+    seq = geometry.ZeroSequence(tuple((x, args.multiplicity) for x in xs))
+    rep = geometry.greedy_partition(seq, args.delta) if args.delta else geometry.separation_constants(seq)
     out = {
         "count_used": len(xs),
         "separation_constant": rep.separation_constant,
@@ -256,7 +224,7 @@ def _decay(A, args, grid):
     if args.profile_points < 1:
         raise ValueError("--profile-points must be at least 1")
     radii = [float(r) for r in np.linspace(0.5, grid.r_max, args.profile_points)]
-    rows = decay_conditions(A, radii, grid)
+    rows = disclab.conditions.decay_conditions(A, radii, grid)
     if args.csv:
         write_csv(args.csv, ["r", "lmoa_at_r", "log_weighted_sup"], rows)
     return {"profile": [list(row) for row in rows]}
@@ -264,25 +232,31 @@ def _decay(A, args, grid):
 
 # kind -> (series, args, grid) -> results, for ``condition --kind``
 CONDITIONS = {
-    "nehari": lambda A, args, grid: nehari_sup(A, grid),
-    "growth3": lambda A, args, grid: list(order3_growth(*symmetric_power_problem(A).coefficients, grid)),
-    "area3": lambda A, args, grid: list(order3_area(*symmetric_power_problem(A).coefficients, grid)),
-    "lalpha": lambda A, args, grid: lalpha_norm(A, args.alpha, grid),
-    "lmoa": lambda A, args, grid: lmoa_quantity(A, grid),
-    "lmoa-square": lambda A, args, grid: lmoa_square(A, grid),
-    "bmoa-dd": lambda A, args, grid: bmoa_dd(A, grid),
-    "bmoa-h1": lambda A, args, grid: bmoa_h1_cond(A, args.dilation, grid),
-    "cauchy-bound": lambda A, args, grid: {"value": cauchy_bound(A, args.dilation, args.at, args.angular)},
+    "nehari": lambda A, args, grid: disclab.conditions.nehari_sup(A, grid),
+    "growth3": lambda A, args, grid: list(
+        disclab.conditions.order3_growth(*symmetric_power_problem(A).coefficients, grid)
+    ),
+    "area3": lambda A, args, grid: list(
+        disclab.conditions.order3_area(*symmetric_power_problem(A).coefficients, grid)
+    ),
+    "lalpha": lambda A, args, grid: disclab.conditions.lalpha_norm(A, args.alpha, grid),
+    "lmoa": lambda A, args, grid: disclab.conditions.lmoa_quantity(A, grid),
+    "lmoa-square": lambda A, args, grid: disclab.conditions.lmoa_square(A, grid),
+    "bmoa-dd": lambda A, args, grid: disclab.conditions.bmoa_dd(A, grid),
+    "bmoa-h1": lambda A, args, grid: disclab.conditions.bmoa_h1_cond(A, args.dilation, grid),
+    "cauchy-bound": lambda A, args, grid: {
+        "value": disclab.conditions.cauchy_bound(A, args.dilation, args.at, args.angular)
+    },
     "decay": _decay,
 }
 
 # kind -> (series, args, grid) -> results, for ``norm --kind``
 NORMS = {
-    "hp": lambda f, args, grid: hp_norm(f, args.p, grid),
-    "growth": lambda f, args, grid: growth_norm(f, args.q, grid),
-    "bloch": lambda f, args, grid: bloch_norm(f, grid),
-    "bmoa-garsia": lambda f, args, grid: bmoa_garsia(f, grid),
-    "bmoa-h2": lambda f, args, grid: bmoa_h2_def(f, grid),
+    "hp": lambda f, args, grid: disclab.norms.hp_norm(f, args.p, grid),
+    "growth": lambda f, args, grid: disclab.norms.growth_norm(f, args.q, grid),
+    "bloch": lambda f, args, grid: disclab.norms.bloch_norm(f, grid),
+    "bmoa-garsia": lambda f, args, grid: disclab.norms.bmoa_garsia(f, grid),
+    "bmoa-h2": lambda f, args, grid: disclab.norms.bmoa_h2_def(f, grid),
 }
 
 
@@ -295,24 +269,28 @@ def _cmd_norm(args, grid):
 
 
 def _cmd_kernels(args, grid):
-    w = weight_from_spec(args.weight)
+    from . import weights
+
+    w = weights.weight_from_spec(args.weight)
     zeta, u = complex(args.zeta), complex(args.at)
-    val = kernel_eval(w, zeta, u, args.order)
+    val = weights.kernel_eval(w, zeta, u, args.order)
     out = {
         "kernel_value": val,
-        "derivative_residual": kernel_derivative_residual(w, zeta, u, args.order),
-        "moment_identity_gap": moment_identity_gap(w, nmax=64),
+        "derivative_residual": weights.kernel_derivative_residual(w, zeta, u, args.order),
+        "moment_identity_gap": weights.moment_identity_gap(w, nmax=64),
     }
-    if isinstance(w, StandardWeight) and float(w.alpha).is_integer():
+    if isinstance(w, weights.StandardWeight) and float(w.alpha).is_integer():
         closed = (1.0 - u * np.conj(zeta)) ** (-2.0 - w.alpha)
         out["closed_form_error"] = float(abs(val - closed))
     return out
 
 
 def _cmd_identities(args, grid):
+    from . import weights
+
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    w = weight_from_spec(args.weight)
+    w = weights.weight_from_spec(args.weight)
     rng = np.random.default_rng(args.seed)
     suite = args.suite
 
@@ -323,30 +301,35 @@ def _cmd_identities(args, grid):
         worst = 0.0
         for _ in range(args.trials):
             f, g = random_poly(8), random_poly(8)
-            worst = max(worst, green_identity_residual(f, g, w, grid))
+            worst = max(worst, weights.green_identity_residual(f, g, w, grid))
         return {"suite": "green", "max_residual": worst}
     if suite == "kernel":
         worst = 0.0
         for _ in range(args.trials):
             zeta = 0.8 * (rng.random() * np.exp(2j * np.pi * rng.random()))
             u = 0.8 * (rng.random() * np.exp(2j * np.pi * rng.random()))
-            worst = max(worst, kernel_derivative_residual(w, zeta, u, 200))
-        return {"suite": "kernel", "max_residual": worst, "moment_gap": moment_identity_gap(w)}
+            worst = max(worst, weights.kernel_derivative_residual(w, zeta, u, 200))
+        return {"suite": "kernel", "max_residual": worst, "moment_gap": weights.moment_identity_gap(w)}
     if suite == "hss":
+        from . import hardy
+
         worst = 0.0
         for _ in range(args.trials):
-            worst = max(worst, *hss_residual(zero_free_polynomial(rng, 6), (0.5, 1.0, 2.0, 4.0), grid))
+            f = hardy.zero_free_polynomial(rng, 6)
+            worst = max(worst, *hardy.hss_residual(f, (0.5, 1.0, 2.0, 4.0), grid))
         return {"suite": "hss", "max_residual": worst}
-    return {"suite": "moment", "moment_gap": moment_identity_gap(w)}
+    return {"suite": "moment", "moment_gap": weights.moment_identity_gap(w)}
 
 
 def _cmd_hardy(args, grid):
+    from . import hardy
+
     if args.corpus:
         with open(args.corpus) as fh:
-            corpus = corpus_from_manifest(fh.read())
+            corpus = hardy.corpus_from_manifest(fh.read())
     else:
-        corpus = default_corpus(seed=args.seed)
-    rows = [(cf.name, *prop_main_sides(cf.series, args.p, args.k, grid)) for cf in corpus]
+        corpus = hardy.default_corpus(seed=args.seed)
+    rows = [(cf.name, *hardy.prop_main_sides(cf.series, args.p, args.k, grid)) for cf in corpus]
     if args.csv:
         write_csv(args.csv, ["name", "hardy_power", "area_plus_inits"], rows)
     out_rows = [{"name": n, "hardy_power": h, "area_plus_inits": a} for n, h, a in rows]
@@ -355,17 +338,17 @@ def _cmd_hardy(args, grid):
 
 def _cmd_experiment(args, grid):
     if args.kind == "hp-membership":
-        return hp_membership_experiment(parse_function(args.coeff, args.order), args.p, grid)
+        return disclab.hardy.hp_membership_experiment(parse_function(args.coeff, args.order), args.p, grid)
     if args.kind == "zero-free-cp":
         f = parse_function(args.f, args.order)
-        slope, track = fit_cp_exponent(f, grid)
+        slope, track = disclab.hardy.fit_cp_exponent(f, grid)
         if args.csv:
             write_csv(args.csv, ["p", "C_emp"], track)
         return {"fitted_exponent": slope, "track": [list(t) for t in track]}
     freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])  # lacunary
     if len(freqs) < 2:
         raise ValueError("lacunary needs terms >= 2 here: one frequency has no gap ratio")
-    return lacunary_lmoa(np.ones(len(freqs)), freqs)
+    return disclab.conditions.lacunary_lmoa(np.ones(len(freqs)), freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +488,9 @@ def run(argv=None) -> int:
             print("accuracy warnings were raised (strict mode)", file=sys.stderr)
             return 3
         return 0
-    except (ValueError, OSError, QuadratureError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, (ValueError, OSError, disclab.norms.QuadratureError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,13 +19,13 @@ kind and the grid's fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .grids import QuadratureGrid
 from .norms import NormEstimate, sup_estimate, sweep_estimate
 from .series import PowerSeries, modulus_shares, reciprocal_series, ring_blocks, sample_moduli
-from .weights import RadialWeight
 
 __all__ = [
     "ConditionReport",
@@ -150,15 +150,19 @@ class LacunaryReport:
     moment_ratios: tuple[tuple[int, float], ...]
 
 
-# The weight of the lacunary moments, read on the one panel rule of
-# :mod:`disclab.weights`.
-_LOG_MOMENT_WEIGHT = RadialWeight(lambda r: (1 - r) ** 3 * _log_weight(r) ** 3)
+@cache
+def _log_moment_weight():
+    """The weight of the lacunary moments, read on the one panel rule of
+    :mod:`disclab.weights` (built, and that module loaded, on first use)."""
+    from .weights import RadialWeight
+
+    return RadialWeight(lambda r: (1 - r) ** 3 * _log_weight(r) ** 3)
 
 
 def moment_log_integral(n: int) -> float:
     """``int_0^1 r^n (1-r)^3 log(e/(1-r))^3 dr``, the n-th moment of that
     weight on the panel rule; behaves like ``(log n)^3 / n^4`` for large n."""
-    return _LOG_MOMENT_WEIGHT.moment(n)
+    return _log_moment_weight().moment(n)
 
 
 def lacunary_lmoa(coefficients, frequencies) -> LacunaryReport:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import ConditionReport, bmoa_dd
+import disclab  # names ConditionReport in a hint without loading the conditions module
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
@@ -306,7 +306,7 @@ class MembershipReport:
     ``|A|^2 (1-|z|^2)^3 dm``, the radial Hardy-mean profile of the solved
     solution, and ``int |f|^p`` against that measure."""
 
-    coefficient_quantity: ConditionReport
+    coefficient_quantity: disclab.ConditionReport
     mu_carleson: NormEstimate
     mean_profile: tuple[tuple[float, float], ...]
     ee_integral: float
@@ -319,6 +319,8 @@ def hp_membership_experiment(
     initial_values: tuple[complex, complex] = (1.0, 0.0),
     order: int | None = None,
 ) -> MembershipReport:
+    from .conditions import bmoa_dd
+
     N = A.order if order is None else order
     zero = PowerSeries(np.zeros(N + 1, dtype=complex))
     AN = A.truncate(N) if A.order > N else A.pad(N)

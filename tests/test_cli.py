@@ -1,11 +1,13 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -455,26 +457,53 @@ def test_results_do_not_depend_on_the_padding_order(kind, tmp_path):
 
 
 class TestStartup:
-    def test_readme_commands_load_no_scipy(self):
-        # the README's zeros, kernels and identities commands refine roots
-        # and evaluate beta and incomplete beta functions; in a fresh process
-        # they load no scipy module
+    def test_each_command_loads_only_the_modules_it_calls(self):
+        # in a fresh process, `import disclab.cli` loads what parsing and
+        # reporting need, and each command then loads only the estimator
+        # modules it calls. The zeros, kernels and identities commands
+        # refine roots and evaluate beta and incomplete beta functions, and
+        # no command loads a scipy module
         src = str(Path(disclab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        commands = [
+            ["solve", "--example", "exp-singular"],
+            ["residual", "--example", "hille:gamma=1.0"],
+            ["zeros", "--example", "hille:gamma=1.0", "--count", "20"],
+            ["separation", "--example", "hille:gamma=1.0", "--count", "10", "--delta", "0.9"],
+            ["condition", "--kind", "nehari", "--coeff", "hille:gamma=1.0"],
+            ["hardy", "--p", "2", "--k", "1"],
+            ["kernels", "--weight", "standard:alpha=1", "--zeta", "0.5", "--at", "0.5"],
+            ["identities", "--suite", "green", "--weight", "standard:alpha=0"],
+        ]
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, json, sys\n"
+            "loaded = lambda: {m.removeprefix('disclab.') for m in sys.modules if m.startswith('disclab.')}\n"
             "from disclab.cli import run\n"
-            "commands = [\n"
-            "    ['--order', '256', 'zeros', '--example', 'hille:gamma=1.0', '--count', '20'],\n"
-            "    ['kernels', '--weight', 'standard:alpha=1', '--zeta', '0.5', '--at', '0.5'],\n"
-            "    ['identities', '--suite', 'green', '--weight', 'standard:alpha=0'],\n"
-            "]\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [run(c) for c in commands]\n"
-            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "steps = [[0, sorted(loaded())]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    before = loaded()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        exit_code = run(['--order', '16', '--angular', '32', '--nodes-per-panel', '2', *argv])\n"
+            "    steps.append([exit_code, sorted(loaded() - before)])\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps({'steps': steps, 'scipy': scipy}))\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[0, 0, 0] []"
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+        )
+        got = json.loads(out.stdout)
+        assert got["steps"] == [
+            [0, ["cli", "grids", "ode", "series", "specs"]],  # import disclab.cli
+            [0, []],  # solve
+            [0, []],  # residual
+            [0, []],  # zeros
+            [0, ["geometry"]],  # separation
+            [0, ["conditions", "norms"]],  # condition --kind nehari
+            [0, ["hardy"]],  # hardy
+            [0, ["weights"]],  # kernels
+            [0, []],  # identities
+        ]
+        assert got["scipy"] == []
 
     def test_package_import_loads_only_what_a_grid_needs(self):
         # in a fresh process, `import disclab` and the default grid's nodes
@@ -496,6 +525,15 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split("\n")[:4] == ["[]", "True", "True", "False 1"]
+
+    def test_type_hints_resolve_for_every_public_dataclass(self):
+        # modules that import an estimator lazily still name its types in
+        # their hints: every public dataclass's hints resolve at runtime
+        public = [getattr(disclab, name) for name in disclab.__all__]
+        records = [c for c in public if isinstance(c, type) and dataclasses.is_dataclass(c)]
+        assert disclab.MembershipReport in records
+        for cls in records:
+            assert set(typing.get_type_hints(cls)) >= {f.name for f in dataclasses.fields(cls)}, cls
 
 
 class TestDependencies:
