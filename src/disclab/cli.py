@@ -329,7 +329,8 @@ def _cmd_hardy(args, grid):
             corpus = hardy.corpus_from_manifest(fh.read())
     else:
         corpus = hardy.default_corpus(seed=args.seed)
-    rows = [(cf.name, *hardy.prop_main_sides(cf.series, args.p, args.k, grid)) for cf in corpus]
+    sides = hardy.prop_main_sides([cf.series for cf in corpus], args.p, args.k, grid)
+    rows = [(cf.name, *pair) for cf, pair in zip(corpus, sides)]
     if args.csv:
         write_csv(args.csv, ["name", "hardy_power", "area_plus_inits"], rows)
     out_rows = [{"name": n, "hardy_power": h, "area_plus_inits": a} for n, h, a in rows]

@@ -70,21 +70,33 @@ class NontangentialParams:
             raise ValueError("aperture must exceed 1")
 
 
-def _ratio_ring_means(
-    f: PowerSeries, ks, ps, grid: QuadratureGrid, upsample: int | None = None
-) -> np.ndarray:
-    """Per-ring angular means of ``|f|^{p-2} |f^{(k)}|^2``, shape
-    ``(len(ks), len(ps), radii)``: one sampling serves every ``(p, k)``.
+def _groups(fs, key=lambda i: ()) -> list[list[int]]:
+    """Indices of ``fs`` grouped by order, by sampling path (every
+    coefficient real, the real path of
+    :func:`~disclab.series.modulus_shares`, or not) and by ``key(i)``, in
+    order of first appearance: the series of a group sample as one stack."""
+    groups: dict = {}
+    for i, f in enumerate(fs):
+        groups.setdefault((f.order, not np.any(f.coeffs.imag), key(i)), []).append(i)
+    return list(groups.values())
+
+
+def _ratio_ring_means(fs, ks, ps, grid: QuadratureGrid, upsample: int | None = None) -> np.ndarray:
+    """Per-ring angular means of ``|f|^{p-2} |f^{(k)}|^2`` for each f of the
+    sequence ``fs``, shape ``(len(fs), len(ks), len(ps), radii)``: one
+    sampling serves every ``(p, k)``.
 
     The stack ``[f, f^{(k)} for k in ks]`` (derivatives padded to f's
-    order) is sampled once per angular size through
-    :func:`~disclab.series.modulus_shares`, and every p is reduced from
-    the same block into that block's rings.  For p < 2 the integrand is
-    singular at zeros of f: a ring on which f vanishes exactly at a sample
-    moves half a radial step outward (limiting value 0 when the derivative
-    vanishes too).  The blocks mark such rings, and once every block is
-    done the moved rings of an angular size are sampled again in one call
-    and overwrite their p < 2 means.  Rings are upsampled angularly
+    order) of every f that shares an order, a sampling path and its
+    angular sizes with others is sampled with theirs, once per angular size,
+    through :func:`~disclab.series.modulus_shares`, and every p is reduced
+    from the same block into that block's rings; each f's values are those
+    of its own stack sampled alone, bit for bit.  For p < 2 the integrand
+    is singular at zeros of f: a ring on which f vanishes exactly at a
+    sample moves half a radial step outward (limiting value 0 when the
+    derivative vanishes too).  The blocks mark such rings per f, and once
+    every block is done the moved rings of each f are sampled again in one
+    call and overwrite their p < 2 means.  Rings are upsampled angularly
     (factor 8, or ``upsample`` for every p when given) when f comes close
     to vanishing near the boundary, where near-zeros are narrower than the
     angular cells: when ``min |f|`` on the ring ``r_max`` is at most ``2
@@ -94,54 +106,71 @@ def _ratio_ring_means(
     at the grid resolution, where the trapezoid rule is spectrally
     accurate.
     """
-    ps, low = [float(p) for p in ps], upsample or 1
+    fs, ps = list(fs), [float(p) for p in ps]
+    low = [upsample or 1] * len(fs)
     if upsample is None and min(ps) < 2:
-        outer = sample_moduli(f, [grid.r_max], grid.angular)
-        scale = float(np.max(np.abs(f.coeffs))) + 1e-30
-        low = 1 if float(np.min(outer)) > 2.0 * (1.0 - grid.r_max) * scale else 8
-    sizes = [(low if p < 2 or upsample else 1) * grid.angular for p in ps]
-    stack = [f] + [f.derivative(k).pad(f.order) for k in ks]
+        for group in _groups(fs):
+            outer = sample_moduli([fs[i] for i in group], [grid.r_max], grid.angular)
+            for i, ring in zip(group, outer):
+                scale = float(np.max(np.abs(fs[i].coeffs))) + 1e-30
+                low[i] = 1 if float(np.min(ring)) > 2.0 * (1.0 - grid.r_max) * scale else 8
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
-    means = np.empty((len(ks), len(ps), grid.radii.size))
-    hit = np.empty(grid.radii.size, dtype=bool)  # rings where |f| = 0 at a node
-    for M in sorted(set(sizes)):
-        cols = [j for j, m in enumerate(sizes) if m == M]
+    means = np.empty((len(fs), len(ks), len(ps), grid.radii.size))
+    width = 1 + len(ks)  # rows of one f in a stack
+    for group in _groups(fs, low.__getitem__):
+        sizes = [(low[group[0]] if p < 2 or upsample else 1) * grid.angular for p in ps]
+        stacks = [[fs[i]] + [fs[i].derivative(k).pad(fs[i].order) for k in ks] for i in group]
+        part = np.empty((len(group), len(ks), len(ps), grid.radii.size))
+        hit = np.empty((len(group), grid.radii.size), dtype=bool)  # rings where |f| = 0 at a node
+        for M in sorted(set(sizes)):
+            cols = [j for j, m in enumerate(sizes) if m == M]
 
-        def reduce(block, vals):
-            hit[block] = np.any(vals[0] == 0.0, axis=1)
-            np.square(vals[1:], out=vals[1:])  # |f^(k)|^2, shared by every p
-            for j in cols:
-                means[:, j, block] = _ratio_means(vals, ps[j])
+            def reduce(block, vals):
+                vals = vals.reshape(len(group), width, *vals.shape[1:])
+                hit[:, block] = np.any(vals[:, 0] == 0.0, axis=-1)
+                np.square(vals[:, 1:], out=vals[:, 1:])  # |f^(k)|^2, shared by every p
+                for j in cols:
+                    part[:, :, j, block] = _ratio_means(vals, ps[j])
 
-        modulus_shares(stack, grid.radii, M, reduce)
-        moved = [j for j in cols if ps[j] < 2]
-        if moved and np.any(hit):
-            vals = sample_moduli(stack, np.minimum(grid.radii[hit] + step, 1.0 - 1e-12), M)
-            np.square(vals[1:], out=vals[1:])
-            for j in moved:
-                means[:, j, hit] = _ratio_means(vals, ps[j])
+            modulus_shares([g for stack in stacks for g in stack], grid.radii, M, reduce)
+            moved = [j for j in cols if ps[j] < 2]
+            if not moved:
+                continue
+            for g in np.flatnonzero(np.any(hit, axis=1)):
+                vals = sample_moduli(stacks[g], np.minimum(grid.radii[hit[g]] + step, 1.0 - 1e-12), M)
+                np.square(vals[1:], out=vals[1:])
+                for j in moved:
+                    part[g][:, j, hit[g]] = _ratio_means(vals[None], ps[j])[0]
+        means[group] = part
     return means
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _ratio_means(vals: np.ndarray, p: float) -> np.ndarray:
-    """Angular means of ``|f|^{p-2} |f^{(k)}|^2`` from ``vals = [|f|,
-    |f^{(k)}|^2 ...]``, 0 where ``|f| = 0``.  The error state is entered
-    on the thread that calls this, as numpy keeps one per thread."""
-    return np.mean(np.where(vals[0] > 0.0, vals[0] ** (p - 2.0) * vals[1:], 0.0), axis=-1)
+    """Angular means of ``|f|^{p-2} |f^{(k)}|^2`` from ``vals[g] = [|f|,
+    |f^{(k)}|^2 ...]`` of each f of a stack, 0 where ``|f| = 0``.  The
+    error state is entered on the thread that calls this, as numpy keeps
+    one per thread."""
+    f = vals[:, :1]
+    return np.mean(np.where(f > 0.0, f ** (p - 2.0) * vals[:, 1:], 0.0), axis=-1)
 
 
-def _sides(f: PowerSeries, ks: list[int], p, grid: QuadratureGrid, weight):
-    """``p`` as a list, ``||f||_{H^p}^p`` per p (one sampling of the unit
-    circle) and ``int |f|^{p-2} |f^{(k)}|^2 weight(k) dm`` (rows k, columns p)."""
-    ps = [float(q) for q in np.ravel(p)]
+def _sides(fs, ks: list[int], p, grid: QuadratureGrid, weight):
+    """``p`` as a list and, per f of the sequence ``fs``, ``||f||_{H^p}^p``
+    per p (one sampling of the unit circle, stacked as in
+    :func:`_ratio_ring_means`) and ``int |f|^{p-2} |f^{(k)}|^2 weight(k)
+    dm`` (rows k, columns p)."""
+    fs, ps = list(fs), [float(q) for q in np.ravel(p)]
     if min(ps) <= 0:
         raise ValueError("p must be positive")
-    vals = sample_moduli(f, [1.0], _BOUNDARY_M)
-    hp = [float(np.mean(vals**q)) for q in ps]
-    means = _ratio_ring_means(f, ks, ps, grid)
-    area = [[grid.integrate_rings(m * w) for m in row] for row, w in zip(means, map(weight, ks))]
-    return ps, hp, np.array(area)
+    hp = [None] * len(fs)
+    for group in _groups(fs):
+        for i, vals in zip(group, sample_moduli([fs[i] for i in group], [1.0], _BOUNDARY_M)):
+            hp[i] = [float(np.mean(vals**q)) for q in ps]
+    means = _ratio_ring_means(fs, ks, ps, grid)
+    weights = [weight(k) for k in ks]
+    area = [np.array([[grid.integrate_rings(m * w) for m in row] for row, w in zip(rows, weights)]) for rows in means]
+    return ps, hp, area
 
 
 def hss_residual(f: PowerSeries, p, grid: QuadratureGrid):
@@ -154,7 +183,7 @@ def hss_residual(f: PowerSeries, p, grid: QuadratureGrid):
     simultaneous radial and angular refinement (see
     :func:`_ratio_ring_means` for the zero handling at p < 2).
     """
-    ps, hp, area = _sides(f, [1], p, grid, lambda k: np.log(1.0 / grid.radii))
+    ps, (hp,), (area,) = _sides([f], [1], p, grid, lambda k: np.log(1.0 / grid.radii))
     res = [abs(h - abs(f.coeffs[0]) ** q - (q * q / 2.0) * a) for h, q, a in zip(hp, ps, area[0])]
     return np.reshape(res, np.shape(p)).tolist()
 
@@ -199,7 +228,7 @@ def shadow_length(z: complex, params: NontangentialParams) -> float:
 # the two-sided higher-derivative comparison
 # ---------------------------------------------------------------------------
 
-def prop_main_sides(f: PowerSeries, p, k, grid: QuadratureGrid):
+def prop_main_sides(f, p, k, grid: QuadratureGrid):
     """Both sides of the order-k Hardy comparison: returns
 
         ( ||f||_{H^p}^p ,
@@ -210,17 +239,25 @@ def prop_main_sides(f: PowerSeries, p, k, grid: QuadratureGrid):
     Ratios are left to the caller, who tracks corpus-wide constants.
 
     Sequences of p and k give two nested lists of shape ``np.shape(p) +
-    np.shape(k)``, read from one sampling of f and its derivatives.
+    np.shape(k)``, read from one sampling of f and its derivatives.  A
+    sequence of series gives a list of these pairs, one per series, each
+    equal to the call on that series alone; series of one order and one
+    sampling path (every coefficient real or not) are sampled together as
+    one stack (see :func:`_ratio_ring_means`).
     """
     ks = [int(j) for j in np.ravel(k)]
     if min(ks) < 1:
         raise ValueError("k must be a positive integer")
-    ps, hp, area = _sides(f, ks, p, grid, lambda j: (1.0 - grid.radii**2) ** (2 * j - 1))
-    c0 = [abs(f.derivative(j).coeffs[0]) for j in range(max(ks))]
-    rhs = [[a + sum(c**q for c in c0[:j]) for a, q in zip(row, ps)] for row, j in zip(area, ks)]
+    fs = [f] if isinstance(f, PowerSeries) else list(f)
+    ps, hps, areas = _sides(fs, ks, p, grid, lambda j: (1.0 - grid.radii**2) ** (2 * j - 1))
     shape = np.shape(p) + np.shape(k)
-    lhs = np.repeat(hp, len(ks)).reshape(shape)
-    return lhs.tolist(), np.transpose(rhs).reshape(shape).tolist()
+    out = []
+    for g, hp, area in zip(fs, hps, areas):
+        c0 = [abs(g.derivative(j).coeffs[0]) for j in range(max(ks))]
+        rhs = [[a + sum(c**q for c in c0[:j]) for a, q in zip(row, ps)] for row, j in zip(area, ks)]
+        lhs = np.repeat(hp, len(ks)).reshape(shape)
+        out.append((lhs.tolist(), np.transpose(rhs).reshape(shape).tolist()))
+    return out[0] if isinstance(f, PowerSeries) else out
 
 
 def loc_univ_margin(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, dict[int, float]]:
@@ -280,7 +317,7 @@ def nonvanishing_bound_check(f: PowerSeries, p, grid: QuadratureGrid):
     """
     _check_zero_free(f, grid)
     g = _normalize_positive(f)
-    ps, lhs, (area,) = _sides(g, [2], p, grid, lambda k: (1.0 - grid.radii**2) ** 3)
+    ps, (lhs,), ((area,),) = _sides([g], [2], p, grid, lambda k: (1.0 - grid.radii**2) ** 3)
     if min(area) <= 0:
         raise ValueError("degenerate area quantity")
     c_emp = [max(h - abs(g.coeffs[0]) ** q, 0.0) / a for h, q, a in zip(lhs, ps, area)]

@@ -153,7 +153,15 @@ class TestCommands:
 
 
     def test_corpus_manifest_sides_are_prop_main_sides(self, tmp_path):
+        # orders 1, 2, 6 and 9, real and complex, several of each (the
+        # corpus is sampled in stacks), and "edge" with a zero on the unit
+        # circle: each row is the call on its function alone
         fs = {"poly": [[1.0, 0.0], [0.5, -0.25], [0.0, 0.125]], "lin": [[0.5, 0.0], [0.0, 0.3]]}
+        rng = np.random.default_rng(11)
+        for n in (6, 9):
+            for i in range(4):
+                fs[f"o{n}.{i}"] = [[x, y * (i % 2)] for x, y in rng.normal(size=(n + 1, 2))]
+        fs["edge"] = [[0.5, 0.0], [-0.5, 0.0]]
         items = [{"name": name, "coeffs": coeffs, "schema": 1} for name, coeffs in fs.items()]
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"functions": items}))

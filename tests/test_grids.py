@@ -539,12 +539,32 @@ def test_ratio_ring_means_shares_are_bit_identical_to_one(upsample, n):
         assert oracle_ratio_ring_means(f, 1, 0.5, grid, upsample or 1)[1] >= 1
         with blocks_of(1, f.order, (upsample or 1) * grid.angular, 1 + len(ks)):
             with shares(1):
-                want = _ratio_ring_means(f, ks, ps, grid, upsample)
+                want = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
             with shares(n), counted_threads() as made, warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _ratio_ring_means(f, ks, ps, grid, upsample)
+                got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
         assert made.call_count >= n - 1
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ratio_ring_means_of_a_sequence_are_each_series_alone(n):
+    # four real and three complex series of order 30 and one of order 12
+    # (two with a zero on the node of angle 0 of rings 4 and 9, one with a
+    # zero on the unit circle): in blocks of two rings of the largest
+    # stack, on n shares, each series' means equal its own call, one block
+    # per ring
+    grid = QuadratureGrid(**dict(SMALL, angular=24))
+    ks, ps = [1, 2], [0.5, 1.5, 2.0, 3.0]
+    fs = [real_series(30, seed) for seed in (1, 2)] + [random_series(30, seed) for seed in (3, 4, 5)]
+    fs += [PowerSeries([-grid.radii[i], 1.0]).pad(30) for i in (4, 9)] + [PowerSeries([0.5, -0.5]).pad(12)]
+    with blocks_of(2, 30, grid.angular, 3 * (1 + len(ks))), shares(n):
+        got = _ratio_ring_means(fs, ks, ps, grid)
+    with blocks_of(1, 30, 8 * grid.angular, 1 + len(ks)), shares(1):
+        want = [_ratio_ring_means([f], ks, ps, grid)[0] for f in fs]
+    assert got.shape == (len(fs), len(ks), len(ps), grid.radii.size)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -600,7 +620,7 @@ def test_ratio_ring_means_match_per_ring_loop(case, ks, ps, upsample):
     grid = QuadratureGrid(**spec)
     f = random_series(order, seed)
     with blocks_of(rows, order, (upsample or 1) * grid.angular, 1 + len(ks)):
-        got = _ratio_ring_means(f, ks, ps, grid, upsample)
+        got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
     assert_matches_per_call(got, f, ks, ps, grid, upsample)
 
 
@@ -615,7 +635,7 @@ def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, ks,
     f = PowerSeries([-grid.radii[i], 1.0]).pad(data.draw(st.integers(1, 3 * grid.angular)))
     assert oracle_ratio_ring_means(f, 1, min(ps), grid, upsample)[1] >= 1
     with blocks_of(rows, f.order, upsample * grid.angular, 1 + len(ks)):
-        got = _ratio_ring_means(f, ks, ps, grid, upsample)
+        got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
     assert_matches_per_call(got, f, ks, ps, grid, upsample)
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from disclab import hardy
 from disclab.hardy import (
     NontangentialParams,
     corpus_from_manifest,
@@ -19,7 +21,7 @@ from disclab.hardy import (
     shadow_length,
 )
 from disclab.ode import named_example
-from disclab.series import PowerSeries, exp_series, pow_series
+from disclab.series import PowerSeries, exp_series, pow_series, sample_moduli
 
 
 def exp_eps_series(eps: float, order: int = 40) -> PowerSeries:
@@ -129,6 +131,43 @@ class TestPropMain:
                 inits = [(math.factorial(j) * abs(c[j])) ** 2 for j in range(k)]
                 want = math.fsum([float(w) * q for w, q in zip(weights, squares[k:])] + inits)
                 assert got == pytest.approx(want, rel=bound, abs=0.0), (member.name, k)
+
+    def test_corpus_sides_are_per_function_sides(self, small_grid):
+        # real and complex series of orders 12 and 20, read from a manifest:
+        # "boundary" (a zero on the unit circle) is sampled at 8x for p < 2,
+        # and "node", "node_j" and "node_i" vanish exactly at the node of
+        # angle 0 on their ring, which moves for p < 2; each side of the one
+        # call on the corpus equals the call on its function alone, bit for bit
+        rng = np.random.default_rng(5)
+        r_i, r_j = float(small_grid.radii[7]), float(small_grid.radii[15])
+        coeffs = {
+            "real12": rng.normal(size=13) / 4,
+            "cplx12": (rng.normal(size=13) + 1j * rng.normal(size=13)) / 4,
+            "boundary": np.pad([0.5, -0.5], (0, 11)),
+            "node": np.pad([-r_i, 1.0], (0, 11)),
+            "node_j": np.pad([-r_j, 1.0], (0, 11)),
+            "real20": np.pad([1.0, 0.0, 0.3, 0.0, 0.1], (0, 16)),
+            "cplx20": (rng.normal(size=21) + 1j * rng.normal(size=21)) / 4,
+            "node_i": np.pad([-1j * r_i, 1j], (0, 19)),
+        }
+        items = [{"name": n, "coeffs": [[c.real, c.imag] for c in np.asarray(a, dtype=complex)]} for n, a in coeffs.items()]
+        corpus = corpus_from_manifest(json.dumps({"functions": items}))
+        fs = {cf.name: cf.series for cf in corpus}
+        outer = sample_moduli(fs["boundary"], [small_grid.r_max], small_grid.angular)
+        assert np.min(outer) <= 2.0 * (1.0 - small_grid.r_max) * 0.5
+        for name, r in (("node", r_i), ("node_j", r_j), ("node_i", r_i)):
+            assert sample_moduli(fs[name], [r], small_grid.angular)[0, 0] == 0.0
+        ps, ks = [0.5, 1.0, 2.0, 4.0], [1, 2]
+        got = prop_main_sides(list(fs.values()), ps, ks, small_grid)
+        assert got == [prop_main_sides(f, ps, ks, small_grid) for f in fs.values()]
+
+    def test_default_corpus_samples_two_stacks(self, small_grid):
+        # the real and the complex members of the corpus, each one stack
+        corpus = [cf.series for cf in default_corpus()]
+        with mock.patch.object(hardy, "modulus_shares", wraps=hardy.modulus_shares) as calls:
+            got = prop_main_sides(corpus, 2.0, 1, small_grid)
+        assert calls.call_count == 2
+        assert got == [prop_main_sides(f, 2.0, 1, small_grid) for f in corpus]
 
     def test_monomial_low_exponent_direction(self, grid):
         # z^5 at p=1, k=2: the Hardy power is dominated by the area side
