@@ -36,7 +36,7 @@ _MODULES = {
     ),
     "norms": (
         "NormEstimate", "QuadratureError", "bloch_norm", "bmoa_garsia", "bmoa_h2_def",
-        "carleson_norm", "decay_profile", "growth_norm", "hp_norm", "mp_mean",
+        "carleson_norm", "decay_profile", "growth_norm", "hp_norm",
     ),
     "ode": (
         "NamedExample", "ODEProblem", "hille_zero_table", "named_example", "residual",

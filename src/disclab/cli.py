@@ -208,13 +208,13 @@ def _cmd_separation(args, grid):
     xs = [math.tanh(k * math.pi / (2 * gamma)) for k in range(1, args.count + 1)]
     xs = [x for x in xs if x < 1.0]
     seq = geometry.ZeroSequence(tuple((x, args.multiplicity) for x in xs))
-    rep = geometry.greedy_partition(seq, args.delta) if args.delta else geometry.separation_constants(seq)
+    rep = geometry.greedy_partition(seq, args.delta) if args.delta is not None else geometry.separation_constants(seq)
     out = {
         "count_used": len(xs),
         "separation_constant": rep.separation_constant,
         "uniform_separation_constant": rep.uniform_separation_constant,
     }
-    if args.delta:
+    if args.delta is not None:
         out["delta"] = args.delta
         out["partition_count"] = rep.partition_count
     return out

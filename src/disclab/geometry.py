@@ -183,12 +183,7 @@ def separation_sums(seq: ZeroSequence, a: complex, exponent: int) -> float:
 # Jensen's formula for g vanishing to order 2 at the origin
 # ---------------------------------------------------------------------------
 
-def jensen_residual(
-    g: PowerSeries,
-    r: float,
-    known_zeros,
-    angular: int = 4096,
-) -> float:
+def jensen_residual(g: PowerSeries, r: float, known_zeros: ZeroSequence, angular: int = 4096) -> float:
     """Residual of the exact Jensen identity applied to ``g(z)/z^2``.
 
     For g with a double zero at 0 (g(0) = g'(0) = 0, g''(0) != 0) and
@@ -197,8 +192,7 @@ def jensen_residual(
         sum mult * log(r/|w|)
             = (1/2pi) int log|g(r e^{it}) / g''(0)| dt + log(2 / r^2).
 
-    ``known_zeros`` is a sequence of (location, multiplicity) pairs or bare
-    locations (multiplicity 1); only those with 0 < |w| < r enter the sum.
+    Only the points of ``known_zeros`` with 0 < |w| < r enter the sum.
     The residual tends to 0 under angular refinement.  A zero of g on the
     sampling circle makes the boundary integral singular and raises.
     """
@@ -207,12 +201,7 @@ def jensen_residual(
     c = g.coeffs
     if g.order < 2 or abs(c[0]) > 1e-13 or abs(c[1]) > 1e-13 or c[2] == 0:
         raise ValueError("g must vanish to exactly second order at 0")
-    zeros = []
-    for item in known_zeros:
-        if isinstance(item, tuple):
-            zeros.append((complex(item[0]), int(item[1])))
-        else:
-            zeros.append((complex(item), 1))
+    zeros = known_zeros.points
     if any(abs(abs(w) - r) < 1e-9 for w, _ in zeros if w != 0):
         raise ValueError("a known zero lies on the sampling circle")
     lhs = sum(m * math.log(r / abs(w)) for w, m in zeros if 0.0 < abs(w) < r)

@@ -33,7 +33,7 @@ import disclab  # names ConditionReport in a hint without loading the conditions
 from .grids import QuadratureGrid
 from .norms import NormEstimate, carleson_norm, mp_means
 from .ode import ODEProblem, solve_series
-from .series import PowerSeries, exp_series, modulus_shares, pow_series, sample_moduli
+from .series import PowerSeries, exp_series, modulus_shares, pow_series, sample_moduli, zero_series
 
 __all__ = [
     "NontangentialParams",
@@ -53,9 +53,11 @@ __all__ = [
 ]
 
 
-# Boundary nodes of the Hardy means, and the exponents fit_cp_exponent reads.
+# Boundary nodes of the Hardy means, the exponents fit_cp_exponent reads,
+# and the order of every default_corpus member.
 _BOUNDARY_M = 2048
 _CP_PS = (1.0, 0.5, 0.25, 0.125)
+_CORPUS_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def _groups(fs, key=lambda i: ()) -> list[list[int]]:
     return list(groups.values())
 
 
-def _ratio_ring_means(fs, ks, ps, grid: QuadratureGrid, upsample: int | None = None) -> np.ndarray:
+def _ratio_ring_means(fs, ks, ps, grid: QuadratureGrid) -> np.ndarray:
     """Per-ring angular means of ``|f|^{p-2} |f^{(k)}|^2`` for each f of the
     sequence ``fs``, shape ``(len(fs), len(ks), len(ps), radii)``: one
     sampling serves every ``(p, k)``.
@@ -96,19 +98,19 @@ def _ratio_ring_means(fs, ks, ps, grid: QuadratureGrid, upsample: int | None = N
     sample moves half a radial step outward (limiting value 0 when the
     derivative vanishes too).  The blocks mark such rings per f, and once
     every block is done the moved rings of each f are sampled again in one
-    call and overwrite their p < 2 means.  Rings are upsampled angularly
-    (factor 8, or ``upsample`` for every p when given) when f comes close
-    to vanishing near the boundary, where near-zeros are narrower than the
-    angular cells: when ``min |f|`` on the ring ``r_max`` is at most ``2
-    (1 - r_max) max |c_n|``.  A zero on the unit circle gives ``min |f| ~
-    (1 - r_max) |f'|`` there, so the factor 2 keeps a degree-one zero such
-    as ``0.5 (1 - z/zeta)`` clear of the threshold.  Otherwise rings stay
-    at the grid resolution, where the trapezoid rule is spectrally
-    accurate.
+    call and overwrite their p < 2 means.  The rings of p < 2 are upsampled
+    angularly (factor 8) when f comes close to vanishing near the boundary,
+    where near-zeros are narrower than the angular cells: when ``min |f|``
+    on the ring ``r_max`` is at most ``2 (1 - r_max) max |c_n|``.  A zero
+    on the unit circle in the direction of a node gives ``|f| ~ (1 - r_max)
+    |f'|`` at that node, so the factor 2 puts a degree-one zero such as
+    ``0.5 (1 - z/zeta)`` below the threshold; between nodes the node values
+    can stay above it.  Otherwise rings stay at the grid resolution, where
+    the trapezoid rule is spectrally accurate.
     """
     fs, ps = list(fs), [float(p) for p in ps]
-    low = [upsample or 1] * len(fs)
-    if upsample is None and min(ps) < 2:
+    low = [1] * len(fs)
+    if min(ps) < 2:
         for group in _groups(fs):
             outer = sample_moduli([fs[i] for i in group], [grid.r_max], grid.angular)
             for i, ring in zip(group, outer):
@@ -118,7 +120,7 @@ def _ratio_ring_means(fs, ks, ps, grid: QuadratureGrid, upsample: int | None = N
     means = np.empty((len(fs), len(ks), len(ps), grid.radii.size))
     width = 1 + len(ks)  # rows of one f in a stack
     for group in _groups(fs, low.__getitem__):
-        sizes = [(low[group[0]] if p < 2 or upsample else 1) * grid.angular for p in ps]
+        sizes = [(low[group[0]] if p < 2 else 1) * grid.angular for p in ps]
         stacks = [[fs[i]] + [fs[i].derivative(k).pad(fs[i].order) for k in ks] for i in group]
         part = np.empty((len(group), len(ks), len(ps), grid.radii.size))
         hit = np.empty((len(group), grid.radii.size), dtype=bool)  # rings where |f| = 0 at a node
@@ -350,18 +352,15 @@ class MembershipReport:
 
 
 def hp_membership_experiment(
-    A: PowerSeries,
-    p: float,
-    grid: QuadratureGrid,
-    initial_values: tuple[complex, complex] = (1.0, 0.0),
-    order: int | None = None,
+    A: PowerSeries, p: float, grid: QuadratureGrid, order: int | None = None
 ) -> MembershipReport:
+    """The report of the solution of ``f'' + A f = 0`` with ``f(0) = 1``
+    and ``f'(0) = 0``, solved through ``order`` (by default A's)."""
     from .conditions import bmoa_dd
 
     N = A.order if order is None else order
-    zero = PowerSeries(np.zeros(N + 1, dtype=complex))
     AN = A.truncate(N) if A.order > N else A.pad(N)
-    f = solve_series(ODEProblem(2, (AN, zero), tuple(initial_values), N))
+    f = solve_series(ODEProblem(2, (AN, zero_series(N)), (1.0, 0.0), N))
     dd = bmoa_dd(A, grid)
     dens = sample_moduli(A, grid.radii, grid.angular) ** 2 * ((1.0 - grid.radii**2) ** 3)[:, None]
     mu = carleson_norm(dens, grid)
@@ -394,8 +393,8 @@ def zero_free_polynomial(rng: np.random.Generator, degree: int) -> PowerSeries:
     return PowerSeries(c)
 
 
-def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[CorpusFunction]:
-    """Deterministic corpus of analytic test functions.
+def default_corpus(seed: int = 7, count: int = 30) -> list[CorpusFunction]:
+    """Deterministic corpus of analytic test functions of order 64.
 
     Zero-free polynomials (roots pushed outside the closed disc), scaled
     exponentials, principal fractional powers and small lacunary
@@ -408,11 +407,11 @@ def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[Corp
         i = len(out)
         kind = i % 4
         if kind == 0:
-            f = zero_free_polynomial(rng, int(rng.integers(2, 9))).pad(order)
+            f = zero_free_polynomial(rng, int(rng.integers(2, 9))).pad(_CORPUS_ORDER)
             out.append(CorpusFunction(f"polyfree{i}", f, ("zero-free",)))
         elif kind == 1:
             eps = 0.05 + 0.4 * rng.random()
-            lin = np.zeros(order + 1, dtype=complex)
+            lin = np.zeros(_CORPUS_ORDER + 1, dtype=complex)
             lin[1] = eps * np.exp(2j * np.pi * rng.random())
             out.append(
                 CorpusFunction(
@@ -422,18 +421,15 @@ def default_corpus(seed: int = 7, count: int = 30, order: int = 64) -> list[Corp
         elif kind == 2:
             beta = 0.25 + 0.5 * rng.random()
             b = 0.3 + 0.4 * rng.random()
-            base = PowerSeries([1.0, -b]).pad(order)
+            base = PowerSeries([1.0, -b]).pad(_CORPUS_ORDER)
             out.append(
                 CorpusFunction(f"pow{i}", pow_series(base, beta), ("zero-free",))
             )
         else:
             freqs = np.unique(2 ** np.arange(1, 6) + rng.integers(0, 2))
-            c = np.zeros(order + 1, dtype=complex)
+            c = np.zeros(_CORPUS_ORDER + 1, dtype=complex)
             c[0] = 1.0
-            amps = 0.4 * rng.random(freqs.size) / freqs.size
-            for aa, nn in zip(amps, freqs):
-                if nn <= order:
-                    c[nn] = aa
+            c[freqs] = 0.4 * rng.random(freqs.size) / freqs.size  # frequencies of at most 33
             out.append(CorpusFunction(f"lac{i}", PowerSeries(c), ("zero-free", "lacunary")))
     return out
 

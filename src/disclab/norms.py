@@ -30,7 +30,6 @@ __all__ = [
     "NormEstimate",
     "QuadratureError",
     "dilation_estimate",
-    "mp_mean",
     "mp_means",
     "hp_norm",
     "growth_norm",
@@ -106,11 +105,6 @@ def mp_means(f: PowerSeries, radii, p: float, M: int) -> list[float]:
     return [float(m ** (1.0 / p)) for m in np.mean(vals**p, axis=1)]
 
 
-def mp_mean(f: PowerSeries, r: float, p: float, M: int) -> float:
-    """The integral mean of :func:`mp_means` on the one circle ``|z| = r``."""
-    return mp_means(f, [r], p, M)[0]
-
-
 def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
     """Hardy-norm estimate: the integral-mean profile over the radial nodes
     up to ``grid.r_max`` is checked for monotonicity and its last entry is
@@ -163,11 +157,12 @@ def bloch_norm(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     return sup_estimate(f.derivative(), lambda r: 1.0 - r * r, grid)
 
 
-def decay_profile(f: PowerSeries, radii, angular: int = 512) -> list[tuple[float, float]]:
-    """Per-radius values ``sup_{|z|=r} |f'(z)| (1 - r^2)``; tends to 0 for
-    little-Bloch functions and stays bounded below otherwise."""
+def decay_profile(f: PowerSeries, radii) -> list[tuple[float, float]]:
+    """Per-radius values ``sup_{|z|=r} |f'(z)| (1 - r^2)``, the sup over
+    512 nodes; tends to 0 for little-Bloch functions and stays bounded
+    below otherwise."""
     radii = [float(r) for r in radii]
-    rings = np.max(sample_moduli(f.derivative(), radii, angular), axis=1)
+    rings = np.max(sample_moduli(f.derivative(), radii, 512), axis=1)
     return [(r, float(ring) * (1.0 - r**2)) for r, ring in zip(radii, rings)]
 
 

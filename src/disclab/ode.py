@@ -34,7 +34,6 @@ from .series import (
     binomial_series,
     compose_moebius,
     exp_series,
-    geometric_series,
     sample_moduli,
     zero_series,
 )
@@ -131,14 +130,9 @@ def solve_series(problem: ODEProblem) -> PowerSeries:
     return PowerSeries(c)
 
 
-def residual(
-    f: PowerSeries,
-    problem: ODEProblem,
-    r_max: float = 0.9,
-    angular: int = 512,
-    radii: np.ndarray | None = None,
-) -> float:
-    """Max of ``|f^(k) + sum A_j f^(j)|`` on circles of radius <= r_max.
+def residual(f: PowerSeries, problem: ODEProblem, r_max: float = 0.9) -> float:
+    """Max of ``|f^(k) + sum A_j f^(j)|`` at 512 nodes on each of the 24
+    circles of radii ``linspace(r_max / 8, r_max, 24)``.
 
     The expression is assembled in series arithmetic (products truncate to
     the common order), so for a recurrence-exact solution it measures
@@ -149,11 +143,7 @@ def residual(
     expr = f.derivative(problem.order)
     for j, A in enumerate(problem.coefficients):
         expr = expr + A * f.derivative(j)
-    if radii is None:
-        radii = np.linspace(r_max / 8, r_max, 24)
-    radii = np.asarray(radii, dtype=float)
-    radii = radii[~((radii <= 0) | (radii > r_max))]
-    rings = np.max(sample_moduli(expr, radii, angular), axis=1)
+    rings = np.max(sample_moduli(expr, np.linspace(r_max / 8, r_max, 24), 512), axis=1)
     return max([0.0, *map(float, rings)])
 
 
@@ -170,7 +160,7 @@ def _phi_factors(a: complex, order: int):
     d1sq = binomial_series(4, ab, order) * (s * s)     # (phi')^2
     d1cu = binomial_series(6, ab, order) * (-(s**3))   # (phi')^3
     d2 = binomial_series(3, ab, order) * (-2 * ab * s)  # phi''
-    q = geometric_series(ab, order) * (2 * ab)         # phi''/phi'
+    q = binomial_series(1, ab, order) * (2 * ab)       # phi''/phi'
     qq = binomial_series(2, ab, order) * (6 * ab * ab)  # phi'''/phi'
     return d1, d1sq, d1cu, d2, q, qq
 
@@ -231,10 +221,9 @@ def symmetric_power_problem(
     """Order-3 problem ``h''' + 4 A h' + 2 A' h = 0`` whose solution space is
     spanned by products of pairs of solutions of ``f'' + A f = 0``."""
     N = A.order if order is None else order
-    zero = PowerSeries(np.zeros(N + 1, dtype=complex))
     return ODEProblem(
         order=3,
-        coefficients=(A.derivative() * 2.0, A * 4.0, zero),
+        coefficients=(A.derivative() * 2.0, A * 4.0, zero_series(N)),
         initial_values=tuple(complex(v) for v in initial_values),
         truncation_order=N,
     )
@@ -360,7 +349,7 @@ def _hille_local_problem(gamma: float, b: float, order: int, initial_values) -> 
     first-order term  -T''/T' = 2 b/(1 + b v);  both series are exact.
     """
     A0 = _hille_coefficient(gamma, order)
-    A1 = geometric_series(-b, order) * (2.0 * b)
+    A1 = binomial_series(1, -b, order) * (2.0 * b)
     return ODEProblem(2, (A0, A1), initial_values, order)
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "log_series",
     "pow_series",
     "reciprocal_series",
-    "geometric_series",
     "binomial_series",
 ]
 
@@ -595,11 +594,6 @@ def reciprocal_series(f: PowerSeries) -> PowerSeries:
     for m in range(1, n + 1):
         out[m] = -np.dot(fc[1 : m + 1], out[m - 1 :: -1][:m]) / fc[0]
     return PowerSeries(out)
-
-
-def geometric_series(c: complex, order: int) -> PowerSeries:
-    """1/(1 - c z) truncated."""
-    return PowerSeries(np.asarray(c, dtype=complex) ** np.arange(order + 1))
 
 
 def binomial_series(k: int, c: complex, order: int) -> PowerSeries:

@@ -40,7 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from .grids import QuadratureGrid, panel_rule
 from .norms import NormEstimate, bloch_norm, growth_norm
 from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_moduli, sample_rings
+from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_moduli, sample_rings, zero_series
 from .specs import parse_spec
 
 __all__ = [
@@ -564,8 +564,7 @@ def bloch_solution_bound(
     f0, f1 = (complex(v) for v in initial_values)
     predicted = (abs(f0) * prim_norm + abs(f1)) / (1.0 - 4.0 * x)
     N = A.order if order is None else order
-    zero = PowerSeries(np.zeros(N + 1, dtype=complex))
-    problem = ODEProblem(2, (A.truncate(N) if A.order > N else A.pad(N), zero), (f0, f1), N)
+    problem = ODEProblem(2, (A.truncate(N) if A.order > N else A.pad(N), zero_series(N)), (f0, f1), N)
     f = solve_series(problem)
     actual = bloch_norm(f, grid).value
     return BlochBoundReport(x, predicted, actual)

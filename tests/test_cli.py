@@ -205,6 +205,7 @@ class TestErrors:
             ["zeros", "--example", "hille:gamma=1.0", "--count", "0"],
             ["separation", "--example", "hille:gamma=1.0", "--count", "0"],
             ["separation", "--example", "hille:gamma=1.0", "--count", "-3"],
+            ["separation", "--example", "hille:gamma=1.0", "--delta", "0"],
             ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "0"],
             ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "-2"],
         ],
@@ -559,6 +560,45 @@ class TestDependencies:
                     continue
                 offenders += [f"{path.name}:{node.lineno}" for n in names if n == "scipy" or n.startswith("scipy.")]
         assert offenders == []
+
+    def test_every_option_is_set_by_some_call(self):
+        # a keyword default of a def in src/disclab that no call in src/,
+        # tests/ or bench/ sets, by keyword or by position, is a constant
+        # posing as an option; a class's __init__ counts under the class's
+        # name, and calls match defs by name alone
+        options = []
+        for path in sorted((self.ROOT / "src" / "disclab").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            owner = {
+                item: node.name
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name, args = owner.get(node, node.name), node.args
+                pos = args.posonlyargs + args.args
+                bound = 1 if pos and pos[0].arg in ("self", "cls") else 0
+                first = len(pos) - len(args.defaults)
+                options += [(name, a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+                options += [(name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        calls = {}
+        for top in ("src", "tests", "bench"):
+            for path in sorted((self.ROOT / top).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                    if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+                        continue
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    keywords = {k.arg for k in node.keywords}
+                    unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                    calls.setdefault(name, []).append((math.inf if unpacked else len(node.args), keywords))
+        unset = [
+            f"{name}({arg}=...)"
+            for name, arg, i in options
+            if not any(arg in keywords or (i is not None and i < n) for n, keywords in calls.get(name, []))
+        ]
+        assert unset == []
 
     def test_project_does_not_depend_on_scipy(self):
         # a text check: tomllib needs Python 3.11, and the project supports 3.10

@@ -30,7 +30,7 @@ from disclab.conditions import (
 )
 from disclab.norms import NormEstimate
 from disclab.ode import named_example, solve_series, symmetric_power_problem
-from disclab.series import PowerSeries, binomial_series, geometric_series
+from disclab.series import PowerSeries, binomial_series
 
 
 def zeros_series(order):
@@ -267,7 +267,7 @@ class TestCauchyBound:
         want = 0.0
         for t in 2 * np.pi * np.arange(count) / count:
             x = np.exp(1j * t)
-            inner = (Ar * (geometric_series(np.conj(x), order) * x ** (-1))).antiderivative(0.0).antiderivative(0.0)
+            inner = (Ar * (binomial_series(1, np.conj(x), order) * x ** (-1))).antiderivative(0.0).antiderivative(0.0)
             want += abs(inner(z))
         with mock.patch.object(series, "_BLOCK_BYTES", block_bytes or series._BLOCK_BYTES):
             got = cauchy_bound(A, r, z, angular_count=count)
@@ -301,7 +301,7 @@ class TestBmoaH1:
         Ar = PowerSeries(A.coeffs * 0.9 ** np.arange(order + 1))
         want = np.zeros((small_grid.radii.size, small_grid.angular))
         for t in 2 * np.pi * np.arange(t_count) / t_count:
-            prim = (Ar * geometric_series(np.exp(-1j * t), order)).antiderivative(0.0)
+            prim = (Ar * binomial_series(1, np.exp(-1j * t), order)).antiderivative(0.0)
             want += np.abs(small_grid.sample(prim))
         with mock.patch.object(series, "_BLOCK_BYTES", block_bytes or series._BLOCK_BYTES):
             got = _h1_inner_fields(A, 0.9, small_grid, t_count)
@@ -327,7 +327,7 @@ class TestBmoaH1:
         zs = np.array([0.5, -0.8, 0.6j, 0.7 + 0.5j, 0.98])
         acc = np.zeros(zs.size)
         for t in 2 * np.pi * np.arange(T) / T:
-            geo = geometric_series(np.exp(-1j * t), A.order)
+            geo = binomial_series(1, np.exp(-1j * t), A.order)
             acc += np.abs((Ar * geo).antiderivative(0.0)(zs))
         acc /= T
         slack = np.abs(zs) ** (A.order + 2) / ((A.order + 2) * (1 - np.abs(zs) ** T))

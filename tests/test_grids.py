@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disclab import QuadratureGrid, grids, series
+from disclab import QuadratureGrid, grids, hardy, series
 from disclab.conditions import (
     _h1_inner_fields,
     _log_weight,
@@ -311,18 +311,21 @@ def oracle_ratio_ring_means(f, k, p, grid, upsample):
     return means, shifted
 
 
-def reference_ratio_ring_means(f, k, p, grid, upsample=None):
+def near_zero_factor(f, p, grid):
+    """The angular factor of the near-zero rule: 8 for p < 2 when f comes
+    close to vanishing on the ring r_max, otherwise 1."""
+    if p >= 2:
+        return 1
+    outer = sample_moduli(f, [grid.r_max], grid.angular)
+    scale = float(np.max(np.abs(f.coeffs))) + 1e-30
+    return 1 if float(np.min(outer)) > 2.0 * (1.0 - grid.r_max) * scale else 8
+
+
+def reference_ratio_ring_means(f, k, p, grid):
     """The blocked pass of one (p, k) that the stacked one replaced: f and
     f^(k) resampled for every call."""
     df = f.derivative(k)
-    if upsample is None:
-        if p >= 2:
-            upsample = 1
-        else:
-            outer = sample_moduli(f, [grid.r_max], grid.angular)
-            scale = float(np.max(np.abs(f.coeffs))) + 1e-30
-            upsample = 1 if float(np.min(outer)) > 2.0 * (1.0 - grid.r_max) * scale else 8
-    M = upsample * grid.angular
+    M = near_zero_factor(f, p, grid) * grid.angular
     step = 0.5 * float(np.min(np.diff(np.unique(grid.radii))))
     means = np.empty(grid.radii.size)
     for block in ring_blocks(grid.radii.size, f.order, M):
@@ -422,23 +425,6 @@ def real_series(order, seed):
     return PowerSeries(np.random.default_rng(seed).normal(size=order + 1))
 
 
-@settings(max_examples=30, deadline=None)
-@given(sampled_cases(), st.integers(1, 3), st.booleans(), st.sampled_from([1.0, 2.0]))
-def test_array_stack_sample_folded_is_the_series_stack(case, k, real, power):
-    # a 2-D coefficient array (float rows on the real path) gives the node
-    # matrix of its rows wrapped in PowerSeries, with the upsampling read
-    # from the stored order; the buffer holds `rows` rings of the stack
-    spec, order, rows, seed = case
-    grid = QuadratureGrid(**spec)
-    fs = [(real_series if real else random_series)(order, seed + i) for i in range(k)]
-    c = np.array([f.coeffs.real if real else f.coeffs for f in fs])
-    up = min(max(int(np.ceil((2 * order + 2) / grid.angular)), 1), 16)
-    with blocks_of(rows, order, up * grid.angular, k):
-        got = grid.sample_folded(c, power=power)
-        assert np.array_equal(got, grid.sample_folded(fs, power=power))
-    assert got.shape == (k, grid.radii.size, grid.angular)
-
-
 @settings(max_examples=40, deadline=None)
 @example(case=(dict(SMALL, angular=8, a_radii=(0.5,), a_angles=3), 200, 3, 0), k=2, power=2.0)  # capped, folded
 @example(case=(dict(SMALL, angular=41, a_radii=(0.5,), a_angles=3), 19, 2, 1), k=1, power=3.0)  # up == 1, odd
@@ -525,25 +511,41 @@ def test_sample_folded_shares_are_bit_identical_to_one(up, real, n):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def sampled_sizes():
+    """Records the calls of ``modulus_shares`` that ``_ratio_ring_means``
+    samples its stacks by; ``args[2]`` is the angular size."""
+    return mock.patch.object(hardy, "modulus_shares", wraps=hardy.modulus_shares)
+
+
+def angular_sizes(spy):
+    return {call.args[2] for call in spy.call_args_list}
+
+
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("upsample", [None, 8])
-def test_ratio_ring_means_shares_are_bit_identical_to_one(upsample, n):
+@pytest.mark.parametrize("near", [False, True])
+def test_ratio_ring_means_shares_are_bit_identical_to_one(near, n):
     # f = z - r_i vanishes on the node r_i of angle 0, so that ring moves
     # for p < 2; with one ring per block, the ring with the zero falls to
     # some share, and a share that divides by |f| = 0 outside numpy's
-    # error state (which is per thread) raises here
-    grid = QuadratureGrid(**dict(SMALL, angular=24))
+    # error state (which is per thread) raises here.  With r_max = r_i the
+    # zero lies on the ring that the near-zero rule reads, so p < 2 takes
+    # the 8x rings
     ks, ps = [1, 2], [0.5, 1.5, 2.0, 3.0]
-    for i in range(0, grid.radii.size, 3):
+    base = QuadratureGrid(**dict(SMALL, angular=24))
+    for i in range(0, base.radii.size, 3):
+        grid = QuadratureGrid(**dict(SMALL, angular=24), r_max=float(base.radii[i])) if near else base
         f = PowerSeries([-grid.radii[i], 1.0]).pad(30)
-        assert oracle_ratio_ring_means(f, 1, 0.5, grid, upsample or 1)[1] >= 1
-        with blocks_of(1, f.order, (upsample or 1) * grid.angular, 1 + len(ks)):
-            with shares(1):
-                want = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
+        factor = near_zero_factor(f, min(ps), grid)
+        assert factor == (8 if near else 1)
+        assert oracle_ratio_ring_means(f, 1, 0.5, grid, factor)[1] >= 1
+        with blocks_of(1, f.order, factor * grid.angular, 1 + len(ks)):
+            with shares(1), sampled_sizes() as spy:
+                want = _ratio_ring_means([f], ks, ps, grid)[0]
             with shares(n), counted_threads() as made, warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
+                got = _ratio_ring_means([f], ks, ps, grid)[0]
         assert made.call_count >= n - 1
+        assert angular_sizes(spy) == {grid.angular, factor * grid.angular}
         assert np.array_equal(got, want)
 
 
@@ -601,42 +603,64 @@ exponents = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max
 orders = st.lists(st.integers(1, 3), min_size=1, max_size=3)
 
 
-def assert_matches_per_call(got, f, ks, ps, grid, upsample):
-    # each (k, p) entry equals the per-call pass bit for bit, and the
-    # per-ring loop to rounding (the loop needs the angular size given)
+def assert_matches_per_call(got, spy, f, ks, ps, grid):
+    # the stacks were sampled at the angular sizes the near-zero rule
+    # picks, and each (k, p) entry equals the per-call pass bit for bit,
+    # and the per-ring loop at that size to rounding
     assert got.shape == (len(ks), len(ps), grid.radii.size)
+    assert angular_sizes(spy) == {near_zero_factor(f, p, grid) * grid.angular for p in ps}
     for i, k in enumerate(ks):
         for j, p in enumerate(ps):
-            assert np.array_equal(got[i, j], reference_ratio_ring_means(f, k, p, grid, upsample))
-            if upsample is not None:
-                assert_rel(got[i, j], oracle_ratio_ring_means(f, k, p, grid, upsample)[0])
+            assert np.array_equal(got[i, j], reference_ratio_ring_means(f, k, p, grid))
+            assert_rel(got[i, j], oracle_ratio_ring_means(f, k, p, grid, near_zero_factor(f, p, grid))[0])
+
+
+def boundary_zero_series(order, seed):
+    """``h(z) (1 - z)`` of order ``max(order, 1)``, with ``h = 1 + g / (4
+    sum |g_n|)`` for a random g: as ``|h| <= 5/4`` on the disc and ``|h(0)|
+    >= 3/4``, ``|f(r_max)| <= (5/4) (1 - r_max)`` stays below the near-zero
+    threshold ``2 (1 - r_max) max |c_n|``, on the node of angle 0."""
+    g = random_series(max(order, 1) - 1, seed)
+    h = 1.0 + g / (4.0 * np.sum(np.abs(g.coeffs)))
+    return h.pad(max(order, 1)) * PowerSeries([1.0, -1.0]).pad(max(order, 1))
 
 
 @settings(max_examples=40, deadline=None)
-@given(sampled_cases(), orders, exponents, st.sampled_from([1, 2, 8, None]))
-def test_ratio_ring_means_match_per_ring_loop(case, ks, ps, upsample):
-    # the buffer holds `rows` rings of the stack [f, f^(k) for k in ks]
+@given(sampled_cases(), orders, exponents, st.booleans())
+def test_ratio_ring_means_match_per_ring_loop(case, ks, ps, near):
+    # the buffer holds `rows` rings of the stack [f, f^(k) for k in ks] at
+    # the largest angular size; a boundary zero takes the 8x rings for p < 2
     spec, order, rows, seed = case
     grid = QuadratureGrid(**spec)
-    f = random_series(order, seed)
-    with blocks_of(rows, order, (upsample or 1) * grid.angular, 1 + len(ks)):
-        got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
-    assert_matches_per_call(got, f, ks, ps, grid, upsample)
+    f = (boundary_zero_series if near else random_series)(order, seed)
+    factor = near_zero_factor(f, min(ps), grid)
+    if near and min(ps) < 2:
+        assert factor == 8
+    with blocks_of(rows, f.order, factor * grid.angular, 1 + len(ks)), sampled_sizes() as spy:
+        got = _ratio_ring_means([f], ks, ps, grid)[0]
+    assert_matches_per_call(got, spy, f, ks, ps, grid)
 
 
 @settings(max_examples=30, deadline=None)
 @given(grid_specs(), st.data(), st.integers(1, 7), orders,
-       exponents.filter(lambda ps: min(ps) < 2), st.sampled_from([1, 8]))
-def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, ks, ps, upsample):
+       exponents.filter(lambda ps: min(ps) < 2), st.booleans())
+def test_ratio_ring_means_move_rings_with_a_zero_on_a_node(spec, data, rows, ks, ps, near):
     # f = z - r_i vanishes exactly at the node r_i of angle 0: that ring
-    # (and any other hit) moves half a radial step outward for p < 2 only
+    # (and any other hit) moves half a radial step outward for p < 2 only.
+    # With r_max = r_i the zero lies on the ring the near-zero rule reads,
+    # so the p < 2 rings are sampled at 8x
     grid = QuadratureGrid(**spec)
     i = data.draw(st.integers(0, grid.radii.size - 1))
+    if near:
+        grid = QuadratureGrid(**spec, r_max=float(grid.radii[i]))
     f = PowerSeries([-grid.radii[i], 1.0]).pad(data.draw(st.integers(1, 3 * grid.angular)))
-    assert oracle_ratio_ring_means(f, 1, min(ps), grid, upsample)[1] >= 1
-    with blocks_of(rows, f.order, upsample * grid.angular, 1 + len(ks)):
-        got = _ratio_ring_means([f], ks, ps, grid, upsample)[0]
-    assert_matches_per_call(got, f, ks, ps, grid, upsample)
+    factor = near_zero_factor(f, min(ps), grid)
+    if near:
+        assert factor == 8
+    assert oracle_ratio_ring_means(f, 1, min(ps), grid, factor)[1] >= 1
+    with blocks_of(rows, f.order, factor * grid.angular, 1 + len(ks)), sampled_sizes() as spy:
+        got = _ratio_ring_means([f], ks, ps, grid)[0]
+    assert_matches_per_call(got, spy, f, ks, ps, grid)
 
 
 def test_sequence_calls_match_scalar_calls(small_grid):
