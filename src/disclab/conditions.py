@@ -5,8 +5,8 @@ The quantities estimated here are the hypotheses under which solutions stay
 in H^infty, BMOA, Bloch or Hardy spaces: the Nehari-type growth quantity,
 order-3 growth and area conditions, logarithmically weighted sup norms,
 BMOA-type Moebius and Carleson-square integrals, lacunary-series sums, a
-Cauchy-transform representing-measure bound and its H^1 relative, the
-double-primitive operator ``S_A``, and boundary decay profiles.
+Cauchy-transform representing-measure bound and its H^1 relative, and
+boundary decay profiles.
 
 No threshold is ever asserted: the underlying smallness constants are not
 quantified, so every operation returns the raw estimate inside a
@@ -41,7 +41,6 @@ __all__ = [
     "moment_log_integral",
     "cauchy_bound",
     "bmoa_h1_cond",
-    "apply_SA",
     "decay_conditions",
     "log_reciprocal_coefficient",
     "lacunary_series",
@@ -280,13 +279,6 @@ def bmoa_h1_cond(
         return np.stack([_h1_inner_fields(fr, r, g, count) ** 2 for fr in fs])
 
     return _report(f"bmoa-h1:r={r:g}", sweep_estimate(A, field, grid), grid)
-
-
-def apply_SA(A: PowerSeries, f: PowerSeries) -> PowerSeries:
-    """The double-primitive operator ``S_A(f)(z) = int_0^z int_0^zeta f A``;
-    a solution of f'' + A f = 0 satisfies ``f = -S_A(f) + f'(0) z + f(0)``
-    coefficientwise on truncations."""
-    return (f * A).antiderivative(0.0).antiderivative(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Moebius geometry of the disc and separation analysis of point sequences.
+"""Separation analysis of point sequences in the disc.
 
-Covers the involutive automorphisms ``phi_a(z) = (a - z)/(1 - conj(a) z)``,
-the pseudo-hyperbolic and hyperbolic distances, Carleson squares, the two
-separation functionals for zero sequences, a deterministic greedy partition
-into separated sub-sequences, and a Jensen-formula consistency check for
-functions vanishing to second order at the origin.
+Covers the pseudo-hyperbolic distance ``|phi_a(b)|`` of the involutive
+automorphisms ``phi_a(z) = (a - z)/(1 - conj(a) z)``, the two separation
+functionals for zero sequences and a deterministic greedy partition into
+separated sub-sequences.
 """
 
 from __future__ import annotations
@@ -14,54 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, sample_moduli
-
 __all__ = [
-    "moebius",
-    "moebius_deriv",
     "pseudo_hyp",
-    "hyp_dist",
-    "in_carleson_square",
     "ZeroSequence",
     "SeparationReport",
     "separation_constants",
     "greedy_partition",
-    "separation_sums",
-    "jensen_residual",
 ]
-
-
-def moebius(a: complex, z):
-    """phi_a(z) = (a - z)/(1 - conj(a) z); an involution of the disc."""
-    return (a - z) / (1.0 - np.conj(a) * z)
-
-
-def moebius_deriv(a: complex, z):
-    """phi_a'(z) = -(1 - |a|^2)/(1 - conj(a) z)^2."""
-    return -(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
 
 
 def pseudo_hyp(a: complex, b: complex) -> float:
     """Pseudo-hyperbolic distance |phi_a(b)| = |a - b|/|1 - conj(a) b|."""
     return float(abs(a - b) / abs(1.0 - np.conj(a) * b))
-
-
-def hyp_dist(a: complex, b: complex) -> float:
-    """Hyperbolic distance artanh(pseudo_hyp(a, b))."""
-    return float(np.arctanh(pseudo_hyp(a, b)))
-
-
-def in_carleson_square(z: complex, a: complex) -> bool:
-    """Membership in the Carleson square S_a: ``|a| < |z| < 1`` and
-    ``|arg z - arg a| <= (1 - |a|)/2``; by convention S_0 is the whole disc."""
-    if abs(z) >= 1.0:
-        raise ValueError("point must lie inside the disc")
-    if a == 0:
-        return True
-    if not (abs(a) < abs(z) < 1.0):
-        return False
-    dtheta = (np.angle(z) - np.angle(a) + np.pi) % (2 * np.pi) - np.pi
-    return bool(abs(dtheta) <= (1.0 - abs(a)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,57 +119,3 @@ def greedy_partition(seq: ZeroSequence, delta: float) -> SeparationReport:
     return SeparationReport(
         sep, uni, tuple(tuple(g) for g in groups), len(groups)
     )
-
-
-def separation_sums(seq: ZeroSequence, a: complex, exponent: int) -> float:
-    """``sum over z_k != a of (1 - |phi_a(z_k)|^2)**exponent`` with
-    multiplicities honoured; ``a`` must belong to the sequence (one copy of
-    it is excluded from the sum, the remaining copies contribute 1 each)."""
-    if exponent not in (1, 2):
-        raise ValueError("exponent must be 1 or 2")
-    flat = seq.expand()
-    try:
-        idx = min(range(len(flat)), key=lambda i: abs(flat[i] - a))
-    except ValueError:
-        raise ValueError("sequence is empty") from None
-    if abs(flat[idx] - a) > 1e-12:
-        raise ValueError("base point must belong to the sequence")
-    total = 0.0
-    for i, z in enumerate(flat):
-        if i == idx:
-            continue
-        total += (1.0 - pseudo_hyp(a, z) ** 2) ** exponent
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Jensen's formula for g vanishing to order 2 at the origin
-# ---------------------------------------------------------------------------
-
-def jensen_residual(g: PowerSeries, r: float, known_zeros: ZeroSequence, angular: int = 4096) -> float:
-    """Residual of the exact Jensen identity applied to ``g(z)/z^2``.
-
-    For g with a double zero at 0 (g(0) = g'(0) = 0, g''(0) != 0) and
-    non-origin zeros ``w`` (with multiplicities) inside ``|z| < r``::
-
-        sum mult * log(r/|w|)
-            = (1/2pi) int log|g(r e^{it}) / g''(0)| dt + log(2 / r^2).
-
-    Only the points of ``known_zeros`` with 0 < |w| < r enter the sum.
-    The residual tends to 0 under angular refinement.  A zero of g on the
-    sampling circle makes the boundary integral singular and raises.
-    """
-    if not (0.0 < r < 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    c = g.coeffs
-    if g.order < 2 or abs(c[0]) > 1e-13 or abs(c[1]) > 1e-13 or c[2] == 0:
-        raise ValueError("g must vanish to exactly second order at 0")
-    zeros = known_zeros.points
-    if any(abs(abs(w) - r) < 1e-9 for w, _ in zeros if w != 0):
-        raise ValueError("a known zero lies on the sampling circle")
-    lhs = sum(m * math.log(r / abs(w)) for w, m in zeros if 0.0 < abs(w) < r)
-    mags = sample_moduli(g, [r], angular)[0] / abs(2.0 * c[2])
-    if np.any(mags == 0.0):
-        raise ValueError("g vanishes on the sampling circle")
-    rhs = float(np.mean(np.log(mags))) + math.log(2.0 / r**2)
-    return abs(lhs - rhs)

@@ -1,4 +1,4 @@
-"""Hardy-space identities, non-tangential machinery and membership experiments.
+"""Hardy-space identities, zero-free constants and membership experiments.
 
 The backbone is the Hardy-Stein-Spencer / Littlewood-Paley identity
 
@@ -24,7 +24,6 @@ its value at r = 1.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +35,8 @@ from .ode import ODEProblem, solve_series
 from .series import PowerSeries, exp_series, modulus_shares, pow_series, sample_moduli, zero_series
 
 __all__ = [
-    "NontangentialParams",
     "hss_residual",
-    "nt_max",
-    "shadow_length",
     "prop_main_sides",
-    "loc_univ_margin",
     "nonvanishing_bound_check",
     "fit_cp_exponent",
     "hp_membership_experiment",
@@ -58,18 +53,6 @@ __all__ = [
 _BOUNDARY_M = 2048
 _CP_PS = (1.0, 0.5, 0.25, 0.125)
 _CORPUS_ORDER = 64
-
-
-@dataclass(frozen=True)
-class NontangentialParams:
-    """Aperture and resolution of the non-tangential approach regions
-    ``Gamma(zeta) = { z : |z - zeta| <= aperture (1 - |z|) }``."""
-
-    aperture: float = 2.0
-
-    def __post_init__(self):
-        if self.aperture <= 1.0:
-            raise ValueError("aperture must exceed 1")
 
 
 def _groups(fs, key=lambda i: ()) -> list[list[int]]:
@@ -191,42 +174,6 @@ def hss_residual(f: PowerSeries, p, grid: QuadratureGrid):
 
 
 # ---------------------------------------------------------------------------
-# non-tangential geometry
-# ---------------------------------------------------------------------------
-
-def nt_max(
-    f: PowerSeries, zeta: complex, params: NontangentialParams, grid: QuadratureGrid
-) -> float:
-    """Sup of |f| over grid nodes inside the approach region at ``zeta``
-    (which must lie on the unit circle)."""
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise ValueError("vertex must lie on the unit circle")
-    z = grid.nodes()
-    mask = np.abs(z - zeta) <= params.aperture * (1.0 - np.abs(z))
-    vals = sample_moduli(f, grid.radii, grid.angular)
-    best = abs(f.coeffs[0])  # the origin always belongs to the region
-    if np.any(mask):
-        best = max(best, float(np.max(vals[mask])))
-    return best
-
-
-def shadow_length(z: complex, params: NontangentialParams) -> float:
-    """Arc length of ``{ zeta on the circle : z in Gamma(zeta) }`` in closed
-    form; comparable to ``1 - |z|`` with constants depending only on the
-    aperture."""
-    r = abs(z)
-    if r >= 1.0:
-        raise ValueError("point must lie inside the disc")
-    d = params.aperture * (1.0 - r)
-    c = (1.0 + r * r - d * d) / (2.0 * r) if r > 0 else -1.0
-    if c <= -1.0:
-        return 2.0 * math.pi
-    if c >= 1.0:
-        return 0.0
-    return 2.0 * math.acos(c)
-
-
-# ---------------------------------------------------------------------------
 # the two-sided higher-derivative comparison
 # ---------------------------------------------------------------------------
 
@@ -260,23 +207,6 @@ def prop_main_sides(f, p, k, grid: QuadratureGrid):
         lhs = np.repeat(hp, len(ks)).reshape(shape)
         out.append((lhs.tolist(), np.transpose(rhs).reshape(shape).tolist()))
     return out[0] if isinstance(f, PowerSeries) else out
-
-
-def loc_univ_margin(f: PowerSeries, grid: QuadratureGrid) -> tuple[float, dict[int, float]]:
-    """``sup |f''(z)/f'(z)| (1-|z|^2)`` over grid nodes (finite for
-    uniformly locally univalent f) plus the induction quantities
-    ``sup |f^{(k+1)}(z)/f'(z)| (1-|z|^2)^k`` for k <= 3.
-
-    ``f'`` to ``f^{(4)}`` are sampled as one stack.  Raises if f' vanishes
-    at grid resolution.
-    """
-    df = f.derivative()
-    d = sample_moduli([f.derivative(k).pad(df.order) for k in range(1, 5)], grid.radii, grid.angular)
-    if float(np.min(d[0])) == 0.0 or df.coeffs[0] == 0.0:
-        raise ValueError("f' vanishes on the grid: not locally univalent at resolution")
-    weight = 1.0 - grid.radii**2
-    out = {k: float(np.max(d[k] / d[0] * weight[:, None] ** k)) for k in range(1, 4)}
-    return out[1], out
 
 
 # ---------------------------------------------------------------------------

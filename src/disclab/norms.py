@@ -1,10 +1,10 @@
 """Numerical norms and seminorms on the disc, and the estimate protocol.
 
-Hardy means and norms, growth norms ``sup |f(z)|(1-|z|^2)^q``, Bloch and
-little-Bloch diagnostics, two equivalent BMOA estimators (the Garsia-type
-derivative integral, and the H^2 definition read from Garsia's identity as
-a Poisson integral), Carleson-measure norms over Carleson squares, and
-general weighted area integrals.
+Hardy means and norms, growth norms ``sup |f(z)|(1-|z|^2)^q``, the Bloch
+seminorm, two equivalent BMOA estimators (the Garsia-type derivative
+integral, and the H^2 definition read from Garsia's identity as a Poisson
+integral), Carleson-measure norms over Carleson squares, and general
+weighted area integrals.
 
 Every estimate of a series here and in :mod:`disclab.conditions` is a
 :class:`NormEstimate` made by :func:`dilation_estimate`: the value, a
@@ -34,7 +34,6 @@ __all__ = [
     "hp_norm",
     "growth_norm",
     "bloch_norm",
-    "decay_profile",
     "bmoa_garsia",
     "bmoa_h2_def",
     "carleson_norm",
@@ -155,15 +154,6 @@ def growth_norm(f: PowerSeries, q: float, grid: QuadratureGrid) -> NormEstimate:
 def bloch_norm(f: PowerSeries, grid: QuadratureGrid) -> NormEstimate:
     """Bloch seminorm estimate ``sup |f'(z)| (1 - |z|^2)``."""
     return sup_estimate(f.derivative(), lambda r: 1.0 - r * r, grid)
-
-
-def decay_profile(f: PowerSeries, radii) -> list[tuple[float, float]]:
-    """Per-radius values ``sup_{|z|=r} |f'(z)| (1 - r^2)``, the sup over
-    512 nodes; tends to 0 for little-Bloch functions and stays bounded
-    below otherwise."""
-    radii = [float(r) for r in radii]
-    rings = np.max(sample_moduli(f.derivative(), radii, 512), axis=1)
-    return [(r, float(ring) * (1.0 - r**2)) for r, ring in zip(radii, rings)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Solves ``f^(k) + A_{k-1} f^(k-1) + ... + A_0 f = 0`` (orders 2 and 3) by
 matching Taylor coefficients, verifies solutions through a residual sweep,
-conformally transplants order-2 and order-3 equations under disc
-automorphisms, and realizes the classical named examples:
+conformally transplants order-3 equations under disc automorphisms, and
+realizes the classical named examples:
 
 * ``hille:gamma=G`` -- ``A(z) = (1 + 4 G^2)/(1 - z^2)^2`` with the closed
   solution ``sqrt(1 - z^2) sin(G log((1+z)/(1-z)))``, whose zeros are
@@ -46,7 +46,6 @@ __all__ = [
     "named_example",
     "solve_series",
     "residual",
-    "transform_order2",
     "transform_order3",
     "symmetric_power_problem",
     "hille_zero_table",
@@ -163,25 +162,6 @@ def _phi_factors(a: complex, order: int):
     q = binomial_series(1, ab, order) * (2 * ab)       # phi''/phi'
     qq = binomial_series(2, ab, order) * (6 * ab * ab)  # phi'''/phi'
     return d1, d1sq, d1cu, d2, q, qq
-
-
-def transform_order2(
-    A0: PowerSeries,
-    A1: PowerSeries,
-    a: complex,
-    out_order: int | None = None,
-) -> tuple[PowerSeries, PowerSeries]:
-    """Coefficients of the equation solved by ``g = f o phi_a`` when f
-    solves ``f'' + A1 f' + A0 f = 0``:
-
-        B0 = (A0 o phi_a) (phi_a')^2,
-        B1 = (A1 o phi_a) phi_a' - phi_a''/phi_a'.
-    """
-    order = max(A0.order, A1.order) if out_order is None else out_order
-    d1, d1sq, _, _, q, _ = _phi_factors(a, order)
-    B0 = compose_moebius(A0, a, out_order=order) * d1sq
-    B1 = compose_moebius(A1, a, out_order=order) * d1 - q
-    return B0, B1
 
 
 def transform_order3(

@@ -1,8 +1,7 @@
-"""Radial weights, derived weights, reproducing kernels and Bloch bounds.
+"""Radial weights, derived weights, reproducing kernels and the Bloch quantity.
 
-A radial weight ``w`` on the disc carries three derived weights::
+A radial weight ``w`` on the disc carries two derived weights::
 
-    what(r)   = int_r^1 w(s) ds                 (tail integral)
     wtilde(r) = 2 int_r^1 w(s) s ds             (tail moment)
     wstar(r)  = int_r^1 log(s/r) w(s) s ds      (logarithmic tail)
 
@@ -31,38 +30,26 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grids import QuadratureGrid, panel_rule
-from .norms import NormEstimate, bloch_norm, growth_norm
-from .ode import ODEProblem, solve_series
-from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_moduli, sample_rings, zero_series
+from .norms import NormEstimate
+from .series import AccuracyWarning, PowerSeries, modulus_shares, sample_rings
 from .specs import parse_spec
 
 __all__ = [
     "RadialWeight",
     "StandardWeight",
-    "BoundNotApplicableError",
-    "regularity_constants",
     "kernel_eval",
     "kernel_derivative_residual",
     "moment_identity_gap",
     "bergman_inner",
     "green_identity_residual",
-    "green_boundary_residual",
-    "pointwise_growth_margin",
     "bloch_kernel_quantity",
-    "bloch_solution_bound",
-    "BlochBoundReport",
 ]
-
-
-class BoundNotApplicableError(ValueError):
-    """The smallness hypothesis of a bound fails at grid resolution."""
 
 
 def _beta(a: float, b: float) -> float:
@@ -96,31 +83,6 @@ def _stirling_tail(z: float) -> float:
     return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
 
 
-def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """The continued fraction of the incomplete beta function (DLMF
-    8.17.22), ``B_x(a, b) = x**a (1 - x)**b / a`` times
-    ``1/(1 + d_1/(1 + d_2/(1 + ...)))``, by the modified Lentz method on an
-    array ``x``.  It converges fast for ``x <= (a + 1)/(a + b + 2)``; each
-    entry stops at the first factor within one ulp of 1."""
-    tiny, eps = 1e-300, np.finfo(float).eps
-    guard = lambda v: np.where(np.abs(v) < tiny, tiny, v)
-    c = np.ones_like(x)
-    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
-    h, done = d, np.zeros(x.shape, dtype=bool)
-    m = 0
-    while not done.all():
-        m += 1
-        for num in (
-            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
-        ):
-            d = 1.0 / guard(1.0 + num * d)
-            c = guard(1.0 + num / c)
-            h = np.where(done, h, h * (d * c))
-        done |= ~(np.abs(d * c - 1.0) > eps)  # a NaN entry stops at once
-    return h
-
-
 # The panel rule every weight shares on [0, 1]: dyadic panels from 2**-40 up
 # to 1/2, geometric panels from 1/2 toward 1 down to a gap of 2**-40, and a
 # closing panel [1 - 2**-40, 1], with 32 Gauss nodes on each.  The
@@ -134,9 +96,9 @@ _NODES, _NODE_WEIGHTS = panel_rule(_EDGES, 32)
 class RadialWeight:
     """A nonnegative radial weight given by a vectorised profile ``w(r)``,
     read on the panel rule, whose closing panel ends at 1: moments are dot
-    products with the profile at the nodes; ``what``, ``wtilde`` and ``wstar``
-    at a scalar or array ``r`` are sums over the panels after r's plus one
-    Gauss rule on ``[r, panel end]``."""
+    products with the profile at the nodes; ``wtilde`` and ``wstar`` at a
+    scalar or array ``r`` are sums over the panels after r's plus one Gauss
+    rule on ``[r, panel end]``."""
 
     def __init__(self, profile):
         self.profile = profile
@@ -200,10 +162,6 @@ class RadialWeight:
             self._odd_moments = np.array([self.moment(2 * n + 1) for n in range(nmax + 1)])
         return self._odd_moments[: nmax + 1]
 
-    def what(self, r):
-        """Tail integral ``int_r^1 w(s) ds``."""
-        return self._tail("what", lambda s, v: v, r)
-
     def wtilde(self, r):
         """``2 int_r^1 w(s) s ds``."""
         return self._tail("wtilde", lambda s, v: 2.0 * s * v, r)
@@ -245,25 +203,6 @@ class StandardWeight(RadialWeight):
     def moment(self, x: float) -> float:
         return self.scale * 0.5 * _beta((x + 1.0) / 2.0, self.alpha + 1.0)
 
-    def what(self, r):
-        """``(scale/2) B_y(alpha + 1, 1/2)``, the incomplete beta function at
-        ``y = 1 - r^2``, which does not cancel as r -> 1.  With ``a = alpha +
-        1`` it is ``y**a |r| / a`` times the continued fraction of
-        :func:`_beta_fraction` when ``y <= (a + 1)/(a + 5/2)``, and
-        ``B(1/2, a) - 2 |r| y**a`` times the fraction at ``(1/2, a, r^2)``
-        otherwise.  Against 40-digit values, for alpha <= 10, it reads
-        within 1.6e-15 relative at r in {0, 0.27, 0.9, 0.99} and 1 - r in
-        {1e-4, 1e-6, 1e-8}, and within 7.5e-15 on 103 radii from 0 to
-        1 - 1e-8 (the most near y = (a + 1)/(a + 5/2), where the fraction
-        needs the most terms)."""
-        r = np.asarray(r, dtype=float)
-        a, y = self.alpha + 1.0, (1.0 - r) * (1.0 + r)
-        swap = y > (a + 1.0) / (a + 2.5)
-        front = y**a * np.abs(r)
-        direct = front * _beta_fraction(a, 0.5, np.where(swap, 0.0, y)) / a
-        flipped = _beta(0.5, a) - 2.0 * front * _beta_fraction(0.5, a, np.where(swap, r * r, 0.0))
-        return (self.scale * 0.5 * np.where(swap, flipped, direct))[()]
-
     def wtilde(self, r):
         r = np.asarray(r, dtype=float)
         return (self.scale * ((1.0 - r) * (1.0 + r)) ** (self.alpha + 1.0) / (self.alpha + 1.0))[()]
@@ -298,42 +237,6 @@ def weight_from_spec(spec: str) -> RadialWeight:
     if not (np.all(np.isfinite(vs)) and np.all(vs >= 0.0) and np.any(vs > 0.0)):
         raise ValueError(f"table {path}: values must be finite, nonnegative and not all zero")
     return RadialWeight.tabulated(lambda r: np.interp(np.asarray(r, float), rs, vs))
-
-
-# ---------------------------------------------------------------------------
-# regularity fit
-# ---------------------------------------------------------------------------
-
-def regularity_constants(w: RadialWeight, radii=None) -> tuple[float, float, float]:
-    """Tightest exponents (and constant) of the two-sided power bounds
-
-        C^-1 ((1-r)/(1-t))^alpha what(t) <= what(r)
-            <= C ((1-r)/(1-t))^beta what(t),   0 <= r <= t < 1.
-
-    The exponents are the extreme two-point slopes of ``log what`` against
-    ``log(1-r)`` over well-separated radius pairs (``1-t <= (1-r)/4``, so
-    short-range corrections do not pollute them); ``C`` is then the largest
-    multiplicative defect of the bounds with those exponents over all
-    pairs.  Raises if the tail integral vanishes at a node.
-    """
-    if radii is None:
-        radii = np.concatenate([np.linspace(0.0, 0.9, 10), 1.0 - np.geomspace(0.1, 1e-4, 12)])
-    radii = np.sort(np.asarray(radii, dtype=float))
-    tails = w.what(radii)
-    if np.any(tails <= 0.0):
-        raise ValueError("weight tail integral vanishes on the sample radii")
-    i, j = np.triu_indices(radii.size, k=1)
-    denom = np.log((1.0 - radii[i]) / (1.0 - radii[j]))
-    keep = denom >= 1e-12
-    i, j, denom = i[keep], j[keep], denom[keep]
-    ratio = np.log(tails[i] / tails[j])
-    separated = (1.0 - radii[j]) <= (1.0 - radii[i]) / 4.0
-    if not separated.any():
-        raise ValueError("need at least one well-separated radius pair")
-    slopes = ratio[separated] / denom[separated]
-    alpha_est, beta_est = float(slopes.min()), float(slopes.max())
-    defect = np.concatenate([[0.0], ratio - beta_est * denom, alpha_est * denom - ratio])
-    return alpha_est, beta_est, float(np.exp(defect.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +281,6 @@ def moment_identity_gap(w: RadialWeight, nmax: int = 64) -> float:
 # inner products and Green-type identities
 # ---------------------------------------------------------------------------
 
-def _derivative_pairing(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid, radial) -> complex:
-    """``int f' conj(g') radial(|u|) dm`` by radial quadrature of the
-    angular-exact ring pairing; ``radial`` holds the factor at the grid's radii."""
-    df, dg = f.derivative(), g.derivative()
-    n = min(df.order, dg.order)
-    pair = df.coeffs[: n + 1] * np.conj(dg.coeffs[: n + 1])
-    r = grid.radii
-    ring = (r[:, None] ** (2 * np.arange(n + 1))[None, :]) @ pair
-    return np.sum(grid.ring_weights * radial * ring)
-
-
 def bergman_inner(f: PowerSeries, g: PowerSeries, w: RadialWeight) -> complex:
     """``<f, g>_{A^2_w} = 2 sum f_k conj(g_k) w_{2k+1}`` (angular
     orthogonality makes the reduction exact; the moments carry the grid
@@ -408,47 +300,17 @@ def green_identity_residual(
     if not w.normalized:
         raise ValueError("the Green-type identity requires a normalized weight")
     lhs = bergman_inner(f, g, w)
-    rhs = _derivative_pairing(f, g, grid, w.wstar(grid.radii))
+    df, dg = f.derivative(), g.derivative()
+    n = min(df.order, dg.order)
+    pair = df.coeffs[: n + 1] * np.conj(dg.coeffs[: n + 1])
+    r = grid.radii
+    ring = (r[:, None] ** (2 * np.arange(n + 1))[None, :]) @ pair
+    rhs = np.sum(grid.ring_weights * w.wstar(r) * ring)
     return float(abs(lhs - 4.0 * rhs - f.coeffs[0] * np.conj(g.coeffs[0])))
 
 
-def green_boundary_residual(f: PowerSeries, g: PowerSeries, grid: QuadratureGrid) -> float:
-    """Residual of the boundary pairing identity
-    ``(1/2pi) int f conj(g) dt = 2 int f' conj(g') log(1/|u|) dm + f(0) conj(g(0))``
-    (the H^2 pairing is the exact coefficient sum)."""
-    n = min(f.order, g.order)
-    lhs = np.sum(f.coeffs[: n + 1] * np.conj(g.coeffs[: n + 1]))
-    rhs = _derivative_pairing(f, g, grid, np.log(1.0 / grid.radii))
-    return float(abs(lhs - 2.0 * rhs - f.coeffs[0] * np.conj(g.coeffs[0])))
-
-
 # ---------------------------------------------------------------------------
-# pointwise growth bound
-# ---------------------------------------------------------------------------
-
-def pointwise_growth_margin(
-    f: PowerSeries,
-    w: RadialWeight,
-    p: float,
-    grid: QuadratureGrid,
-    C: float = 4.0,
-) -> float:
-    """Sanity margin ``min [ C ||f||_{A^p_w} / (what(z)(1-|z|))^{1/p} - |f(z)| ]``
-    over the outer annulus ``1/2 <= |z| <= r_max``; nonnegative margins mean
-    the calibrated pointwise growth bound holds on the grid."""
-    if p == 2:
-        norm = float(np.sqrt(np.real(bergman_inner(f, f, w))))
-    else:
-        dens = sample_moduli(f, grid.radii, grid.angular) ** p * w(grid.radii)[:, None]
-        norm = grid.integrate(dens) ** (1.0 / p)
-    radii = grid.sup_radii[grid.sup_radii >= 0.5]
-    rings = np.max(sample_moduli(f, radii, grid.angular), axis=1)
-    bound = C * norm / (w.what(radii) * (1.0 - radii)) ** (1.0 / p)
-    return float(np.min(bound - rings, initial=np.inf))
-
-
-# ---------------------------------------------------------------------------
-# kernel-based Bloch quantity and the solution bound
+# kernel-based Bloch quantity
 # ---------------------------------------------------------------------------
 
 def bloch_kernel_quantity(
@@ -534,37 +396,3 @@ def bloch_kernel_quantity(
     inner = float(np.max(est[radius <= 0.9]))
     flag = bool(value > 2.0 * inner + 1e-300)
     return NormEstimate(value, coarse, flag)
-
-
-@dataclass(frozen=True)
-class BlochBoundReport:
-    x_quantity: float
-    predicted_bound: float
-    actual_bloch_norm: float
-
-
-def bloch_solution_bound(
-    A: PowerSeries,
-    w: RadialWeight,
-    grid: QuadratureGrid,
-    initial_values: tuple[complex, complex] = (1.0, 0.0),
-    order: int | None = None,
-) -> BlochBoundReport:
-    """Check the Bloch solution bound against an actually solved series.
-
-    Requires the kernel quantity below 1/4; otherwise raises
-    :class:`BoundNotApplicableError`.
-    """
-    x = bloch_kernel_quantity(A, w, grid).value
-    if x >= 0.25:
-        raise BoundNotApplicableError(
-            f"kernel quantity {x:.4f} is not below 1/4; bound not applicable"
-        )
-    prim_norm = growth_norm(A.antiderivative(0.0), 1.0, grid).value
-    f0, f1 = (complex(v) for v in initial_values)
-    predicted = (abs(f0) * prim_norm + abs(f1)) / (1.0 - 4.0 * x)
-    N = A.order if order is None else order
-    problem = ODEProblem(2, (A.truncate(N) if A.order > N else A.pad(N), zero_series(N)), (f0, f1), N)
-    f = solve_series(problem)
-    actual = bloch_norm(f, grid).value
-    return BlochBoundReport(x, predicted, actual)

@@ -18,7 +18,7 @@ from disclab.conditions import (
     moment_log_integral,
     nehari_sup,
 )
-from disclab.geometry import ZeroSequence, greedy_partition, separation_sums
+from disclab.geometry import ZeroSequence, greedy_partition
 from disclab.hardy import default_corpus, fit_cp_exponent, hss_residual, prop_main_sides
 from disclab.norms import bloch_norm, bmoa_garsia, growth_norm
 from disclab.ode import (
@@ -38,6 +38,7 @@ from disclab.weights import (
     kernel_eval,
     moment_identity_gap,
 )
+from oracles import separation_sums
 
 
 def _zeros(order):

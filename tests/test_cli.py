@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -470,8 +471,8 @@ class TestStartup:
         # in a fresh process, `import disclab.cli` loads what parsing and
         # reporting need, and each command then loads only the estimator
         # modules it calls. The zeros, kernels and identities commands
-        # refine roots and evaluate beta and incomplete beta functions, and
-        # no command loads a scipy module
+        # refine roots and evaluate beta functions, and no command loads a
+        # scipy module
         src = str(Path(disclab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         commands = [
@@ -545,13 +546,26 @@ class TestStartup:
             assert set(typing.get_type_hints(cls)) >= {f.name for f in dataclasses.fields(cls)}, cls
 
 
-class TestDependencies:
-    ROOT = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
 
+
+@functools.cache
+def parsed(top: str) -> dict[Path, ast.Module]:
+    """The syntax tree of every ``.py`` file under ``top`` (``src``,
+    ``tests`` or ``bench``), each file parsed once for every guard."""
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def named(node: ast.AST) -> set[str]:
+    """Every name that ``node`` reads or binds as a ``Name`` or an ``Attribute``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+class TestDependencies:
     def test_no_module_imports_scipy(self):
         offenders = []
-        for path in sorted((self.ROOT / "src" / "disclab").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for path, tree in parsed("src").items():
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -567,8 +581,7 @@ class TestDependencies:
         # posing as an option; a class's __init__ counts under the class's
         # name, and calls match defs by name alone
         options = []
-        for path in sorted((self.ROOT / "src" / "disclab").glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
+        for tree in parsed("src").values():
             owner = {
                 item: node.name
                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -585,8 +598,8 @@ class TestDependencies:
                 options += [(name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         calls = {}
         for top in ("src", "tests", "bench"):
-            for path in sorted((self.ROOT / top).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for tree in parsed(top).values():
+                for node in ast.walk(tree):
                     if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
                         continue
                     name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -600,9 +613,25 @@ class TestDependencies:
         ]
         assert unset == []
 
+    def test_every_public_def_is_reached(self):
+        # a module-level public def or class of src/disclab that no code
+        # names is reached by no command and no benchmark: a name in src/
+        # counts outside the routine's own body (the __all__ and _MODULES
+        # entries are strings, not names), a name in bench/ anywhere
+        defs, reached = [], set()
+        for path, tree in parsed("src").items():
+            for node in tree.body:
+                own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+                if own and not own.startswith("_"):
+                    defs.append((path.stem, own))
+                reached |= named(node) - {own}
+        for tree in parsed("bench").values():
+            reached |= named(tree)
+        assert [f"{module}.{name}" for module, name in defs if name not in reached] == []
+
     def test_project_does_not_depend_on_scipy(self):
         # a text check: tomllib needs Python 3.11, and the project supports 3.10
-        text = (self.ROOT / "pyproject.toml").read_text()
+        text = (ROOT / "pyproject.toml").read_text()
         project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
         dependencies = project.split("dependencies = [", 1)[1].split("]", 1)[0]
         assert "numpy" in dependencies

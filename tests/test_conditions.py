@@ -12,7 +12,6 @@ from disclab.conditions import (
     ConditionReport,
     _cauchy_products,
     _h1_inner_fields,
-    apply_SA,
     bmoa_dd,
     bmoa_h1_cond,
     cauchy_bound,
@@ -360,21 +359,11 @@ class TestBmoaH1:
 
 
 class TestApplySA:
-    def test_zero_coefficient(self):
-        out = apply_SA(zeros_series(8), PowerSeries([1.0]).pad(8))
-        assert np.max(np.abs(out.coeffs)) == 0.0
-
-    def test_double_primitive_of_coefficient(self):
-        A = PowerSeries([1.0, 2.0]).pad(8)
-        out = apply_SA(A, PowerSeries([1.0]).pad(8))
-        expect = A.antiderivative(0.0).antiderivative(0.0)
-        assert np.allclose(out.coeffs, expect.coeffs[: out.order + 1])
-
     def test_solution_identity(self):
         for spec in ("hille:gamma=1.0", "exp-singular"):
             ex = named_example(spec, order=200)
             f = solve_series(ex.problem)
-            s = apply_SA(ex.coefficient, f)
+            s = (f * ex.coefficient).antiderivative(0.0).antiderivative(0.0)  # S_A(f)
             recon = np.zeros(201, dtype=complex)
             recon[0] = ex.problem.initial_values[0]
             recon[1] = ex.problem.initial_values[1]

@@ -8,17 +8,13 @@ import pytest
 
 from disclab import hardy
 from disclab.hardy import (
-    NontangentialParams,
     corpus_from_manifest,
     default_corpus,
     fit_cp_exponent,
     hp_membership_experiment,
     hss_residual,
-    loc_univ_margin,
     nonvanishing_bound_check,
-    nt_max,
     prop_main_sides,
-    shadow_length,
 )
 from disclab.ode import named_example
 from disclab.series import PowerSeries, exp_series, pow_series, sample_moduli
@@ -82,37 +78,6 @@ class TestHardySteinSpencer:
             fine = hss_residual(f, p, grid)
             assert fine <= coarse + 1e-12
             assert fine < 1e-8
-
-
-class TestNontangential:
-    def test_aperture_validation(self):
-        with pytest.raises(ValueError):
-            NontangentialParams(aperture=1.0)
-
-    def test_constant_max(self, grid):
-        params = NontangentialParams()
-        assert nt_max(PowerSeries([3.0]), 1.0, params, grid) == pytest.approx(3.0)
-
-    def test_identity_approaches_one(self, grid):
-        params = NontangentialParams()
-        assert nt_max(PowerSeries([0, 1]).pad(4), 1.0, params, grid) > 0.999
-
-    def test_vertex_on_circle_required(self, grid):
-        with pytest.raises(ValueError):
-            nt_max(PowerSeries([0, 1]), 0.5, NontangentialParams(), grid)
-
-    def test_shadow_band(self):
-        params = NontangentialParams(aperture=2.0)
-        ratios = [shadow_length(r + 0j, params) / (1 - r) for r in np.linspace(0.5, 0.999, 40)]
-        assert min(ratios) > 2.0
-        assert max(ratios) < 8.0
-        # asymptotics: |I(z)| ~ 2 sqrt(aperture^2 - 1) (1 - r)
-        assert ratios[-1] == pytest.approx(2 * math.sqrt(3), rel=0.01)
-
-    def test_shadow_rotation_invariant(self):
-        params = NontangentialParams()
-        z = 0.77 * np.exp(0.9j)
-        assert shadow_length(z, params) == pytest.approx(shadow_length(0.77, params))
 
 
 class TestPropMain:
@@ -193,8 +158,6 @@ class TestPropMain:
         f = exp_eps_series(1.0, order=40)
         lhs, rhs = prop_main_sides(f, 4.0, 2, grid)
         assert rhs <= 4.0 * lhs
-        margin, _ = loc_univ_margin(f, grid)
-        assert np.isfinite(margin)
 
     def test_area_monotone_under_dilation(self, grid):
         # the area quantity grows with the dilation radius (domain exhaustion)
@@ -207,27 +170,6 @@ class TestPropMain:
             _, rhs = prop_main_sides(g, 1.0, 1, grid)
             vals.append(rhs)
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
-
-
-class TestLocallyUnivalent:
-    def test_exponential_margin_is_one(self, grid):
-        f = exp_eps_series(1.0, order=40)
-        margin, per_k = loc_univ_margin(f, grid)
-        assert margin == pytest.approx(1.0, rel=1e-6)
-        assert set(per_k) == {1, 2, 3}
-
-    def test_linear_margin_zero(self, grid):
-        margin, _ = loc_univ_margin(PowerSeries([0, 1]).pad(8), grid)
-        assert margin == 0.0
-
-    def test_koebe_like_finite(self, grid):
-        f = PowerSeries(np.arange(65, dtype=float))  # z/(1-z)^2 truncated
-        margin, _ = loc_univ_margin(f, grid)
-        assert np.isfinite(margin)
-
-    def test_vanishing_derivative_rejected(self, grid):
-        with pytest.raises(ValueError):
-            loc_univ_margin(PowerSeries([1.0, 0.0, 1.0]).pad(8), grid)  # f' = 2z vanishes at 0
 
 
 class TestZeroFreeExperiment:

@@ -11,7 +11,6 @@ from disclab.norms import (
     bmoa_garsia,
     bmoa_h2_def,
     carleson_norm,
-    decay_profile,
     growth_norm,
     hp_norm,
     mp_means,
@@ -132,11 +131,6 @@ class TestBloch:
     def test_log_kernel_family(self, grid):
         est = bloch_norm(log_e_series(0.999), grid)
         assert 1.8 <= est.value <= 2.0
-
-    def test_quadratic_profile_decays(self):
-        prof = decay_profile(PowerSeries([0, 0, 1.0]), [0.5, 0.9, 0.99])
-        assert prof[-1][1] < 0.05
-        assert prof[0][1] > prof[-1][1]
 
 
 class TestBmoaGarsia:

@@ -14,7 +14,6 @@ from disclab.ode import (
     residual,
     solve_series,
     symmetric_power_problem,
-    transform_order2,
     transform_order3,
 )
 from disclab.series import AccuracyWarning, PowerSeries, compose_moebius
@@ -223,19 +222,6 @@ class TestTransform:
         C = transform_order3(*B, 0.4, out_order=80)
         for orig, back in zip(coeffs, C):
             assert np.max(np.abs(orig.coeffs[:41] - back.coeffs[:41])) < 1e-9
-
-    def test_order2_transform(self):
-        rng = np.random.default_rng(4)
-        N = 120
-        A0 = PowerSeries(0.5 * rng.standard_normal(7)).pad(N)
-        A1 = PowerSeries(0.5 * rng.standard_normal(5)).pad(N)
-        p = ODEProblem(2, (A0, A1), (1.0, -0.5), N)
-        f = solve_series(p)
-        a = 0.45
-        g = compose_moebius(f, a, out_order=N)
-        B0, B1 = transform_order2(A0, A1, a, out_order=N)
-        iv = (complex(g.coeffs[0]), complex(g.coeffs[1]))
-        assert residual(g, ODEProblem(2, (B0, B1), iv, N), r_max=0.8) < 1e-8
 
 
 class TestSymmetricPower:
