@@ -1,7 +1,12 @@
 """Reference quantities that the tests check production code against and
 that no command computes."""
 
+import math
+
+import numpy as np
+
 from disclab.geometry import ZeroSequence, pseudo_hyp
+from disclab.series import PowerSeries, sample_moduli
 
 
 def separation_sums(seq: ZeroSequence, a: complex, exponent: int) -> float:
@@ -23,3 +28,32 @@ def separation_sums(seq: ZeroSequence, a: complex, exponent: int) -> float:
             continue
         total += (1.0 - pseudo_hyp(a, z) ** 2) ** exponent
     return total
+
+
+def jensen_residual(g: PowerSeries, r: float, known_zeros: ZeroSequence, angular: int = 4096) -> float:
+    """Residual of the exact Jensen identity applied to ``g(z)/z^2``.
+
+    For g with a double zero at 0 (g(0) = g'(0) = 0, g''(0) != 0) and
+    non-origin zeros ``w`` (with multiplicities) inside ``|z| < r``::
+
+        sum mult * log(r/|w|)
+            = (1/2pi) int log|g(r e^{it}) / g''(0)| dt + log(2 / r^2).
+
+    Only the points of ``known_zeros`` with 0 < |w| < r enter the sum.
+    The residual tends to 0 under angular refinement.  A zero of g on the
+    sampling circle makes the boundary integral singular and raises.
+    """
+    if not (0.0 < r < 1.0):
+        raise ValueError("radius must lie in (0, 1)")
+    c = g.coeffs
+    if g.order < 2 or abs(c[0]) > 1e-13 or abs(c[1]) > 1e-13 or c[2] == 0:
+        raise ValueError("g must vanish to exactly second order at 0")
+    zeros = known_zeros.points
+    if any(abs(abs(w) - r) < 1e-9 for w, _ in zeros if w != 0):
+        raise ValueError("a known zero lies on the sampling circle")
+    lhs = sum(m * math.log(r / abs(w)) for w, m in zeros if 0.0 < abs(w) < r)
+    mags = sample_moduli(g, [r], angular)[0] / abs(2.0 * c[2])
+    if np.any(mags == 0.0):
+        raise ValueError("g vanishes on the sampling circle")
+    rhs = float(np.mean(np.log(mags))) + math.log(2.0 / r**2)
+    return abs(lhs - rhs)

@@ -46,6 +46,21 @@ class TestDistances:
         assert pseudo_hyp(a, a) == 0.0
 
 
+class TestZeroSequence:
+    def test_rejects_multiplicity_below_one(self):
+        with pytest.raises(ValueError, match="multiplicities"):
+            ZeroSequence(((0.2, 0),))
+
+    def test_length_counts_multiplicity(self):
+        assert len(ZeroSequence(((0.2, 3), (0.5j, 1)))) == 4
+        assert len(ZeroSequence(())) == 0
+
+    def test_expand_repeats_each_point_in_order(self):
+        seq = ZeroSequence(((0.2, 2), (-0.4, 1), (0.1j, 3)))
+        assert seq.expand() == [0.2, 0.2, -0.4, 0.1j, 0.1j, 0.1j]
+        assert ZeroSequence.simple([0.3, -0.1]).points == ((0.3, 1), (-0.1, 1))
+
+
 class TestSeparationConstants:
     def test_single_point_convention(self):
         rep = separation_constants(ZeroSequence.simple([0.2]))

@@ -15,6 +15,7 @@ from disclab.hardy import (
     hss_residual,
     nonvanishing_bound_check,
     prop_main_sides,
+    zero_free_polynomial,
 )
 from disclab.ode import named_example
 from disclab.series import PowerSeries, exp_series, pow_series, sample_moduli
@@ -240,3 +241,21 @@ class TestCorpus:
         for x, y in zip(corpus, back):
             assert x.name == y.name and x.tags == y.tags
             assert np.allclose(x.series.coeffs, y.series.coeffs)
+
+
+class TestZeroFreePolynomial:
+    @pytest.mark.parametrize("degree", [1, 4, 8])
+    def test_roots_lie_in_the_drawn_annulus(self, degree):
+        # prod (1 - z/w) has value 1 at 0, degree `degree` and roots w with
+        # 1.2 <= |w| <= 3: zero-free on the closed disc
+        f = zero_free_polynomial(np.random.default_rng(degree), degree)
+        assert f.order == degree
+        assert f.coeffs[0] == 1.0
+        roots = np.polynomial.polynomial.polyroots(f.coeffs)
+        assert np.all((np.abs(roots) >= 1.2 - 1e-9) & (np.abs(roots) <= 3.0 + 1e-9))
+
+    def test_modulus_on_the_circle_is_bounded_below(self):
+        # each factor has |1 - z/w| >= 1 - 1/1.2 on |z| <= 1
+        degree = 6
+        f = zero_free_polynomial(np.random.default_rng(11), degree)
+        assert np.min(sample_moduli(f, [1.0], 512)) >= (1.0 - 1.0 / 1.2) ** degree

@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 from disclab import QuadratureGrid
 from disclab.cli import parse_function
 from disclab.norms import (
+    PROBE_HIGH,
+    PROBE_LOW,
+    PROBE_MID,
     NormEstimate,
+    QuadratureError,
     bloch_norm,
     bmoa_garsia,
     bmoa_h2_def,
     carleson_norm,
+    dilation_estimate,
     growth_norm,
     hp_norm,
     mp_means,
@@ -69,6 +74,47 @@ class TestMpMean:
         want = float(np.sum(np.abs(f.coeffs) ** 2 * r ** (2 * np.arange(21))))
         assert got == pytest.approx(want, rel=1e-13)
 
+    def test_nonpositive_exponent_rejected(self, grid):
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                mp_means(PowerSeries([1.0]), [0.5], p, 16)
+            with pytest.raises(ValueError):
+                hp_norm(PowerSeries([1.0]), p, grid)
+
+
+class TestDilationEstimate:
+    @staticmethod
+    def recording_run(values):
+        """A ``run`` that reads each input's dilation radius from its linear
+        coefficient (``f = z``), logs every call and returns ``values[r]``."""
+        calls = []
+
+        def run(g, fs):
+            radii = [float(np.real(fr.coeffs[1])) for fr in fs]
+            calls.append((g, radii))
+            return [values[r] for r in radii]
+
+        return run, calls
+
+    def test_four_inputs_on_the_grid_and_one_on_its_coarsened_sibling(self, small_grid):
+        run, calls = self.recording_run({1.0: 5.0, PROBE_LOW: 1.0, PROBE_MID: 2.0, PROBE_HIGH: 3.0})
+        est = dilation_estimate(run, small_grid, PowerSeries([0.0, 1.0]))
+        assert calls == [(small_grid, [1.0, PROBE_LOW, PROBE_MID, PROBE_HIGH]), (small_grid.coarsened(), [1.0])]
+        assert (est.value, est.value_coarse) == (5.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "lo, mid, hi, flag",
+        [
+            (2.3, 4.6, 6.9, True),  # logarithmic: equal increments per decade
+            (10.0, 100.0, 1000.0, True),  # power law
+            (1.0, 3.0, 3.5, False),  # doubles, but the increments decay: late saturation
+            (1.0, 1.4, 1.9, False),  # sustained, but short of doubling
+        ],
+    )
+    def test_divergence_flag_needs_doubling_and_sustained_growth(self, small_grid, lo, mid, hi, flag):
+        run, _ = self.recording_run({1.0: hi, PROBE_LOW: lo, PROBE_MID: mid, PROBE_HIGH: hi})
+        assert dilation_estimate(run, small_grid, PowerSeries([0.0, 1.0])).divergence_flag is flag
+
 
 class TestHpNorm:
     def test_monomial(self, grid):
@@ -89,6 +135,13 @@ class TestHpNorm:
         assert np.isfinite(est.value)
         assert not est.divergence_flag
         assert est.value_coarse == pytest.approx(est.value, rel=0.1)
+
+    def test_unresolved_profile_raises(self, grid):
+        # 1 - z^M sampled at M angles reads 1 - r^M on every ring: the
+        # aliased means decrease in r, which analytic means never do
+        f = PowerSeries(np.eye(grid.angular + 1)[0] - np.eye(grid.angular + 1)[-1])
+        with pytest.raises(QuadratureError):
+            hp_norm(f, 2.0, grid)
 
     def test_exp_singular_solution_bounded(self, grid):
         from disclab.ode import solve_series
@@ -115,6 +168,19 @@ class TestGrowthNorm:
         A = named_example("exp-singular", order=4096).coefficient
         assert growth_norm(A, 2.0, grid).divergence_flag
 
+    @pytest.mark.parametrize("n, q", [(1, 0.5), (2, 1.0), (5, 2.0), (8, 0.25)])
+    def test_monomial_closed_form(self, grid, n, q):
+        # sup r^n (1 - r^2)^q is taken at r^2 = n/(n + 2q); the grid's
+        # circles miss that radius by a fraction of a panel, from below
+        t = n / (n + 2 * q)
+        exact = t ** (n / 2) * (1 - t) ** q
+        value = growth_norm(PowerSeries(np.eye(n + 1)[n]), q, grid).value
+        assert exact * (1 - 3e-3) <= value <= exact * (1 + 1e-12)
+
+    def test_negative_exponent_rejected(self, grid):
+        with pytest.raises(ValueError):
+            growth_norm(PowerSeries([1.0]), -0.5, grid)
+
     def test_dominates_hardy_estimates(self, grid):
         rng = np.random.default_rng(2)
         for _ in range(4):
@@ -131,6 +197,14 @@ class TestBloch:
     def test_log_kernel_family(self, grid):
         est = bloch_norm(log_e_series(0.999), grid)
         assert 1.8 <= est.value <= 2.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_monomial_closed_form(self, grid, n):
+        # sup n r^(n-1) (1 - r^2) is taken at r^2 = (n - 1)/(n + 1)
+        t = (n - 1) / (n + 1)
+        exact = n * t ** ((n - 1) / 2) * (1 - t)
+        value = bloch_norm(PowerSeries(np.eye(n + 1)[n]), grid).value
+        assert exact * (1 - 3e-3) <= value <= exact * (1 + 1e-12)
 
 
 class TestBmoaGarsia:

@@ -16,7 +16,7 @@ from disclab.ode import (
     symmetric_power_problem,
     transform_order3,
 )
-from disclab.series import AccuracyWarning, PowerSeries, compose_moebius
+from disclab.series import AccuracyWarning, PowerSeries, binomial_series, compose_moebius
 
 
 def zeros_series(order):
@@ -222,6 +222,25 @@ class TestTransform:
         C = transform_order3(*B, 0.4, out_order=80)
         for orig, back in zip(coeffs, C):
             assert np.max(np.abs(orig.coeffs[:41] - back.coeffs[:41])) < 1e-9
+
+    def test_order2_transform(self):
+        # g = f o phi_a solves g'' + B1 g' + B0 g = 0 with B0 = (A0 o phi_a)
+        # (phi_a')^2 and B1 = (A1 o phi_a) phi_a' - phi_a''/phi_a', where
+        # phi_a' = -(1 - |a|^2)/(1 - conj(a) z)^2 and phi_a''/phi_a' =
+        # 2 conj(a)/(1 - conj(a) z)
+        rng = np.random.default_rng(4)
+        N = 120
+        A0 = PowerSeries(0.5 * rng.standard_normal(7)).pad(N)
+        A1 = PowerSeries(0.5 * rng.standard_normal(5)).pad(N)
+        p = ODEProblem(2, (A0, A1), (1.0, -0.5), N)
+        f = solve_series(p)
+        a = 0.45
+        g = compose_moebius(f, a, out_order=N)
+        d1 = binomial_series(2, np.conj(a), N) * -(1.0 - abs(a) ** 2)
+        B0 = compose_moebius(A0, a, out_order=N) * d1 * d1
+        B1 = compose_moebius(A1, a, out_order=N) * d1 - binomial_series(1, np.conj(a), N) * (2 * np.conj(a))
+        iv = (complex(g.coeffs[0]), complex(g.coeffs[1]))
+        assert residual(g, ODEProblem(2, (B0, B1), iv, N), r_max=0.8) < 1e-8
 
 
 class TestSymmetricPower:

@@ -24,6 +24,7 @@ from disclab.series import (
     ring_shares,
     sample_moduli,
     sample_rings,
+    zero_series,
 )
 
 # strategies for points and series inside the disc
@@ -42,6 +43,12 @@ class TestEval:
     def test_zero_series(self):
         f = PowerSeries([0.0, 0.0, 0.0])
         assert f(0.3 + 0.4j) == 0.0
+
+    def test_zero_series_of_each_order(self):
+        for order in (0, 1, 7):
+            f = zero_series(order)
+            assert f.order == order
+            assert not np.any(f.coeffs)
 
     def test_geometric_partial_sum(self):
         # sum_{n<=50} 2^-n = 2 - 2^-50
@@ -764,6 +771,28 @@ class TestTranscendentals:
         r = reciprocal_series(f)
         prod = (f * r).coeffs
         assert np.allclose(prod, [1, 0, 0, 0], atol=1e-14)
+
+    def test_log_of_one_minus_cz(self):
+        # log(1 - c z) = -sum c^n z^n / n
+        c = 0.6 - 0.3j
+        n = np.arange(1, 21)
+        got = log_series(PowerSeries([1.0, -c]).pad(20)).coeffs
+        assert np.max(np.abs(got - np.concatenate([[0.0], -(c**n) / n]))) < 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reciprocal_of_binomial_is_a_polynomial(self, k):
+        # the reciprocal of (1 - c z)^-k is (1 - c z)^k, whose coefficients stop at degree k
+        c = 0.5 + 0.25j
+        got = reciprocal_series(binomial_series(k, c, 12)).coeffs
+        expect = np.zeros(13, dtype=complex)
+        expect[: k + 1] = [math.comb(k, j) * (-c) ** j for j in range(k + 1)]
+        assert np.max(np.abs(got - expect)) < 1e-14
+
+    def test_zero_constant_term_rejected(self):
+        f = PowerSeries([0.0, 1.0, 2.0])
+        for op in (log_series, reciprocal_series, lambda g: pow_series(g, 0.5)):
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                op(f)
 
     def test_geometric_and_binomial(self):
         g = binomial_series(1, 0.5, 6)  # the geometric series 1/(1 - z/2)

@@ -1,6 +1,7 @@
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from disclab.grids import QuadratureGrid
+from disclab.grids import QuadratureGrid, panel_rule
 from disclab.norms import NormEstimate, bloch_norm, growth_norm
 from disclab.ode import ODEProblem, solve_series
 from disclab.series import AccuracyWarning, PowerSeries, dilate, zero_series
@@ -136,6 +137,47 @@ class TestPanelRule:
         for name in ("wtilde", "wstar"):
             np.testing.assert_allclose(getattr(generic, name)(r), getattr(std, name)(r), rtol=1e-9, err_msg=name)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 4, 10])
+    def test_standard_tails_near_one_against_exact_polynomial_tails(self, alpha):
+        # with m = alpha + 1: wtilde(r) = (1 - r^2)^m and, by t = s^2,
+        # wstar(r) = (1/4) int_{r^2}^1 (1 - t)^m/t dt
+        #          = (1/4) (-2 log r + sum_{j=1}^m C(m, j) (-1)^j (1 - r^(2j))/j),
+        # exact in rationals and a 250-digit log at the float radii.  wstar
+        # near 1 is read at float nodes s, so 1 - s carries a relative
+        # error of up to an ulp over 1 - r; the bound allows four of those
+        m = alpha + 1
+        w = RadialWeight.standard(float(alpha))
+        rs = [0.27, 0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
+        tilde, star = w.wtilde(np.array(rs)), w.wstar(np.array(rs))
+        for i, r in enumerate(rs):
+            R = Fraction(r)
+            rest = sum(Fraction(comb(m, j) * (-1) ** j) * (1 - R ** (2 * j)) / j for j in range(1, m + 1))
+            with localcontext() as ctx:
+                ctx.prec = 250
+                log_r = (Decimal(R.numerator) / R.denominator).ln()
+                exact_star = float((-2 * log_r + Decimal(rest.numerator) / rest.denominator) / 4)
+            exact_tilde = float((1 - R * R) ** m)
+            assert_rel(w.wtilde(r), exact_tilde, 4e-15)
+            assert_rel(tilde[i], exact_tilde, 4e-15)
+            assert_rel(w.wstar(r), exact_star, 1e-14 + 4 * 2.0**-52 / (1 - r))
+            assert_rel(star[i], exact_star, 1e-14 + 4 * 2.0**-52 / (1 - r))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_composite_rule_is_exact_to_degree_2n_minus_1(self, n):
+        edges = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+        nodes, weights = panel_rule(edges, n)
+        assert nodes.shape == weights.shape == (4, n)
+        for d in range(2 * n):
+            assert_rel(float(np.sum(weights * nodes**d)), 1.0 / (d + 1), 1e-14)
+
+    def test_composite_rule_nodes_inside_their_panels(self):
+        edges = np.concatenate([[0.0], 2.0 ** np.arange(-6, 0), 1.0 - 2.0 ** -np.arange(2, 9), [1.0]])
+        nodes, weights = panel_rule(edges, 5)
+        assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
+        assert np.all(weights > 0)
+        np.testing.assert_allclose(weights.sum(axis=1), np.diff(edges), rtol=1e-14)
+
+
 # 40-digit values of the standard weights' moments, from the closed form (the
 # script is in TestAgainstHighPrecisionValues' docstring)
 MOMENT_XS = (0, 1, 7, 129, 341, 513)
@@ -208,6 +250,13 @@ class TestKernels:
             kern = PowerSeries(np.conj(complex(zeta)) ** np.arange(81) / (2 * w.odd_moments(80)))
             got = bergman_inner(f.pad(80), kern, w)
             assert abs(got - f(zeta)) < 1e-7
+
+    def test_arguments_outside_the_domain_rejected(self):
+        w = RadialWeight.standard(0.0)
+        with pytest.raises(ValueError, match="kernel evaluation"):
+            kernel_eval(w, 0.9, 1.2j, 10)
+        with pytest.raises(ValueError, match="order >= 1"):
+            kernel_derivative_residual(w, 0.5, 0.5, 0)
 
     def test_derivative_matches_tilde_kernel(self):
         w = RadialWeight.standard(0.0)
