@@ -54,16 +54,11 @@ FUNCTION_SPECS = {
     },
 }
 
-# q**terms is bounded through terms * log2(q), so a huge q**terms is never built.
-_lacunary_size = checked(
-    tuple,
-    lambda qt: qt[1] * math.log2(qt[0]) <= math.log2(MAX_SPEC_ORDER),
-    "lacunary needs q**terms <= 2**20 for (q, terms)",
-)
-
 
 def _lacunary_frequencies(q: int, terms: int) -> list[int]:
-    _lacunary_size((q, terms))
+    # q**terms is bounded through terms * log2(q), so a huge q**terms is never built
+    if terms * math.log2(q) > math.log2(MAX_SPEC_ORDER):
+        raise ValueError(f"lacunary needs q**terms <= 2**20 for (q, terms), got {(q, terms)!r}")
     return [q**k for k in range(1, terms + 1)]
 
 
@@ -89,14 +84,6 @@ def parse_function(spec: str, order: int) -> PowerSeries:
     return _FUNCTION_CONSTRUCTORS[name](order, **params)
 
 
-def build_grid(args) -> QuadratureGrid:
-    return QuadratureGrid(
-        r_max=args.r_max,
-        nodes_per_panel=args.nodes_per_panel,
-        angular=args.angular,
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 # ---------------------------------------------------------------------------
@@ -113,7 +100,7 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not serializable")
 
 
-def render_report(command: str, config: dict, results, grid: QuadratureGrid | None) -> str:
+def render_report(command: str, config: dict, results, grid: QuadratureGrid) -> str:
     """The canonical JSON report; a non-finite value raises ``ValueError``
     naming it, since ``Infinity`` and ``NaN`` are not JSON."""
     body = {
@@ -126,14 +113,9 @@ def render_report(command: str, config: dict, results, grid: QuadratureGrid | No
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
+        "grid": {"fingerprint": grid.fingerprint(), "r_max": grid.r_max, "angular": grid.angular,
+                 "nodes_per_panel": grid.nodes_per_panel},
     }
-    if grid is not None:
-        body["grid"] = {
-            "fingerprint": grid.fingerprint(),
-            "r_max": grid.r_max,
-            "angular": grid.angular,
-            "nodes_per_panel": grid.nodes_per_panel,
-        }
     dump = lambda allow_nan: json.dumps(body, sort_keys=True, indent=1, default=_jsonable, allow_nan=allow_nan)
     try:
         return dump(False)
@@ -148,8 +130,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        wr.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +138,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args, grid):
-    if args.emit_coeffs < 0:
-        raise ValueError("--emit-coeffs must be nonnegative")
     ex = named_example(args.example, order=args.order)
     f = solve_series(ex.problem)
     try:
@@ -188,14 +167,12 @@ def _example_gamma(spec: str) -> float:
 
 def _cmd_zeros(args, grid):
     gamma = _example_gamma(args.example)
-    table = hille_zero_table(gamma, args.count, order=args.order)
-    rows = []
-    prev_s = 0.0
-    for k, (x, s) in enumerate(table, start=1):
+    rows, prev_s = [], 0.0
+    for k, (x, s) in enumerate(hille_zero_table(gamma, args.count, order=args.order), start=1):
         rows.append({"k": k, "x": x, "s": s, "gap": s - prev_s})
         prev_s = s
     if args.csv:
-        write_csv(args.csv, ["k", "x", "s", "gap"], [(r["k"], r["x"], r["s"], r["gap"]) for r in rows])
+        write_csv(args.csv, ["k", "x", "s", "gap"], [tuple(r.values()) for r in rows])
     return {"gamma": gamma, "zeros": rows}
 
 
@@ -203,8 +180,6 @@ def _cmd_separation(args, grid):
     from . import geometry
 
     gamma = _example_gamma(args.example)
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
     xs = [math.tanh(k * math.pi / (2 * gamma)) for k in range(1, args.count + 1)]
     xs = [x for x in xs if x < 1.0]
     seq = geometry.ZeroSequence(tuple((x, args.multiplicity) for x in xs))
@@ -221,8 +196,6 @@ def _cmd_separation(args, grid):
 
 
 def _decay(A, args, grid):
-    if args.profile_points < 1:
-        raise ValueError("--profile-points must be at least 1")
     radii = [float(r) for r in np.linspace(0.5, grid.r_max, args.profile_points)]
     rows = disclab.conditions.decay_conditions(A, radii, grid)
     if args.csv:
@@ -260,76 +233,63 @@ NORMS = {
 }
 
 
-def _cmd_condition(args, grid):
-    return CONDITIONS[args.kind](parse_function(args.coeff, args.order), args, grid)
-
-
-def _cmd_norm(args, grid):
-    return NORMS[args.kind](parse_function(args.f, args.order), args, grid)
-
-
 def _cmd_kernels(args, grid):
-    from . import weights
-
-    w = weights.weight_from_spec(args.weight)
+    w = disclab.weights.weight_from_spec(args.weight)
     zeta, u = complex(args.zeta), complex(args.at)
-    val = weights.kernel_eval(w, zeta, u, args.order)
+    val = disclab.weights.kernel_eval(w, zeta, u, args.order)
     out = {
         "kernel_value": val,
-        "derivative_residual": weights.kernel_derivative_residual(w, zeta, u, args.order),
-        "moment_identity_gap": weights.moment_identity_gap(w, nmax=64),
+        "derivative_residual": disclab.weights.kernel_derivative_residual(w, zeta, u, args.order),
+        "moment_identity_gap": disclab.weights.moment_identity_gap(w, nmax=64),
     }
-    if isinstance(w, weights.StandardWeight) and float(w.alpha).is_integer():
+    if isinstance(w, disclab.weights.StandardWeight) and float(w.alpha).is_integer():
         closed = (1.0 - u * np.conj(zeta)) ** (-2.0 - w.alpha)
         out["closed_form_error"] = float(abs(val - closed))
     return out
 
 
+def _poly(rng) -> PowerSeries:  # degree 8, standard complex normal coefficients
+    return PowerSeries(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+
+
+def _point(rng) -> complex:  # inside |z| < 0.8
+    return 0.8 * (rng.random() * np.exp(2j * np.pi * rng.random()))
+
+
+# suite -> (the residuals of one trial, None for a suite without trials;
+# whether the report adds the weight's moment gap), for ``identities --suite``
+SUITES = {
+    "green": (lambda w, rng, grid: [disclab.weights.green_identity_residual(_poly(rng), _poly(rng), w, grid)], False),
+    "kernel": (lambda w, rng, grid: [disclab.weights.kernel_derivative_residual(w, _point(rng), _point(rng), 200)],
+               True),
+    "hss": (lambda w, rng, grid: disclab.hardy.hss_residual(
+        disclab.hardy.zero_free_polynomial(rng, 6), (0.5, 1.0, 2.0, 4.0), grid), False),
+    "moment": (None, True),
+}
+
+
 def _cmd_identities(args, grid):
-    from . import weights
-
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    w = weights.weight_from_spec(args.weight)
+    w = disclab.weights.weight_from_spec(args.weight)
     rng = np.random.default_rng(args.seed)
-    suite = args.suite
-
-    def random_poly(deg):
-        return PowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-
-    if suite == "green":
+    trial, moment_gap = SUITES[args.suite]
+    out = {"suite": args.suite}
+    if trial is not None:
         worst = 0.0
         for _ in range(args.trials):
-            f, g = random_poly(8), random_poly(8)
-            worst = max(worst, weights.green_identity_residual(f, g, w, grid))
-        return {"suite": "green", "max_residual": worst}
-    if suite == "kernel":
-        worst = 0.0
-        for _ in range(args.trials):
-            zeta = 0.8 * (rng.random() * np.exp(2j * np.pi * rng.random()))
-            u = 0.8 * (rng.random() * np.exp(2j * np.pi * rng.random()))
-            worst = max(worst, weights.kernel_derivative_residual(w, zeta, u, 200))
-        return {"suite": "kernel", "max_residual": worst, "moment_gap": weights.moment_identity_gap(w)}
-    if suite == "hss":
-        from . import hardy
-
-        worst = 0.0
-        for _ in range(args.trials):
-            f = hardy.zero_free_polynomial(rng, 6)
-            worst = max(worst, *hardy.hss_residual(f, (0.5, 1.0, 2.0, 4.0), grid))
-        return {"suite": "hss", "max_residual": worst}
-    return {"suite": "moment", "moment_gap": weights.moment_identity_gap(w)}
+            worst = max(worst, *trial(w, rng, grid))
+        out["max_residual"] = worst
+    if moment_gap:
+        out["moment_gap"] = disclab.weights.moment_identity_gap(w)
+    return out
 
 
 def _cmd_hardy(args, grid):
-    from . import hardy
-
     if args.corpus:
         with open(args.corpus) as fh:
-            corpus = hardy.corpus_from_manifest(fh.read())
+            corpus = disclab.hardy.corpus_from_manifest(fh.read())
     else:
-        corpus = hardy.default_corpus(seed=args.seed)
-    sides = hardy.prop_main_sides([cf.series for cf in corpus], args.p, args.k, grid)
+        corpus = disclab.hardy.default_corpus(seed=args.seed)
+    sides = disclab.hardy.prop_main_sides([cf.series for cf in corpus], args.p, args.k, grid)
     rows = [(cf.name, *pair) for cf, pair in zip(corpus, sides)]
     if args.csv:
         write_csv(args.csv, ["name", "hardy_power", "area_plus_inits"], rows)
@@ -337,19 +297,34 @@ def _cmd_hardy(args, grid):
     return {"p": args.p, "k": args.k, "functions": out_rows}
 
 
-def _cmd_experiment(args, grid):
-    if args.kind == "hp-membership":
-        return disclab.hardy.hp_membership_experiment(parse_function(args.coeff, args.order), args.p, grid)
-    if args.kind == "zero-free-cp":
-        f = parse_function(args.f, args.order)
-        slope, track = disclab.hardy.fit_cp_exponent(f, grid)
-        if args.csv:
-            write_csv(args.csv, ["p", "C_emp"], track)
-        return {"fitted_exponent": slope, "track": [list(t) for t in track]}
-    freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])  # lacunary
+def _zero_free_cp(args, grid):
+    slope, track = disclab.hardy.fit_cp_exponent(parse_function(args.f, args.order), grid)
+    if args.csv:
+        write_csv(args.csv, ["p", "C_emp"], track)
+    return {"fitted_exponent": slope, "track": [list(t) for t in track]}
+
+
+def _lacunary_experiment(args, grid):
+    freqs = _lacunary_frequencies(**parse_spec(args.coeff, {"lacunary": LACUNARY_SPEC})[1])
     if len(freqs) < 2:
         raise ValueError("lacunary needs terms >= 2 here: one frequency has no gap ratio")
     return disclab.conditions.lacunary_lmoa(np.ones(len(freqs)), freqs)
+
+
+# kind -> (default ``--coeff``, shown in the report's config; handler), for ``experiment --kind``
+EXPERIMENTS = {
+    "hp-membership": ("constant:c=0.05", lambda args, grid: disclab.hardy.hp_membership_experiment(
+        parse_function(args.coeff, args.order), args.p, grid)),
+    "zero-free-cp": ("constant:c=0.05", _zero_free_cp),
+    "lacunary": ("lacunary", _lacunary_experiment),
+}
+
+
+def _cmd_experiment(args, grid):
+    coeff, handler = EXPERIMENTS[args.kind]
+    if args.coeff is None:
+        args.coeff = coeff
+    return handler(args, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +382,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--at", type=complex, default=0.5 + 0j)
 
     sp = sub.add_parser("identities", help="identity verification suites")
-    sp.add_argument("--suite", required=True, choices=("green", "kernel", "hss", "moment"))
+    sp.add_argument("--suite", required=True, choices=SUITES)
     sp.add_argument("--weight", default="standard:alpha=0")
     sp.add_argument("--trials", type=int, default=5)
 
@@ -418,8 +393,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
 
     sp = sub.add_parser("experiment", help="composite experiments")
-    sp.add_argument("--kind", required=True, choices=("hp-membership", "zero-free-cp", "lacunary"))
-    sp.add_argument("--coeff", help="default: lacunary for --kind lacunary, else constant:c=0.05")
+    sp.add_argument("--kind", required=True, choices=EXPERIMENTS)
+    sp.add_argument("--coeff", help="default: " + ", ".join(f"{c} for --kind {k}" for k, (c, _) in EXPERIMENTS.items()))
     sp.add_argument("--f", default="exp:eps=0.1")
     sp.add_argument("--p", type=float, default=2.0)
 
@@ -431,61 +406,52 @@ _HANDLERS = {
     "residual": _cmd_residual,
     "zeros": _cmd_zeros,
     "separation": _cmd_separation,
-    "condition": _cmd_condition,
-    "norm": _cmd_norm,
+    "condition": lambda args, grid: CONDITIONS[args.kind](parse_function(args.coeff, args.order), args, grid),
+    "norm": lambda args, grid: NORMS[args.kind](parse_function(args.f, args.order), args, grid),
     "kernels": _cmd_kernels,
     "identities": _cmd_identities,
     "hardy": _cmd_hardy,
     "experiment": _cmd_experiment,
 }
 
-
-# ``experiment --coeff`` default of each kind (it shows in the report's config).
-EXPERIMENT_COEFF = {
-    "hp-membership": "constant:c=0.05",
-    "zero-free-cp": "constant:c=0.05",
-    "lacunary": "lacunary",
-}
+# flag -> its least value, for the count flags of the commands that have them
+COUNT_FLOORS = {"emit_coeffs": 0, "count": 1, "trials": 1, "profile_points": 1}
 
 
 def _check_flags(args) -> None:
-    """Every numeric flag is finite, and ``--order`` is a size a spec may ask for."""
+    """Every numeric flag is finite, every count flag at least its floor,
+    and ``--order`` is a size a spec may ask for."""
     for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+        if name in COUNT_FLOORS and value < COUNT_FLOORS[name]:
+            raise ValueError(f"{flag} must be at least {COUNT_FLOORS[name]}, got {value}")
     if not 0 <= args.order <= MAX_SPEC_ORDER:
         raise ValueError(f"--order must lie in [0, 2**20], got {args.order}")
 
 
-def _config_dict(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
-
-
 def run(argv=None) -> int:
-    ap = _make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "experiment" and args.coeff is None:
-        args.coeff = EXPERIMENT_COEFF[args.kind]
     try:
         _check_flags(args)
-        grid = build_grid(args)
+        grid = QuadratureGrid(r_max=args.r_max, nodes_per_panel=args.nodes_per_panel, angular=args.angular)
         if args.grid_refine:
             grid = grid.refined()
-        handler = _HANDLERS[args.command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", AccuracyWarning)
-            results = handler(args, grid)
-        report = render_report(args.command, _config_dict(args), results, grid)
+            results = _HANDLERS[args.command](args, grid)
+        config = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
+        report = render_report(args.command, config, results, grid)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(report + "\n")
         else:
             print(report)
-        flagged = any(issubclass(w.category, AccuracyWarning) for w in caught)
-        if args.strict and flagged:
+        if args.strict and any(issubclass(w.category, AccuracyWarning) for w in caught):
             print("accuracy warnings were raised (strict mode)", file=sys.stderr)
             return 3
         return 0

@@ -22,9 +22,13 @@ __all__ = [
 ]
 
 
-def pseudo_hyp(a: complex, b: complex) -> float:
-    """Pseudo-hyperbolic distance |phi_a(b)| = |a - b|/|1 - conj(a) b|."""
-    return float(abs(a - b) / abs(1.0 - np.conj(a) * b))
+def pseudo_hyp(a, b):
+    """Pseudo-hyperbolic distance |phi_a(b)| = |a - b|/|1 - conj(a) b|: a
+    float for two points, an array for arrays (broadcast against each
+    other)."""
+    a, b = np.asarray(a), np.asarray(b)
+    d = np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +80,16 @@ class SeparationReport:
     partition_count: int = 0
 
 
-def _pairwise_constants(flat: list[complex]) -> tuple[float, float]:
-    n = len(flat)
+def _distances(flat: list[complex]) -> np.ndarray:
+    """The matrix of ``pseudo_hyp(flat[i], flat[j])``."""
+    pts = np.array(flat, dtype=complex)
+    return pseudo_hyp(pts[:, None], pts[None, :])
+
+
+def _pairwise_constants(dmat: np.ndarray) -> tuple[float, float]:
+    n = len(dmat)
     if n <= 1:
         return 1.0, 1.0
-    pts = np.array(flat)
-    dmat = np.abs(pts[:, None] - pts[None, :]) / np.abs(1 - np.conj(pts[:, None]) * pts[None, :])
     off = ~np.eye(n, dtype=bool)
     sep = float(dmat[off].min())
     prods = np.array([np.prod(dmat[k][off[k]]) for k in range(n)])
@@ -90,7 +98,7 @@ def _pairwise_constants(flat: list[complex]) -> tuple[float, float]:
 
 def separation_constants(seq: ZeroSequence) -> SeparationReport:
     """Both separation functionals, no partition."""
-    sep, uni = _pairwise_constants(seq.expand())
+    sep, uni = _pairwise_constants(_distances(seq.expand()))
     return SeparationReport(sep, uni)
 
 
@@ -107,15 +115,16 @@ def greedy_partition(seq: ZeroSequence, delta: float) -> SeparationReport:
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     flat = sorted(seq.expand(), key=lambda z: (abs(z), math.atan2(z.imag, z.real) % (2 * math.pi)))
-    groups: list[list[complex]] = []
-    for z in flat:
+    dmat = _distances(flat)
+    groups: list[list[int]] = []
+    for i, row in enumerate(dmat):
         for g in groups:
-            if all(pseudo_hyp(z, w) >= delta for w in g):
-                g.append(z)
+            if np.all(row[g] >= delta):
+                g.append(i)
                 break
         else:
-            groups.append([z])
-    sep, uni = _pairwise_constants(flat)
+            groups.append([i])
+    sep, uni = _pairwise_constants(dmat)
     return SeparationReport(
-        sep, uni, tuple(tuple(g) for g in groups), len(groups)
+        sep, uni, tuple(tuple(flat[i] for i in g) for g in groups), len(groups)
     )

@@ -295,7 +295,7 @@ def hp_membership_experiment(
     dens = sample_moduli(A, grid.radii, grid.angular) ** 2 * ((1.0 - grid.radii**2) ** 3)[:, None]
     mu = carleson_norm(dens, grid)
     tail = grid.sup_radii[grid.sup_radii >= 0.5]
-    profile = tuple(zip(map(float, tail), mp_means(f, tail, p, grid.angular)))
+    profile = tuple(zip(map(float, tail), map(float, mp_means(f, tail, p, grid.angular))))
     fv = sample_moduli(f, grid.radii, grid.angular)
     ee = grid.integrate(fv**p * dens)
     return MembershipReport(dd, mu, profile, float(ee))

@@ -91,17 +91,17 @@ def dilation_estimate(run, grid: QuadratureGrid, f: PowerSeries) -> NormEstimate
     return NormEstimate(value, coarse, bool(doubled and sustained))
 
 
-def mp_means(f: PowerSeries, radii, p: float, M: int) -> list[float]:
+def mp_means(fs, radii, p: float, M: int) -> np.ndarray:
     """Integral means ``((1/M) sum_j |f(r e^{2 pi i j / M})|^p)^{1/p}``,
-    one per radius ``r`` in ``radii``.
+    one per radius ``r`` in ``radii``; a stack (as
+    :func:`~disclab.series.sample_moduli` takes) gives one row per series.
 
     For p = 2 and M > f.order each equals ``(sum |c_k|^2 r^{2k})^{1/2}``
     exactly (discrete Parseval).
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    vals = sample_moduli(f, radii, M)
-    return [float(m ** (1.0 / p)) for m in np.mean(vals**p, axis=1)]
+    return np.mean(sample_moduli(fs, radii, M) ** p, axis=-1) ** (1.0 / p)
 
 
 def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
@@ -113,11 +113,9 @@ def hp_norm(f: PowerSeries, p: float, grid: QuadratureGrid) -> NormEstimate:
     :class:`QuadratureError`: it means the angular rule no longer resolves
     the integrand.  The input and its dilations are sampled as one stack.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
 
     def run(g: QuadratureGrid, fs):
-        means = np.mean(sample_moduli(fs, g.sup_radii, g.angular) ** p, axis=-1) ** (1.0 / p)
+        means = mp_means(fs, g.sup_radii, p, g.angular)
         drops = means[0, :-1] - means[0, 1:]  # the undilated input
         rel = float(np.max(drops / np.maximum(means[0, :-1], 1e-30))) if drops.size else 0.0
         if rel > 1e-6:

@@ -30,6 +30,21 @@ def separation_sums(seq: ZeroSequence, a: complex, exponent: int) -> float:
     return total
 
 
+def greedy_groups_pairwise(seq: ZeroSequence, delta: float) -> list[list[complex]]:
+    """The groups of :func:`disclab.geometry.greedy_partition`, with every
+    distance taken by its own scalar ``pseudo_hyp`` call."""
+    flat = sorted(seq.expand(), key=lambda z: (abs(z), math.atan2(z.imag, z.real) % (2 * math.pi)))
+    groups: list[list[complex]] = []
+    for z in flat:
+        for g in groups:
+            if all(pseudo_hyp(z, w) >= delta for w in g):
+                g.append(z)
+                break
+        else:
+            groups.append([z])
+    return groups
+
+
 def jensen_residual(g: PowerSeries, r: float, known_zeros: ZeroSequence, angular: int = 4096) -> float:
     """Residual of the exact Jensen identity applied to ``g(z)/z^2``.
 

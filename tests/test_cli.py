@@ -209,13 +209,19 @@ class TestErrors:
             ["separation", "--example", "hille:gamma=1.0", "--delta", "0"],
             ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "0"],
             ["identities", "--suite", "green", "--weight", "standard:alpha=0", "--trials", "-2"],
+            ["zeros", "--example", "hille:gamma=1.0", "--count", "-4"],
+            ["identities", "--suite", "moment", "--trials", "0"],
+            ["solve", "--example", "exp-singular", "--emit-coeffs", "-1"],
+            ["condition", "--kind", "decay", "--coeff", "log-reciprocal", "--profile-points", "0"],
         ],
     )
     def test_degenerate_counts_exit_2(self, argv, capsys):
-        # an empty zero sequence or no trials would report a vacuous result
+        # an empty zero sequence or no trials would report a vacuous result;
+        # the one-line message names the count flag that is below its floor
         assert run(BASE + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in argv if flag in ("--count", "--trials", "--emit-coeffs", "--profile-points"))
 
     @pytest.mark.parametrize("command", ["zeros", "separation"])
     @pytest.mark.parametrize("spec", ["hille:gamma=0", "hille:gamma=-1", "hille:gamma=nan", "hille:gama=3"])
@@ -561,6 +567,25 @@ def named(node: ast.AST) -> set[str]:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def called(tree: ast.AST):
+    """``(name, positional count, keyword names)`` of every call of a name
+    or an attribute in ``tree``; the count is infinite when arguments are
+    unpacked.  The benchmark's traced call ``tr.call(label, fn, *args,
+    **kw)`` counts also as a call of ``fn`` with the arguments shifted by
+    two."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+            continue
+        keywords = {k.arg for k in node.keywords}
+        unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+        count = math.inf if unpacked else len(node.args)
+        yield (node.func.id if isinstance(node.func, ast.Name) else node.func.attr), count, keywords
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "call" and len(node.args) >= 2:
+            fn = node.args[1]
+            if isinstance(fn, (ast.Name, ast.Attribute)):
+                yield (fn.id if isinstance(fn, ast.Name) else fn.attr), count - 2, keywords
+
+
 class TestDependencies:
     def test_no_module_imports_scipy(self):
         offenders = []
@@ -599,19 +624,21 @@ class TestDependencies:
         calls = {}
         for top in ("src", "tests", "bench"):
             for tree in parsed(top).values():
-                for node in ast.walk(tree):
-                    if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
-                        continue
-                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                    keywords = {k.arg for k in node.keywords}
-                    unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
-                    calls.setdefault(name, []).append((math.inf if unpacked else len(node.args), keywords))
+                for name, count, keywords in called(tree):
+                    calls.setdefault(name, []).append((count, keywords))
         unset = [
             f"{name}({arg}=...)"
             for name, arg, i in options
             if not any(arg in keywords or (i is not None and i < n) for n, keywords in calls.get(name, []))
         ]
         assert unset == []
+
+    def test_a_traced_call_counts_as_a_call_of_its_function(self):
+        tree = ast.parse('tr.call("ode.hille_zero_table", hille_zero_table, 1.0, 5, order=64)\n'
+                         'tr.call("ode.transform_order3", transform_order3, *coefficients, a, out_order=8)')
+        assert ("hille_zero_table", 2, {"order"}) in called(tree)
+        assert ("transform_order3", math.inf, {"out_order"}) in called(tree)
+        assert ("call", 4, {"order"}) in called(tree)
 
     def test_every_public_def_is_reached(self):
         # a module-level public def or class of src/disclab that no code

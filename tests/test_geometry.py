@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab.geometry import ZeroSequence, greedy_partition, pseudo_hyp, separation_constants
+from oracles import greedy_groups_pairwise
 
 disc = st.complex_numbers(max_magnitude=0.9, allow_infinity=False, allow_nan=False)
 
@@ -44,6 +45,15 @@ class TestDistances:
         a, b = 0.2 + 0.1j, -0.4j
         assert pseudo_hyp(a, b) == pytest.approx(pseudo_hyp(b, a))
         assert pseudo_hyp(a, a) == 0.0
+
+    def test_broadcasts_over_arrays(self):
+        rng = np.random.default_rng(2)
+        a = 0.9 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))
+        b = 0.9 * rng.random(3) * np.exp(2j * np.pi * rng.random(3))
+        got = pseudo_hyp(a[:, None], b[None, :])
+        want = [[pseudo_hyp(complex(u), complex(v)) for v in b] for u in a]
+        assert got.shape == (5, 3)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestZeroSequence:
@@ -116,3 +126,21 @@ class TestGreedyPartition:
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
                     assert pseudo_hyp(u, v) >= 0.4
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("multiplicity", [1, 3])
+    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9, 0.95])
+    def test_matches_pairwise_oracle_on_hille_zeros(self, gamma, multiplicity, delta):
+        xs = [x for x in hille_zeros(gamma, range(1, 41)) if x < 1.0]
+        seq = ZeroSequence(tuple((x, multiplicity) for x in xs))
+        assert [list(g) for g in greedy_partition(seq, delta).partition] == greedy_groups_pairwise(seq, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_oracle_away_from_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = 0.95 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+        seq = ZeroSequence.simple(pts)
+        d = pseudo_hyp(pts[:, None], pts[None, :])
+        # a distance within 1e-12 of delta could fall either side under round-off
+        delta = next(t for t in (0.3, 0.31, 0.32, 0.33) if np.all(np.abs(d - t) > 1e-12))
+        assert [list(g) for g in greedy_partition(seq, delta).partition] == greedy_groups_pairwise(seq, delta)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from disclab.cli import CONDITIONS, NORMS, run
+from disclab.cli import CONDITIONS, EXPERIMENTS, NORMS, SUITES, run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -54,7 +54,7 @@ KIND_COMMANDS = [
     f"{SMALL_GRID} experiment --kind lacunary",
     # on the default grid: the small one leaves discretisation error in the
     # suites' residuals, which are held to round-off bounds
-    *(f"--order 128 identities --suite {suite}" for suite in ("green", "kernel", "hss", "moment")),
+    *(f"--order 128 identities --suite {suite}" for suite in SUITES),
     f"{SMALL_GRID} hardy --p 0.5 --k 2",
 ]
 
@@ -115,6 +115,13 @@ def test_readme_report_matches_golden(command, tmp_path, monkeypatch):
 
 def test_every_kind_has_a_golden_report():
     assert sorted(KIND_COMMANDS) == sorted(KINDS)
+
+
+def test_every_cli_table_choice_has_a_kind_command():
+    tables = {"condition --kind": CONDITIONS, "norm --kind": NORMS, "experiment --kind": EXPERIMENTS,
+              "identities --suite": SUITES}
+    choices = [f"{flag} {key} " for flag, table in tables.items() for key in table]
+    assert [c for c in choices if not any(c in command + " " for command in KIND_COMMANDS)] == []
 
 
 @pytest.mark.parametrize("command", sorted(KINDS))

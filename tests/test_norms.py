@@ -74,6 +74,18 @@ class TestMpMean:
         want = float(np.sum(np.abs(f.coeffs) ** 2 * r ** (2 * np.arange(21))))
         assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7])
+    def test_stack_rows_equal_one_series_calls(self, p):
+        rng = np.random.default_rng(3)
+        complex_stack = [PowerSeries(rng.standard_normal(33) + 1j * rng.standard_normal(33)) for _ in range(3)]
+        real_stack = [PowerSeries(rng.standard_normal(33)) for _ in range(3)]
+        radii = [0.1, 0.4, 0.9, 0.99]
+        for stack in (complex_stack, real_stack):
+            got = mp_means(stack, radii, p, 64)
+            assert got.shape == (3, 4)
+            for row, f in zip(got, stack):
+                assert np.array_equal(row, mp_means(f, radii, p, 64))
+
     def test_nonpositive_exponent_rejected(self, grid):
         for p in (0.0, -1.0):
             with pytest.raises(ValueError):
